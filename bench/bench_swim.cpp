@@ -16,9 +16,10 @@
 // incarnation trace.
 //
 // Usage: bench_swim [tiers]   (default 2 => {5, 50} sites; 3 adds the
-//                              200-site cell, which costs minutes of wall
-//                              clock per detector — the RelCast flood is
-//                              O(n^2) packets per broadcast)
+//                              200-site cells — the RelCast flood is O(n^2)
+//                              packets per broadcast, ~2M per cell, which
+//                              inline virtual-time dispatch simulates in
+//                              seconds)
 #include <cstdio>
 #include <cstdlib>
 

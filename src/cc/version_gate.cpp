@@ -59,8 +59,12 @@ void VersionGate::wait_exact(std::uint64_t pv_minus_1, CCStats& stats, const cha
     // that publishes pv_minus_1 may still be queued.
     diag::ScopedWait wait(diag::WaitKind::kGateExact, this, who, target, target + 1,
                           cell_.lv.load(std::memory_order_relaxed));
+    // Acquire, not relaxed: the predicate's first evaluation can observe a
+    // publisher's lv store before that publisher takes mu_, and then
+    // nothing but this load orders the previous holder's writes before
+    // our handler runs.
     self.cv.wait(lock, [&] {
-      return self.cancelled || cell_.lv.load(std::memory_order_relaxed) == target;
+      return self.cancelled || cell_.lv.load(std::memory_order_acquire) == target;
     });
   }
   if (!self.cancelled) {
@@ -101,8 +105,9 @@ void VersionGate::wait_window(std::uint64_t lo, std::uint64_t hi, CCStats& stats
   {
     diag::ScopedWait wait(diag::WaitKind::kGateWindow, this, who, lo, hi,
                           cell_.lv.load(std::memory_order_relaxed));
+    // Acquire for the same reason as wait_exact's predicate.
     self.cv.wait(lock, [&] {
-      return self.cancelled || in_window(cell_.lv.load(std::memory_order_relaxed));
+      return self.cancelled || in_window(cell_.lv.load(std::memory_order_acquire));
     });
   }
   if (!self.cancelled) std::erase(window_waiters_, &self);

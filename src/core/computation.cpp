@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/errors.hpp"
 #include "core/runtime.hpp"
 #include "diag/wait_registry.hpp"
 
@@ -9,7 +10,11 @@ namespace samoa {
 
 Computation::Computation(Runtime& runtime, ComputationId id, Isolation spec,
                          std::unique_ptr<ComputationCC> cc)
-    : runtime_(runtime), id_(id), spec_(std::move(spec)), cc_(std::move(cc)) {}
+    : runtime_(runtime),
+      id_(id),
+      spec_(std::move(spec)),
+      cc_(std::move(cc)),
+      inline_thread_(runtime.runs_inline() ? std::this_thread::get_id() : std::thread::id{}) {}
 
 void Computation::task_started() { pending_tasks_.fetch_add(1, std::memory_order_acq_rel); }
 
@@ -44,6 +49,13 @@ void Computation::finalize() {
 
 void Computation::wait_done() {
   if (completed_.is_set()) return;
+  // Inline dispatch runs every task of this computation on its spawning
+  // thread; if that is the caller, its work is queued behind the caller.
+  if (inline_thread_ == std::this_thread::get_id()) {
+    throw ConfigError("waiting on computation " + std::to_string(id_.value()) +
+                      " from the thread that runs it inline would deadlock: it only starts "
+                      "after the waiting computation completed");
+  }
   diag::ScopedWait wait(diag::WaitKind::kCompletion, this, "computation", id_.value(),
                         id_.value() + 1, 0);
   completed_.wait();

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "cc/controller.hpp"
@@ -73,6 +74,9 @@ class Computation : public std::enable_shared_from_this<Computation> {
   void rethrow_if_error() const;
 
   bool done() const { return completed_.is_set(); }
+  /// Throws ConfigError instead of blocking forever when called on the
+  /// thread whose inline queue still holds this computation's work (it
+  /// could only run after the caller returns).
   void wait_done();
   bool wait_done_for(std::chrono::milliseconds timeout) { return completed_.wait_for(timeout); }
 
@@ -90,6 +94,9 @@ class Computation : public std::enable_shared_from_this<Computation> {
   ComputationId id_;
   Isolation spec_;
   std::unique_ptr<ComputationCC> cc_;
+  /// The spawning thread, whose inline queue runs every task of this
+  /// computation; no thread when the runtime dispatches to other threads.
+  std::thread::id inline_thread_;
 
   std::atomic<std::size_t> pending_tasks_{0};
   OneShotEvent completed_;

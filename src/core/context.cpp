@@ -182,13 +182,9 @@ void Context::enqueue_handler(const Handler& h, Message msg) {
     comp->task_finished();
     if (hook != nullptr) hook->on_task_finished(comp->id());
   };
-  // Route to the owning microprotocol's shard (hook != nullptr implies the
-  // executor is disabled — see RuntimeOptions::dispatch_impl).
-  if (ExecutorGroup* ex = rt.executor_group()) {
-    ex->submit(ex->shard_of(h.owner().id().value()), std::move(task), comp->id().value());
-  } else {
-    rt.pool().submit(std::move(task), comp->id().value());
-  }
+  // Inline, or the owning microprotocol's shard (hook != nullptr implies
+  // the executor is disabled — see RuntimeOptions::dispatch_impl).
+  rt.submit_handler(h.owner().id().value(), comp->id().value(), std::move(task));
 }
 
 }  // namespace samoa

@@ -8,8 +8,10 @@
 //                            to T (error if zero or several are bound)
 //   trigger_all(T, m)        synchronous calls of all bound handlers, in
 //                            binding order
-//   async_trigger(T, m)      as trigger, but the handler runs on another
-//                            thread of the same computation
+//   async_trigger(T, m)      as trigger, but the handler runs as a separate
+//                            task of the same computation (on another
+//                            thread, or later on this one when the
+//                            runtime dispatches inline)
 //   async_trigger_all(T, m)  as trigger_all, asynchronous
 //
 // Internal events issued here are causally dependent on the current

@@ -1,6 +1,8 @@
 #include "core/runtime.hpp"
 
+#include <cassert>
 #include <cstdlib>
+#include <deque>
 #include <string_view>
 
 #include "core/errors.hpp"
@@ -24,17 +26,49 @@ DispatchImpl resolve_dispatch(DispatchImpl requested, const StepHook* hook) {
   return impl;
 }
 
+/// The calling thread's run-to-completion queue for inline dispatch. Every
+/// handler task belongs to a computation already running on this thread,
+/// so handlers go first: a root queued by a nested spawn starts only once
+/// every computation started before it has completed.
+struct InlineQueue {
+  std::deque<std::function<void()>> handlers;
+  std::deque<std::function<void()>> roots;
+  bool draining = false;
+
+  /// Run queued tasks until both FIFOs are empty. On a thread that is
+  /// already draining this returns at once: the outer drain runs what was
+  /// queued after the task that queued it, never re-entrantly.
+  void drain() {
+    if (draining) return;
+    draining = true;
+    struct Reset {
+      bool& flag;
+      ~Reset() { flag = false; }
+    } reset{draining};
+    for (;;) {
+      auto& fifo = handlers.empty() ? roots : handlers;
+      if (fifo.empty()) return;
+      std::function<void()> task = std::move(fifo.front());
+      fifo.pop_front();
+      task();
+    }
+  }
+};
+
+thread_local InlineQueue t_inline;
+
 }  // namespace
 
 Runtime::Runtime(Stack& stack, RuntimeOptions opts)
     : stack_(stack),
       opts_(opts),
       dispatch_(resolve_dispatch(opts.dispatch_impl, opts.step_hook)),
+      inline_(opts.clock != nullptr && opts.clock->is_virtual() && opts.step_hook == nullptr),
       controller_(make_controller(opts.policy)),
       trace_(opts.record_trace ? std::make_unique<TraceRecorder>() : nullptr),
-      pool_(ElasticThreadPool::Options{opts.min_threads, opts.max_threads,
+      pool_(ElasticThreadPool::Options{inline_ ? 0 : opts.min_threads, opts.max_threads,
                                        std::chrono::milliseconds(200)}),
-      executors_(dispatch_ == DispatchImpl::kExecutor
+      executors_(!inline_ && dispatch_ == DispatchImpl::kExecutor
                      ? std::make_unique<ExecutorGroup>(opts.executor, &controller_->stats())
                      : nullptr) {}
 
@@ -45,8 +79,25 @@ Runtime::~Runtime() {
 }
 
 void Runtime::submit_root(std::uint64_t comp_id, std::function<void()> fn) {
-  if (executors_ != nullptr) {
+  if (inline_) {
+    t_inline.roots.push_back(std::move(fn));
+    t_inline.drain();
+  } else if (executors_ != nullptr) {
     executors_->submit(executors_->next_shard(), std::move(fn), comp_id);
+  } else {
+    pool_.submit(std::move(fn), comp_id);
+  }
+}
+
+void Runtime::submit_handler(std::uint64_t owner, std::uint64_t comp_id,
+                             std::function<void()> fn) {
+  if (inline_) {
+    // Issued by a computation running inline, so the drain running it
+    // picks this up.
+    assert(t_inline.draining);
+    t_inline.handlers.push_back(std::move(fn));
+  } else if (executors_ != nullptr) {
+    executors_->submit(executors_->shard_of(owner), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
@@ -219,7 +270,12 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
             opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
         tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
       }
-      pool_.submit_batch(std::move(tasks));
+      if (inline_) {
+        for (auto& task : tasks) t_inline.roots.push_back(std::move(task.fn));
+        t_inline.drain();
+      } else {
+        pool_.submit_batch(std::move(tasks));
+      }
     }
   } catch (...) {
     for (const auto& comp : comps) {

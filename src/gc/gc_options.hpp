@@ -36,8 +36,9 @@ struct GcOptions {
   /// is exactly what the view-change experiment demonstrates.
   bool manual_locks = false;
 
-  /// Dispatch substrate of the node's runtime (see
-  /// RuntimeOptions::dispatch_impl). The Section 3 race demo pins
+  /// Dispatch substrate of the node's runtime on the wall clock (see
+  /// RuntimeOptions::dispatch_impl; a virtual-clock node runs its
+  /// computations inline and ignores it). The Section 3 race demo pins
   /// kElasticPool: reproducing the unsynchronised baseline's interleaving
   /// needs OS-level overlap of same-microprotocol computations, which the
   /// executor's per-mp serialization intentionally removes.

@@ -109,7 +109,7 @@ void SimNetwork::schedule_control(std::chrono::microseconds delay, std::string l
   cv_.notify_all();
   lock.unlock();
   // interrupt() with mu_ released, for the same lock-order reason as send().
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
 }
 
 void SimNetwork::cancel_controls() {
@@ -175,14 +175,15 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
   const bool new_earliest = push_packet(
       InFlight{clock_.now() + latency, next_seq_++, Packet{from, to, std::move(payload)}});
   // The delivery loop only needs to re-evaluate when the global earliest
-  // changed; a packet queued behind others in its lane can't affect the
-  // registered deadline. Skipping the notify keeps broadcast storms from
-  // hammering the loop's condition variable O(packets) times.
-  if (new_earliest) cv_.notify_all();
+  // changed; a packet queued behind others can't make the registered
+  // deadline overshoot. Skipping the notify and the clock interrupt keeps
+  // broadcast storms from hammering the loop O(packets) times.
+  if (!new_earliest) return;
+  cv_.notify_all();
   lock.unlock();
   // interrupt() must run with mu_ released: the scheduler's wake path locks
   // the parked delivery loop's mutex — this mu_ — to deliver the notify.
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
 }
 
 void SimNetwork::set_link(SiteId from, SiteId to, LinkOptions opts) {

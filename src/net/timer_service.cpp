@@ -28,7 +28,7 @@ TimerId TimerService::schedule(std::chrono::microseconds delay, std::function<vo
   }
   // interrupt() must run with mu_ released: the scheduler's wake path locks
   // the parked loop's mutex — this mu_ — to deliver the notify.
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
   return id;
 }
 
@@ -41,7 +41,7 @@ TimerId TimerService::schedule_periodic(std::chrono::microseconds interval,
     queue_.emplace(clock_.now() + interval, Entry{id, interval, std::move(fn)});
     cv_.notify_all();
   }
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
   return id;
 }
 

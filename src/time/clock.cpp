@@ -22,7 +22,7 @@ int VirtualClock::add_worker() {
   return next_worker_id_++;
 }
 
-void VirtualClock::remove_worker(int worker) {
+void VirtualClock::remove_worker([[maybe_unused]] int worker) {
   std::vector<PendingWake> wakes;
   {
     std::unique_lock g(mu_);
@@ -50,6 +50,11 @@ void VirtualClock::set_wake_policy(WakePolicy* policy) {
   wake_policy_ = policy;
 }
 
+std::uint64_t VirtualClock::wakeups() const {
+  std::lock_guard g(mu_);
+  return wakeups_;
+}
+
 void VirtualClock::unpin() {
   std::vector<PendingWake> wakes;
   {
@@ -60,11 +65,19 @@ void VirtualClock::unpin() {
   flush_wakes(std::move(wakes), nullptr);
 }
 
-void VirtualClock::interrupt() {
+void VirtualClock::interrupt(int worker) {
   std::vector<PendingWake> wakes;
   {
     std::lock_guard g(mu_);
-    ++epoch_;
+    // Only a registration made before the insert can be stale: a worker
+    // that parks later computes its deadline under its service mutex,
+    // after the producer's insert, so only parked waiters are marked.
+    for (Waiter* w : parked_) {
+      if (w->worker == worker && !w->woken.load(std::memory_order_relaxed) &&
+          std::find(stale_.begin(), stale_.end(), w) == stale_.end()) {
+        stale_.push_back(w);
+      }
+    }
     wakes = step_locked();
   }
   flush_wakes(std::move(wakes), nullptr);
@@ -75,7 +88,6 @@ void VirtualClock::park(Waiter& w, std::unique_lock<std::mutex>& lock,
   std::vector<PendingWake> wakes;
   {
     std::lock_guard g(mu_);
-    w.epoch = epoch_;
     parked_.push_back(&w);
     wakes = step_locked();
   }
@@ -88,13 +100,14 @@ void VirtualClock::park(Waiter& w, std::unique_lock<std::mutex>& lock,
   {
     std::lock_guard g(mu_);
     std::erase(parked_, &w);
+    std::erase(stale_, &w);  // it woke on its own predicate before being re-validated
     if (w.woken.load(std::memory_order_relaxed)) --pending_wakes_;
   }
 }
 
 void VirtualClock::wait(int worker, std::unique_lock<std::mutex>& lock,
                         std::condition_variable& cv, const std::function<bool()>& wake) {
-  Waiter w{worker, lock.mutex(), &cv, Clock::time_point{}, /*has_deadline=*/false, 0};
+  Waiter w{worker, lock.mutex(), &cv, Clock::time_point{}, /*has_deadline=*/false};
   park(w, lock, cv, wake);
 }
 
@@ -105,7 +118,7 @@ void VirtualClock::wait_until(int worker, std::unique_lock<std::mutex>& lock,
     std::lock_guard g(mu_);
     if (now_ >= deadline) return;  // already due — caller re-checks its queue
   }
-  Waiter w{worker, lock.mutex(), &cv, deadline, /*has_deadline=*/true, 0};
+  Waiter w{worker, lock.mutex(), &cv, deadline, /*has_deadline=*/true};
   park(w, lock, cv, wake);
 }
 
@@ -143,18 +156,19 @@ std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
   if (workers_ == 0) return wakes;
   if (static_cast<int>(parked_.size() + turn_requests_.size()) < workers_) return wakes;
 
-  // Re-validate stale registrations first: a producer inserted work since
-  // these waiters parked, so their registered deadlines may overshoot the
-  // true next event. Wake them; they re-check their queues and re-park.
-  for (Waiter* w : parked_) {
-    if (w->epoch != epoch_ && !w->woken.load(std::memory_order_relaxed)) {
+  // Re-validate stale registrations first: a producer inserted work into
+  // these waiters' queues since they parked, so their registered deadlines
+  // may overshoot the true next event. Wake them; they re-check their
+  // queues and re-park. No other registration can overshoot its queue.
+  if (!stale_.empty()) {
+    for (Waiter* w : stale_) {
       w->woken.store(true, std::memory_order_release);
-      ++pending_wakes_;
       wakes.push_back({w->mu, w->cv});
     }
-  }
-  if (!wakes.empty()) {
+    stale_.clear();
+    pending_wakes_ += static_cast<int>(wakes.size());
     notifies_in_flight_ += static_cast<int>(wakes.size());
+    wakeups_ += wakes.size();
     return wakes;
   }
 
@@ -226,6 +240,7 @@ std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
   best->woken.store(true, std::memory_order_release);
   ++pending_wakes_;
   ++notifies_in_flight_;
+  ++wakeups_;
   wakes.push_back({best->mu, best->cv});
   return wakes;
 }

@@ -15,7 +15,8 @@
 //     `now()` straight to the earliest armed deadline and wakes exactly one
 //     waiter; events therefore execute one at a time, in (deadline,
 //     worker-id) order, each running to completion (including the isolated
-//     computation it spawned) before the next fires. A test run under
+//     computation it spawned, which a virtual-time Runtime runs inline on
+//     the event's own thread) before the next fires. A test run under
 //     VirtualClock burns zero wall-clock time in timers and is bit-for-bit
 //     reproducible from its seed.
 //
@@ -27,9 +28,15 @@
 //   3. bracket the execution of a due callback with begin_dispatch()/
 //      end_dispatch() — WITHOUT holding the service mutex — so the
 //      scheduler can serialize event execution;
-//   4. producers call interrupt() after inserting work — and after
-//      releasing the service mutex — so stale parked deadlines are
-//      re-validated before time advances past them. The scheduler's wake
+//   4. producers call interrupt(worker) — naming the worker whose queue
+//      they inserted into — after inserting work and after releasing the
+//      service mutex, so that worker's parked deadline is re-validated
+//      before time advances past it. Only that worker is woken: no other
+//      registration can overshoot its own queue's head, so one event costs
+//      O(1) wakeups however many workers are parked. An insert that leaves
+//      the queue's head unchanged may skip the interrupt. (A cancel makes a
+//      registration early, never late: the early wake finds nothing due
+//      and re-parks, so cancels need no interrupt.) The scheduler's wake
 //      path acquires the target waiter's service mutex, so calling
 //      interrupt() (or end_dispatch()) while holding a mutex some waiter
 //      parks with would self-deadlock. The window between insert and
@@ -92,11 +99,12 @@ class ClockSource {
   virtual void pin() {}
   virtual void unpin() {}
 
-  /// Tell the scheduler that armed deadlines may have changed (a packet or
-  /// timer was inserted): parked workers re-validate their registered
-  /// deadlines before time advances past them. Call WITHOUT holding any
-  /// mutex a waiter parks with (the wake path locks it).
-  virtual void interrupt() {}
+  /// Tell the scheduler that `worker`'s armed deadline may have moved
+  /// earlier (a packet or timer was inserted into its queue): if it is
+  /// parked, it re-validates its registration before time advances past
+  /// it. No other worker is disturbed. Call WITHOUT holding any mutex a
+  /// waiter parks with (the wake path locks it).
+  virtual void interrupt(int worker) { (void)worker; }
 };
 
 /// One step the VirtualClock scheduler could take at a quiescent point:
@@ -173,13 +181,18 @@ class VirtualClock final : public ClockSource {
 
   void pin() override;
   void unpin() override;
-  void interrupt() override;
+  void interrupt(int worker) override;
 
   /// Install (or remove, with nullptr) the step-choice policy. Safe to
   /// call at any quiescent moment; the policy must outlive its
   /// installation. Decisions the policy never sees (single candidate)
   /// stay deterministic by construction.
   void set_wake_policy(WakePolicy* policy);
+
+  /// Parked workers the scheduler has woken so far (deadline wakes plus
+  /// stale-registration re-validations). With targeted interrupts this
+  /// grows O(1) per event, independent of how many workers are parked.
+  std::uint64_t wakeups() const;
 
  private:
   struct Waiter {
@@ -188,7 +201,6 @@ class VirtualClock final : public ClockSource {
     std::condition_variable* cv;
     Clock::time_point deadline;
     bool has_deadline;
-    std::uint64_t epoch;
     std::atomic<bool> woken{false};
   };
   struct TurnRequest {
@@ -209,7 +221,7 @@ class VirtualClock final : public ClockSource {
   void park(Waiter& w, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
             const std::function<bool()>& wake);
   /// The scheduler step, run at every quiescence-relevant transition.
-  /// Exactly one of: wake stale waiters, grant the earliest pending
+  /// Exactly one of: wake interrupted waiters, grant the earliest pending
   /// dispatch, or advance time to the earliest deadline and wake its
   /// owner. Turn grants are notified inline (turn_cv_ waits on mu_);
   /// waiter wakes are returned for the caller to deliver via flush_wakes
@@ -233,12 +245,15 @@ class VirtualClock final : public ClockSource {
   int workers_ = 0;
   int next_worker_id_ = 0;
   long pins_ = 0;
-  std::uint64_t epoch_ = 0;
   int pending_wakes_ = 0;
   int notifies_in_flight_ = 0;
   bool turn_active_ = false;
+  std::uint64_t wakeups_ = 0;
   WakePolicy* wake_policy_ = nullptr;
   std::vector<Waiter*> parked_;
+  /// Parked waiters named by an interrupt since they parked: their
+  /// registered deadlines may overshoot their queues' new heads.
+  std::vector<Waiter*> stale_;
   std::vector<TurnRequest*> turn_requests_;
 };
 

@@ -215,9 +215,8 @@ TEST(DeadlockWatchdog, KickResetsTheWindow) {
 // moving across the watchdog's polls, the way a long live experiment does.
 class VirtualTimeDriver {
  public:
-  explicit VirtualTimeDriver(time::VirtualClock& clock) : clock_(clock) {
+  explicit VirtualTimeDriver(time::VirtualClock& clock) : clock_(clock), worker_(clock) {
     thread_ = std::thread([this] {
-      time::WorkerHandle worker(clock_);
       std::mutex mu;
       std::condition_variable cv;
       while (!stop_.load(std::memory_order_relaxed)) {
@@ -225,7 +224,7 @@ class VirtualTimeDriver {
         {
           std::unique_lock lock(mu);
           while (clock_.now() < deadline && !stop_.load(std::memory_order_relaxed)) {
-            clock_.wait_until(worker.id(), lock, cv, deadline,
+            clock_.wait_until(worker_.id(), lock, cv, deadline,
                               [this] { return stop_.load(std::memory_order_relaxed); });
           }
         }
@@ -236,12 +235,13 @@ class VirtualTimeDriver {
 
   ~VirtualTimeDriver() {
     stop_.store(true, std::memory_order_relaxed);
-    clock_.interrupt();  // in case the worker is parked when we stop
+    clock_.interrupt(worker_.id());  // in case the worker is parked when we stop
     thread_.join();
   }
 
  private:
   time::VirtualClock& clock_;
+  time::WorkerHandle worker_;  // registered before the thread starts
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };

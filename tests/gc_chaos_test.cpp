@@ -50,6 +50,11 @@ TEST_P(ChaosSweep, FleetConvergesUnderFaults) {
           << "seed " << seed << ": causal order broken at site " << i;
     }
   }
+
+  // Virtual time runs one computation at a time, inline: no gate can block.
+  for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
+    EXPECT_EQ(out.gate_waits[i], 0u) << "seed " << seed << ": site " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Values(1u, 17u, 4242u),
@@ -95,6 +100,9 @@ TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
       << "the healed partition never produced a suspicion revocation";
   EXPECT_GT(out.view_change_drops, 0u);
   EXPECT_GE(out.rejoin4_first_delivery_us, out.rejoin4_requested_us);
+  for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
+    EXPECT_EQ(out.gate_waits[i], 0u) << "seed " << seed << ": site " << i;
+  }
 
   std::printf("seed %llu: recoveries=%llu rejoins_completed=%llu suspicion_revocations=%llu "
               "view_change_drops=%llu rejoin_to_first_delivery=%ldus\n",

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "net/sim_network.hpp"
 #include "net/timer_service.hpp"
@@ -290,6 +292,31 @@ TEST(TimerService, CancelAllStopsEverything) {
   }
   EXPECT_TRUE(sentinel.wait_for(std::chrono::milliseconds(5000)));
   EXPECT_EQ(count.load(), 0);
+}
+
+TEST(VirtualClock, IdleWorkersAreNotWokenByOtherWorkersTraffic) {
+  // 64 idle timer services parked next to a two-site relay: every relay
+  // send interrupts only the network's own delivery loop, so the clock
+  // wakes O(1) workers per delivered packet instead of every parked one.
+  VirtualClock clock;
+  std::vector<std::unique_ptr<TimerService>> idle;
+  for (int i = 0; i < 64; ++i) idle.push_back(std::make_unique<TimerService>(&clock));
+  SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(100)}, 1, &clock);
+  SiteId a{}, b{};
+  a = net.add_site([&](const Packet& p) {
+    if (const int hops = p.payload.as<int>(); hops > 0) net.send(a, b, Message::of(hops - 1));
+  });
+  b = net.add_site([&](const Packet& p) {
+    if (const int hops = p.payload.as<int>(); hops > 0) net.send(b, a, Message::of(hops - 1));
+  });
+  const std::uint64_t before = clock.wakeups();
+  net.send(a, b, Message::of(199));
+  net.drain();
+  const std::uint64_t delivered = net.stats().delivered.value();
+  ASSERT_EQ(delivered, 200u);
+  const double per_packet = static_cast<double>(clock.wakeups() - before) / delivered;
+  EXPECT_LE(per_packet, 2.0) << "wake storm: " << clock.wakeups() - before << " wakeups for "
+                             << delivered << " packets";
 }
 
 // --- Race regressions (wall clock on purpose; see file header) ---

@@ -6,8 +6,9 @@
 // healed (exercising incarnation-numbered resurrection), and a
 // simultaneous crash of 10% of the fleet followed by scripted evictions.
 // Asserts convergence to the agreed survivor view with zero
-// virtual-synchrony violations, and that the detection-latency samples
-// landed inside the detect window. A heartbeat-detector cell runs the same
+// virtual-synchrony violations, that the detection-latency samples landed
+// inside the detect window, and that no version gate ever blocked (virtual
+// time runs every computation inline). A heartbeat-detector cell runs the same
 // scenario at small scale through the same Detector seam.
 #include <gtest/gtest.h>
 
@@ -47,6 +48,12 @@ TEST(SwimFleet, FiftySiteChurnConvergesWithZeroVsViolations) {
   EXPECT_GT(out.updates_piggybacked, 0u);
   EXPECT_GT(out.refutations, 0u) << "the healed island never refuted its confirmed-faulty state";
   EXPECT_GT(out.revocations, 0u);
+
+  // Virtual time runs one computation at a time, inline: no gate can block.
+  ASSERT_EQ(out.gate_waits.size(), 50u);
+  for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
+    EXPECT_EQ(out.gate_waits[i], 0u) << "site " << i;
+  }
 }
 
 TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
@@ -71,6 +78,9 @@ TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
   // SWIM counters must stay untouched behind the heartbeat seam.
   EXPECT_EQ(out.probes_sent, 0u);
   EXPECT_EQ(out.periods, 0u);
+  for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
+    EXPECT_EQ(out.gate_waits[i], 0u) << "site " << i;
+  }
 }
 
 }  // namespace

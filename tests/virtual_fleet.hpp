@@ -42,7 +42,19 @@ struct FleetOutcome {
   std::uint64_t net_sent = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
+  std::vector<std::uint64_t> gate_waits;  // per site; virtual time runs inline, so zero
 };
+
+/// Version-gate waits per site (current incarnations). Under virtual time
+/// every computation runs inline, one at a time, so none can block.
+inline std::vector<std::uint64_t> gate_waits_per_site(
+    const std::vector<std::unique_ptr<GroupNode>>& nodes) {
+  std::vector<std::uint64_t> waits;
+  for (const auto& n : nodes) {
+    waits.push_back(n->runtime().controller().stats().gate_waits.value());
+  }
+  return waits;
+}
 
 constexpr int kFleetSites = 5;
 constexpr int kFleetAbcasts = 10;
@@ -168,6 +180,7 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
   out.net_sent = net.stats().sent.value();
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
+  out.gate_waits = gate_waits_per_site(nodes);
   return out;
 }
 
@@ -207,6 +220,7 @@ struct RecoveryOutcome {
   std::uint64_t net_sent = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
+  std::vector<std::uint64_t> gate_waits;  // per site, current incarnation
 };
 
 constexpr int kRecoverySites = 5;
@@ -419,6 +433,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
   out.net_sent = net.stats().sent.value();
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
+  out.gate_waits = gate_waits_per_site(nodes);
   return out;
 }
 
@@ -494,6 +509,7 @@ struct ChurnOutcome {
   // drops, control firings, in execution order): the delivery-order
   // fingerprint of the whole run, independent of protocol-level state.
   std::uint64_t event_hash = 0;
+  std::vector<std::uint64_t> gate_waits;  // per site
 };
 
 inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
@@ -745,6 +761,7 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
   out.event_hash = net.event_hash();
+  out.gate_waits = gate_waits_per_site(nodes);
   return out;
 }
 
