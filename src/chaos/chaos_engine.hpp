@@ -2,9 +2,9 @@
 // control-event queue).
 //
 // Every action of the plan becomes one timer callback at its virtual-time
-// offset; under a VirtualClock each fires inside its own serialized
-// dispatch turn, so fault injection interleaves deterministically with
-// protocol events. The engine keeps a timestamped log of everything it
+// offset; under a VirtualClock each fires as its own event on the clock's
+// loop, so fault injection interleaves deterministically with protocol
+// events. The engine keeps a timestamped log of everything it
 // applied (for chaos-test summaries) plus per-kind counters.
 //
 // Route::kNetwork instead arms each action as a SimNetwork control event

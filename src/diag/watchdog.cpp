@@ -46,8 +46,8 @@ void DeadlockWatchdog::loop() {
       const auto vnow = opts_.clock->now();
       if (vnow != last_virtual_now) {
         // Simulated time moving is progress even when nothing publishes:
-        // timers are firing, the scheduler keeps reaching quiescent
-        // points. Restart both windows and re-arm the stuck detector.
+        // the clock's loop keeps firing events. Restart both windows and
+        // re-arm the stuck detector.
         last_virtual_now = vnow;
         last_virtual_change = now;
         last_change = now;

@@ -55,9 +55,9 @@ struct WatchdogOptions {
   /// wall time. A legitimately long virtual experiment — hours of
   /// simulated time, every wait parked on a far deadline — therefore
   /// never false-trips, while a wedged simulation (virtual time stuck
-  /// because the scheduler cannot reach quiescence) still does. Ignored
-  /// for wall clocks, whose now() is the watchdog's own timebase. The
-  /// clock must outlive the watchdog.
+  /// because an event never returns or a pin is never released) still
+  /// does. Ignored for wall clocks, whose now() is the watchdog's own
+  /// timebase. The clock must outlive the watchdog.
   time::ClockSource* clock = nullptr;
   /// Included in dump headers and file names.
   std::string name = "watchdog";

@@ -193,9 +193,9 @@ NetRunResult run_net_schedule(const NetCellOptions& opts, Strategy* strategy) {
   link.jitter = std::chrono::microseconds(0);
   link.drop_probability = 0.0;
 
-  // Declared before the network so every callback target outlives the
-  // delivery thread; the hook likewise outlives the network, so it never
-  // needs to be uninstalled.
+  // Declared before the network so every callback target outlives its
+  // deliveries; the hook likewise outlives the network, so it never needs
+  // to be uninstalled.
   std::vector<MemberState> members(static_cast<std::size_t>(n_members));
   std::optional<ExploringDeliveryHook> hook;
   if (strategy != nullptr) hook.emplace(*strategy);
@@ -232,10 +232,10 @@ NetRunResult run_net_schedule(const NetCellOptions& opts, Strategy* strategy) {
     net.add_site([](const net::Packet&) {});
   }
 
-  // Hold an activity pin across control scheduling: without it the
-  // delivery thread can park on the first control's deadline and advance
-  // virtual time before the remaining controls are scheduled, shifting
-  // their (now + delay) absolute times run-to-run.
+  // Hold an activity pin across control scheduling: without it the clock
+  // can fire the first control and advance virtual time before the
+  // remaining controls are scheduled, shifting their (now + delay)
+  // absolute times run-to-run.
   std::optional<time::Pin> setup_pin;
   setup_pin.emplace(clock);
 

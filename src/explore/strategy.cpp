@@ -67,7 +67,7 @@ std::size_t ExploringWakePolicy::choose(const std::vector<time::RunnableStep>& s
   keys.reserve(steps.size());
   for (const time::RunnableStep& s : steps) {
     keys.push_back((static_cast<std::uint64_t>(s.kind) << 32) |
-                   static_cast<std::uint32_t>(s.worker));
+                   static_cast<std::uint32_t>(s.source));
   }
   const std::size_t idx = std::min(strategy_->choose('c', keys), steps.size() - 1);
   trace_.record('c', static_cast<std::uint32_t>(idx), static_cast<std::uint32_t>(steps.size()));

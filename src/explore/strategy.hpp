@@ -111,8 +111,8 @@ class ExhaustiveStrategy final : public Strategy {
 };
 
 /// Adapter wiring a Strategy into VirtualClock's WakePolicy seam: each
-/// clock-level choice (which dispatch turn / timer fires next) becomes a
-/// 'c' decision in the trace. Candidate keys are (kind, worker) — stable
+/// clock-level choice (which event source fires next) becomes a 'c'
+/// decision in the trace. Candidate keys are (kind, source) — stable
 /// across runs of a deterministic simulation. Install with
 /// VirtualClock::set_wake_policy; `choose` runs under the clock's mutex,
 /// which also serialises trace recording.

@@ -11,7 +11,7 @@
 //     s2/4.s0/3.c1/2.n1/3
 //
 // kind 's' = a step decision (which computation task runs next), kind 'c'
-// = a clock decision (which VirtualClock dispatch/timer fires next), kind
+// = a clock decision (which VirtualClock event source fires next), kind
 // 'n' = a network decision (which eligible SimNetwork event — due lane
 // head or due control/fault event — fires next); then chosen-index '/'
 // candidate-count. The candidate count is stored so a replayer can detect

@@ -227,9 +227,9 @@ class GroupNode {
 
   std::unique_ptr<Runtime> runtime_;
   // Tick-coalescing state is used by timer callbacks, so it must be
-  // declared before timers_: the TimerService destructor joins its thread,
-  // and anything declared after it would be destroyed while a callback
-  // can still be running.
+  // declared before timers_: the TimerService destructor waits out a
+  // running callback, and anything declared after it would be destroyed
+  // while a callback can still be running.
   std::mutex tick_mu_;
   std::array<ComputationHandle, 5> last_tick_;  // one slot per tick class
   std::atomic<std::uint64_t> ticks_coalesced_{0};

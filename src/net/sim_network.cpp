@@ -22,18 +22,12 @@ SimNetwork::SimNetwork(LinkOptions defaults, std::uint64_t seed, time::ClockSour
     : clock_(clock != nullptr ? *clock : time::wall_clock()),
       defaults_(defaults),
       rng_(seed),
-      worker_(clock_),
-      delivery_thread_([this] { delivery_loop(); }) {}
+      registration_(clock_.add_source(*this)) {}
 
 SimNetwork::~SimNetwork() {
-  {
-    std::unique_lock lock(mu_);
-    shutdown_ = true;
-    cv_.notify_all();
-  }
-  delivery_thread_.join();
-  // worker_ deregisters from the clock after the join, so the scheduler
-  // never waits on a thread that is gone.
+  // First: waits out a running delivery, and none fires afterwards. The
+  // registration stays valid, so that delivery may still send().
+  registration_->close();
 }
 
 SiteId SimNetwork::add_site(DeliveryFn deliver) {
@@ -54,7 +48,7 @@ bool SimNetwork::push_packet(InFlight item) {
   if (!new_lane_head) return false;  // lane head unchanged: its claim stands
   // Prune before comparing: a stale top claim (for an already-delivered
   // packet) sorts below every live one and would mask a genuinely new
-  // global earliest — a missed wakeup for the delivery loop.
+  // global earliest — a missed reschedule of the clock.
   prune_heads();
   const bool new_global_head = heads_.empty() || heads_.top() > ref;
   heads_.push(ref);
@@ -89,7 +83,7 @@ std::size_t SimNetwork::earliest_control() const {
   return best;
 }
 
-Clock::time_point SimNetwork::next_deadline() {
+Clock::time_point SimNetwork::next_deadline_locked() {
   Clock::time_point deadline = earliest_deadline();
   const std::size_t ci = earliest_control();
   if (ci != kNoControl && controls_[ci].at < deadline) deadline = controls_[ci].at;
@@ -106,16 +100,13 @@ void SimNetwork::schedule_control(std::chrono::microseconds delay, std::string l
   std::unique_lock lock(mu_);
   controls_.push_back(ControlEvent{clock_.now() + delay, next_seq_++, next_control_key_++,
                                    std::move(label), std::move(fn)});
-  cv_.notify_all();
   lock.unlock();
-  // interrupt() with mu_ released, for the same lock-order reason as send().
-  clock_.interrupt(worker_.id());
+  registration_->reschedule();  // with mu_ released, as in send()
 }
 
 void SimNetwork::cancel_controls() {
   std::unique_lock lock(mu_);
   controls_.clear();
-  cv_.notify_all();
 }
 
 void SimNetwork::enable_event_log(bool store_lines) {
@@ -174,16 +165,14 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
   }
   const bool new_earliest = push_packet(
       InFlight{clock_.now() + latency, next_seq_++, Packet{from, to, std::move(payload)}});
-  // The delivery loop only needs to re-evaluate when the global earliest
-  // changed; a packet queued behind others can't make the registered
-  // deadline overshoot. Skipping the notify and the clock interrupt keeps
-  // broadcast storms from hammering the loop O(packets) times.
+  // The clock only needs to re-read the head when the global earliest
+  // changed; a packet queued behind others cannot make its deadline
+  // overshoot, and skipping the call keeps broadcast storms from costing
+  // the clock O(packets) head reads.
   if (!new_earliest) return;
-  cv_.notify_all();
   lock.unlock();
-  // interrupt() must run with mu_ released: the scheduler's wake path locks
-  // the parked delivery loop's mutex — this mu_ — to deliver the notify.
-  clock_.interrupt(worker_.id());
+  // With mu_ released: the clock reads next_deadline() under its own mutex.
+  registration_->reschedule();
 }
 
 void SimNetwork::set_link(SiteId from, SiteId to, LinkOptions opts) {
@@ -286,9 +275,7 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
   DeliveryFn deliver = sites_[item.packet.to.value()];
   delivering_ = item.packet.to;
   lock.unlock();
-  clock_.begin_dispatch(worker_.id(), item.deliver_at);
   deliver(item.packet);
-  clock_.end_dispatch();
   lock.lock();
   delivering_ = SiteId{};
   stats_.delivered.add();
@@ -302,17 +289,13 @@ void SimNetwork::run_control(std::unique_lock<std::mutex>& lock, std::size_t ix)
     note_event(std::to_string(event_us(ev.at)) + " ! " + ev.label);
   }
   lock.unlock();
-  // The callback runs in its own dispatch turn at the scheduled virtual
-  // time, with mu_ released: it may call any SimNetwork mutator.
-  clock_.begin_dispatch(worker_.id(), ev.at);
+  // The callback runs as an event of its own at the scheduled time, with
+  // mu_ released: it may call any SimNetwork mutator.
   if (ev.fn) ev.fn();
-  clock_.end_dispatch();
   lock.lock();
-  cv_.notify_all();
 }
 
-void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock) {
-  const auto now = clock_.now();
+void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now) {
   // Gather every eligible candidate: due lane heads (one per lane — the
   // per-destination FIFO within a lane is not a choice) plus due controls.
   struct Candidate {
@@ -366,46 +349,35 @@ void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-void SimNetwork::delivery_loop() {
+Clock::time_point SimNetwork::next_deadline() {
   std::unique_lock lock(mu_);
-  for (;;) {
-    if (shutdown_) return;
-    if (in_flight_count_ == 0 && controls_.empty()) {
-      clock_.wait(worker_.id(), lock, cv_,
-                  [this] { return shutdown_ || in_flight_count_ > 0 || !controls_.empty(); });
-      continue;
-    }
-    const auto deadline = next_deadline();
-    if (clock_.now() < deadline) {
-      // Re-check on wake: an earlier packet, a cancellation of the head, or
-      // shutdown may have invalidated the registered deadline.
-      clock_.wait_until(worker_.id(), lock, cv_, deadline, [this, deadline] {
-        return shutdown_ || (in_flight_count_ == 0 && controls_.empty()) ||
-               next_deadline() != deadline;
-      });
-      continue;
-    }
-    if (hook_ != nullptr) {
-      // Exploration: the hook picks among every eligible event.
-      step_explored(lock);
-      continue;
-    }
-    // Default order: the strict (deliver_at, seq) merge of lane heads and
-    // control events — byte-identical to the pre-seam delivery order (and
-    // controls only exist when a driver scheduled them).
-    const std::size_t ci = earliest_control();
-    if (ci != kNoControl &&
-        (heads_.empty() || std::tie(controls_[ci].at, controls_[ci].seq) <
-                               std::tie(heads_.top().deliver_at, heads_.top().seq))) {
-      run_control(lock, ci);
-      continue;
-    }
-    // earliest_deadline() (via next_deadline) pruned, so the top claim
-    // matches its lane's head: pop the claim and deliver from that lane.
-    const HeadRef head = heads_.top();
-    heads_.pop();
-    deliver_from_lane(lock, head.dest);
+  return next_deadline_locked();
+}
+
+void SimNetwork::fire(Clock::time_point now) {
+  std::unique_lock lock(mu_);
+  // Nothing due: a control event was cancelled since the clock read the head.
+  if (next_deadline_locked() > now) return;
+  if (hook_ != nullptr) {
+    // Exploration: the hook picks among every eligible event.
+    step_explored(lock, now);
+    return;
   }
+  // Default order: the strict (deliver_at, seq) merge of lane heads and
+  // control events — byte-identical to the pre-seam delivery order (and
+  // controls only exist when a driver scheduled them).
+  const std::size_t ci = earliest_control();
+  if (ci != kNoControl &&
+      (heads_.empty() || std::tie(controls_[ci].at, controls_[ci].seq) <
+                             std::tie(heads_.top().deliver_at, heads_.top().seq))) {
+    run_control(lock, ci);
+    return;
+  }
+  // next_deadline_locked() pruned, so the top claim matches its lane's
+  // head: pop the claim and deliver from that lane.
+  const HeadRef head = heads_.top();
+  heads_.pop();
+  deliver_from_lane(lock, head.dest);
 }
 
 }  // namespace samoa::net

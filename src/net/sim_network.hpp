@@ -2,17 +2,18 @@
 //
 // Substitute for the paper's "distributed machines" testbed (Section 7):
 // an in-process message bus connecting simulated sites with configurable
-// per-link latency, jitter, loss and partitions, plus site crashes. A
-// single delivery thread dequeues packets in virtual-arrival order and
-// hands them to the destination site's delivery callback — which, in the
-// group-communication stack, spawns an isolated computation, exactly the
-// external-event path of a real deployment.
+// per-link latency, jitter, loss and partitions, plus site crashes. The
+// network is one event source of its clock: packets leave the queue in
+// arrival order and go to the destination site's delivery callback —
+// which, in the group-communication stack, spawns an isolated computation,
+// exactly the external-event path of a real deployment.
 //
 // Time base: all deadlines flow through an injected time::ClockSource.
-// Under the default WallClock, latency is wall-clock based — what the
-// overhead experiments need. Under a time::VirtualClock the network takes
-// part in deterministic simulation: packets deliver in virtual time, one
-// at a time, with zero real sleeps.
+// Under the default WallClock, a thread of the clock delivers packets at
+// their wall-clock deadlines — what the overhead experiments need. Under a
+// time::VirtualClock the network takes part in deterministic simulation:
+// the clock's loop delivers packets in virtual time, one event at a time,
+// with zero real sleeps.
 //
 // Determinism: all randomness (jitter, drops) comes from a seeded Rng, and
 // every send consumes the same RNG draws for a given link configuration
@@ -24,10 +25,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -52,8 +53,8 @@ struct LinkOptions {
   double drop_probability = 0.0;
 };
 
-/// Decision seam over the delivery loop, for schedule exploration. When a
-/// hook is installed, every drain step where more than one event is
+/// Decision seam over packet delivery, for schedule exploration. When a
+/// hook is installed, every delivery step where more than one event is
 /// *eligible* — a lane head whose deadline is due, or a due control event
 /// (fault injections routed through schedule_control) — becomes a decision
 /// point: choose() picks which event fires next instead of the default
@@ -81,20 +82,22 @@ class DeliveryHook {
   virtual std::size_t choose(const std::vector<std::uint64_t>& keys) = 0;
 };
 
-class SimNetwork {
+class SimNetwork : private time::EventSource {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
 
   explicit SimNetwork(LinkOptions defaults = {}, std::uint64_t seed = 1,
                       time::ClockSource* clock = nullptr);
+  /// Blocks until a running delivery or control callback returned; none
+  /// fires afterwards.
   ~SimNetwork();
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
 
-  /// Register a site; `deliver` runs on the network's delivery thread for
-  /// every packet addressed to it (it should hand off quickly, e.g. spawn
-  /// an isolated computation).
+  /// Register a site; `deliver` runs on the clock's thread for every
+  /// packet addressed to it (it should hand off quickly, e.g. spawn an
+  /// isolated computation).
   SiteId add_site(DeliveryFn deliver);
 
   /// Send a packet. Unknown destinations, crashed endpoints, partitions
@@ -133,16 +136,16 @@ class SimNetwork {
 
   /// Install (or clear, with nullptr) the exploration decision seam. Must
   /// be set while the network is quiet (before traffic / between drains):
-  /// the delivery loop reads it at every drain step.
+  /// every delivery step reads it.
   void set_delivery_hook(DeliveryHook* hook);
 
   /// Schedule a control event at virtual offset `delay` from now: a fault
   /// injection (or any scripted step) that should interleave with packet
-  /// delivery as an explorable decision. The callback runs on the delivery
-  /// thread inside its own clock dispatch turn, with the network mutex
-  /// released — it may call any SimNetwork mutator. Without a DeliveryHook
-  /// control events fire in the global (deliver_at, seq) merge order,
-  /// exactly as a TimerService-armed action would; with one, a due control
+  /// delivery as an explorable decision. The callback runs on the clock's
+  /// thread as an event of its own, with the network mutex released — it
+  /// may call any SimNetwork mutator. Without a DeliveryHook control
+  /// events fire in the global (deliver_at, seq) merge order, exactly as
+  /// a TimerService-armed action would; with one, a due control
   /// event is one more candidate at the decision point, so fault *timing*
   /// relative to delivery order is explored too. Control events do not
   /// count as in-flight packets: drain() does not wait for them.
@@ -217,25 +220,28 @@ class SimNetwork {
     std::function<void()> fn;
   };
 
-  void delivery_loop();
+  // time::EventSource: the earliest packet or control event, and firing it.
+  Clock::time_point next_deadline() override;
+  void fire(Clock::time_point now) override;
+
   const LinkOptions& link_for(SiteId from, SiteId to) const;
-  /// One drain step under an installed DeliveryHook: gather every eligible
-  /// candidate (due lane heads + due control events), let the hook choose
-  /// when there are >= 2, execute the chosen one. Caller holds mu_ and has
-  /// established that at least one event is due.
-  void step_explored(std::unique_lock<std::mutex>& lock);
+  /// One delivery step under an installed DeliveryHook: gather every
+  /// eligible candidate (lane heads + control events due at `now`), let the
+  /// hook choose when there are >= 2, execute the chosen one. Caller holds
+  /// mu_ and has established that at least one event is due.
+  void step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now);
   /// Pop lane `lane_ix`'s head and run the delivery protocol (late-crash
   /// check, callback with mu_ released, stats, claim for the next head).
   void deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix);
-  /// Run controls_[ix] on the delivery thread (mu_ released around fn).
+  /// Run controls_[ix] (mu_ released around fn).
   void run_control(std::unique_lock<std::mutex>& lock, std::size_t ix);
   /// Index of the earliest pending control by (at, seq); npos when none.
   std::size_t earliest_control() const;
   /// Earliest deadline across lanes and controls (max() when idle).
-  Clock::time_point next_deadline();
+  Clock::time_point next_deadline_locked();
   void note_event(const std::string& line);
   /// Enqueue into the destination lane; returns true iff the packet became
-  /// the new global earliest (the delivery loop must re-evaluate).
+  /// the new global earliest (the clock must re-read the head).
   bool push_packet(InFlight item);
   /// Drop stale HeadRefs until the top claim matches its lane's real head.
   void prune_heads();
@@ -245,7 +251,7 @@ class SimNetwork {
   time::ClockSource& clock_;
   LinkOptions defaults_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // a delivery finished (drain, detach)
   Rng rng_;
   std::vector<DeliveryFn> sites_;
   std::unordered_set<std::uint64_t> partitioned_;  // packed (a,b) pairs
@@ -274,10 +280,8 @@ class SimNetwork {
   std::size_t in_flight_count_ = 0;
   SiteId delivering_;  // site whose callback is currently running
   std::uint64_t next_seq_ = 0;
-  bool shutdown_ = false;
   Stats stats_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::thread delivery_thread_;
+  std::unique_ptr<time::Registration> registration_;  // last: reads all of the above
 };
 
 }  // namespace samoa::net

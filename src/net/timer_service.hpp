@@ -1,25 +1,24 @@
 // Timer service — timeouts as external events.
 //
 // In the SAMOA model a timeout is one of the two canonical external events
-// (Section 2). The TimerService runs one thread with a deadline-ordered
-// queue; expired callbacks fire on that thread and typically spawn an
-// isolated computation on the owning site's runtime. Supports one-shot and
-// periodic timers with cancellation.
+// (Section 2). The TimerService is a deadline-ordered queue and one event
+// source of its clock; expired callbacks fire on the clock's thread and
+// typically spawn an isolated computation on the owning site's runtime.
+// Supports one-shot and periodic timers with cancellation.
 //
 // All deadlines flow through an injected time::ClockSource. Under the
-// default WallClock behaviour is unchanged; under a time::VirtualClock the
-// service participates in deterministic simulation — callbacks fire in
-// virtual time with zero real sleeps, serialized against every other
-// clock-driven event.
+// default WallClock a thread of the clock sleeps until each deadline;
+// under a time::VirtualClock the service participates in deterministic
+// simulation — callbacks fire on the clock's loop in virtual time with
+// zero real sleeps, serialized against every other clock-driven event.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <thread>
 
 #include "time/clock.hpp"
 #include "util/stats.hpp"
@@ -28,9 +27,10 @@ namespace samoa::net {
 
 using TimerId = std::uint64_t;
 
-class TimerService {
+class TimerService : private time::EventSource {
  public:
   explicit TimerService(time::ClockSource* clock = nullptr);
+  /// Blocks until a running callback returned; none fires afterwards.
   ~TimerService();
 
   TimerService(const TimerService&) = delete;
@@ -62,11 +62,12 @@ class TimerService {
     std::function<void()> fn;
   };
 
-  void loop();
+  // time::EventSource: the earliest timer, and firing it.
+  Clock::time_point next_deadline() override;
+  void fire(Clock::time_point now) override;
 
   time::ClockSource& clock_;
   std::mutex mu_;
-  std::condition_variable cv_;
   std::multimap<Clock::time_point, Entry> queue_;
   TimerId next_id_ = 1;
   // In-flight dispatch state: the entry currently executing unlocked is no
@@ -75,10 +76,8 @@ class TimerService {
   TimerId running_id_ = 0;
   std::chrono::microseconds running_interval_{0};
   bool running_cancelled_ = false;
-  bool shutdown_ = false;
   Counter fired_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::thread thread_;
+  std::unique_ptr<time::Registration> registration_;  // last: reads all of the above
 };
 
 }  // namespace samoa::net

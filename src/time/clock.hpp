@@ -3,59 +3,89 @@
 // Every component that sleeps, arms a timeout, or stamps a deadline does so
 // through a ClockSource. Two implementations exist:
 //
-//   * WallClock — the process-global steady clock; waits really block.
-//     Behaviour is identical to the pre-clock-injection code. This is what
-//     the latency/overhead experiments need (they measure real time).
+//   * WallClock — the process-global steady clock. Each event source runs
+//     on its own thread, which really sleeps until the source's next
+//     deadline. This is what the latency/overhead experiments need (they
+//     measure real time).
 //
 //   * VirtualClock — FoundationDB/TigerBeetle-style deterministic
-//     simulation. Time is a number that only moves when every registered
-//     worker thread (SimNetwork's delivery loop, each TimerService loop) is
-//     parked and no activity pin is held (a pin is held for every in-flight
-//     runtime computation). At that quiescent point the scheduler jumps
-//     `now()` straight to the earliest armed deadline and wakes exactly one
-//     waiter; events therefore execute one at a time, in (deadline,
-//     worker-id) order, each running to completion (including the isolated
-//     computation it spawned, which a virtual-time Runtime runs inline on
-//     the event's own thread) before the next fires. A test run under
+//     simulation. One loop thread, owned by the clock, fires every event of
+//     every source (SimNetwork's packets and controls, each TimerService's
+//     timers). It keeps the sources' earliest deadlines in one heap ordered
+//     by (deadline, source id), jumps `now()` straight to the head and fires
+//     it, so events run one at a time, each to completion (including the
+//     isolated computation it spawned, which a virtual-time Runtime runs
+//     inline on the loop thread) before the next starts. A test run under
 //     VirtualClock burns zero wall-clock time in timers and is bit-for-bit
 //     reproducible from its seed.
 //
-// Protocol for a worker loop (SimNetwork / TimerService follow it):
+// Contract for an event source (SimNetwork and TimerService follow it):
 //
-//   1. register via WorkerHandle (constructor, before the thread starts);
-//   2. park with wait()/wait_until() while idle, passing a `wake` predicate
-//      covering every non-time reason to re-check (shutdown, queue change);
-//   3. bracket the execution of a due callback with begin_dispatch()/
-//      end_dispatch() — WITHOUT holding the service mutex — so the
-//      scheduler can serialize event execution;
-//   4. producers call interrupt(worker) — naming the worker whose queue
-//      they inserted into — after inserting work and after releasing the
-//      service mutex, so that worker's parked deadline is re-validated
-//      before time advances past it. Only that worker is woken: no other
-//      registration can overshoot its own queue's head, so one event costs
-//      O(1) wakeups however many workers are parked. An insert that leaves
-//      the queue's head unchanged may skip the interrupt. (A cancel makes a
-//      registration early, never late: the early wake finds nothing due
-//      and re-parks, so cancels need no interrupt.) The scheduler's wake
-//      path acquires the target waiter's service mutex, so calling
-//      interrupt() (or end_dispatch()) while holding a mutex some waiter
-//      parks with would self-deadlock. The window between insert and
-//      interrupt is covered by the caller's dispatch turn or activity pin,
-//      either of which stalls the scheduler.
+//   1. add_source(*this) once the queue is ready; source ids, the tiebreak
+//      for equal deadlines, follow registration order;
+//   2. the clock calls next_deadline() and fire(), never concurrently for
+//      one source; fire() runs the earliest event only if it is due;
+//   3. after inserting an event, with the source's own mutex released, call
+//      Registration::reschedule() so the clock re-reads next_deadline()
+//      before any later deadline fires. A cancel needs no call: the clock
+//      reaches the cancelled deadline, fire() finds nothing due, and the
+//      clock re-reads the head;
+//   4. call Registration::close() before the queue it reads goes away. That
+//      blocks until no event of the source is running, and none starts
+//      afterwards; the registration stays valid, so an event still running
+//      meanwhile may call reschedule(), which is then a no-op.
 //
-// The clock must outlive every component registered with it.
+// The virtual clock calls next_deadline() with its own mutex held, so never
+// call into the clock while holding a mutex that next_deadline() takes.
+// The clock must outlive every source registered with it.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
+#include <queue>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "util/stats.hpp"
 
 namespace samoa::time {
+
+/// A queue of timed events driven by a clock.
+class EventSource {
+ public:
+  virtual ~EventSource() = default;
+
+  /// Deadline of the earliest pending event; Clock::time_point::max() when
+  /// there is none.
+  virtual Clock::time_point next_deadline() = 0;
+
+  /// Run the earliest pending event if it is due at `now`; return without
+  /// running anything if it is not.
+  virtual void fire(Clock::time_point now) = 0;
+};
+
+/// A source's registration with its clock (see ClockSource::add_source).
+/// Destroying it closes it.
+class Registration {
+ public:
+  Registration() = default;
+  virtual ~Registration() = default;
+  Registration(const Registration&) = delete;
+  Registration& operator=(const Registration&) = delete;
+
+  /// The source's earliest deadline may have moved earlier. A no-op once
+  /// closed.
+  virtual void reschedule() = 0;
+
+  /// Deregister the source: no event of it starts from here on, and this
+  /// blocks until a running one returned (never call it from the source's
+  /// own event). Idempotent.
+  virtual void close() = 0;
+};
 
 class ClockSource {
  public:
@@ -64,76 +94,45 @@ class ClockSource {
   virtual Clock::time_point now() const = 0;
   virtual bool is_virtual() const = 0;
 
-  /// Register / deregister a worker thread that consumes time. Returns a
-  /// stable worker id used to order simultaneous events deterministically.
-  virtual int add_worker() { return 0; }
-  virtual void remove_worker(int worker) { (void)worker; }
+  /// Start driving `source`: from now on its events fire at their
+  /// deadlines until the returned registration is destroyed.
+  virtual std::unique_ptr<Registration> add_source(EventSource& source) = 0;
 
-  /// Park the calling worker until `wake()` holds (wait) or additionally
-  /// until `deadline` is reached (wait_until). May return spuriously; the
-  /// caller's loop re-checks its own state. `lock`/`cv` are the caller's
-  /// own mutex and condition variable; `wake` must be evaluable under
-  /// `lock` and must cover shutdown plus any queue change that invalidates
-  /// the registered deadline.
-  virtual void wait(int worker, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-                    const std::function<bool()>& wake) = 0;
-  virtual void wait_until(int worker, std::unique_lock<std::mutex>& lock,
-                          std::condition_variable& cv, Clock::time_point deadline,
-                          const std::function<bool()>& wake) = 0;
-
-  /// Serialize the execution of one due event (a packet delivery or timer
-  /// callback). Under VirtualClock, begin_dispatch blocks until every
-  /// other worker is parked or queued behind this dispatch and no activity
-  /// pin is held; simultaneous dispatches are granted in (due, worker)
-  /// order. Call WITHOUT holding the service mutex. No-ops on WallClock.
-  virtual void begin_dispatch(int worker, Clock::time_point due) {
-    (void)worker;
-    (void)due;
-  }
-  virtual void end_dispatch() {}
-
-  /// Activity pin: virtual time cannot advance and no event can dispatch
-  /// while at least one pin is held. The runtime holds one per in-flight
-  /// computation; test harnesses hold one while injecting a workload.
-  /// Never wait for simulated progress while holding a pin.
+  /// Activity pin: no event starts while another thread holds a pin. The
+  /// runtime holds one per in-flight computation; test harnesses hold one
+  /// while injecting a workload. A pin taken on the loop thread never
+  /// blocks anything, since that thread starts no event until its current
+  /// one returns. Never wait for simulated progress while holding a pin.
   virtual void pin() {}
   virtual void unpin() {}
-
-  /// Tell the scheduler that `worker`'s armed deadline may have moved
-  /// earlier (a packet or timer was inserted into its queue): if it is
-  /// parked, it re-validates its registration before time advances past
-  /// it. No other worker is disturbed. Call WITHOUT holding any mutex a
-  /// waiter parks with (the wake path locks it).
-  virtual void interrupt(int worker) { (void)worker; }
 };
 
-/// One step the VirtualClock scheduler could take at a quiescent point:
-/// either grant a pending dispatch turn or advance time to an armed
-/// deadline and wake its owner. Presented to a WakePolicy whenever more
-/// than one candidate of the same tier is runnable.
+/// One event the VirtualClock could fire next. Presented to a WakePolicy
+/// whenever more than one candidate of the same tier is runnable.
 struct RunnableStep {
   enum class Kind : std::uint8_t {
-    kDispatch,  // a begin_dispatch turn request (already-due event)
-    kTimer,     // a parked wait_until whose deadline time would jump to
+    kDue,    // the head is already due (deadline <= now)
+    kArmed,  // the head lies ahead; firing it jumps time to its deadline
   };
-  Kind kind = Kind::kTimer;
-  int worker = 0;
+  Kind kind = Kind::kArmed;
+  int source = 0;
   Clock::time_point due{};
 };
 
-/// Pluggable choice of which runnable step goes next. The default (no
-/// policy installed) is the deterministic minimum by (due, worker); a
+/// Pluggable choice of which source fires next. The default (no policy
+/// installed) is the deterministic minimum by (deadline, source id); a
 /// policy may pick ANY candidate — schedule exploration uses this to
 /// perturb event order while staying replayable.
 ///
-/// Contract: `choose` is called with the clock's scheduler mutex held and
-/// must not block, re-enter the clock, or have side effects beyond its own
-/// bookkeeping. `steps` is sorted by (due, worker) and has >= 2 entries
-/// (singleton choices are not decision points); the return value indexes
-/// into it and is clamped by the caller. Timer candidates may be chosen
-/// out of deadline order: the clock then jumps straight to the chosen
-/// deadline, and any bypassed earlier deadline becomes due immediately at
-/// the next quiescent point (time never runs backwards).
+/// Candidates come in two tiers: every source whose head is already due
+/// and, only when none is, every armed head. Contract: `choose` is called
+/// with the clock's mutex held and must not block, re-enter the clock, or
+/// have side effects beyond its own bookkeeping. `steps` is sorted by
+/// (due, source) and has >= 2 entries (singleton choices are not decision
+/// points); the return value indexes into it and is clamped by the caller.
+/// An armed head may be chosen out of deadline order: the clock then jumps
+/// straight to the chosen deadline, and any bypassed earlier deadline is
+/// due at the next step (time never runs backwards).
 class WakePolicy {
  public:
   virtual ~WakePolicy() = default;
@@ -147,41 +146,27 @@ class WallClock final : public ClockSource {
  public:
   Clock::time_point now() const override { return Clock::now(); }
   bool is_virtual() const override { return false; }
-
-  void wait(int, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-            const std::function<bool()>& wake) override {
-    cv.wait(lock, wake);
-  }
-  void wait_until(int, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-                  Clock::time_point deadline, const std::function<bool()>& wake) override {
-    cv.wait_until(lock, deadline, wake);
-  }
+  std::unique_ptr<Registration> add_source(EventSource& source) override;
 };
 
 class VirtualClock final : public ClockSource {
  public:
-  VirtualClock() = default;
+  VirtualClock();
+  /// Stops the loop. Every source must be deregistered first.
+  ~VirtualClock() override;
 
   VirtualClock(const VirtualClock&) = delete;
   VirtualClock& operator=(const VirtualClock&) = delete;
 
-  Clock::time_point now() const override;
+  Clock::time_point now() const override {
+    return Clock::time_point(Clock::duration(now_.load(std::memory_order_acquire)));
+  }
   bool is_virtual() const override { return true; }
 
-  int add_worker() override;
-  void remove_worker(int worker) override;
-
-  void wait(int worker, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-            const std::function<bool()>& wake) override;
-  void wait_until(int worker, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-                  Clock::time_point deadline, const std::function<bool()>& wake) override;
-
-  void begin_dispatch(int worker, Clock::time_point due) override;
-  void end_dispatch() override;
+  std::unique_ptr<Registration> add_source(EventSource& source) override;
 
   void pin() override;
   void unpin() override;
-  void interrupt(int worker) override;
 
   /// Install (or remove, with nullptr) the step-choice policy. Safe to
   /// call at any quiescent moment; the policy must outlive its
@@ -189,88 +174,49 @@ class VirtualClock final : public ClockSource {
   /// stay deterministic by construction.
   void set_wake_policy(WakePolicy* policy);
 
-  /// Parked workers the scheduler has woken so far (deadline wakes plus
-  /// stale-registration re-validations). With targeted interrupts this
-  /// grows O(1) per event, independent of how many workers are parked.
-  std::uint64_t wakeups() const;
-
  private:
-  struct Waiter {
-    int worker;
-    std::mutex* mu;  // the service mutex the waiter blocks with
-    std::condition_variable* cv;
-    Clock::time_point deadline;
-    bool has_deadline;
-    std::atomic<bool> woken{false};
+  class SourceRegistration;
+
+  struct Slot {
+    EventSource* source;  // null once deregistered
+    /// The deadline this source fires at next, as last read from it; max()
+    /// when nothing is armed. Heap entries that disagree are stale.
+    Clock::time_point armed = Clock::time_point::max();
+    bool dirty = false;  // re-read next_deadline() before the next pick
   };
-  struct TurnRequest {
-    int worker;
-    Clock::time_point due;
-    bool granted = false;
-  };
-  /// A wake selected by the scheduler but not yet delivered. Holds the
-  /// waiter's service mutex/cv, not the Waiter itself: the waiter may
-  /// absorb the wake (via its own predicate) and unwind before the notify
-  /// lands; the service's mutex and cv stay valid until remove_worker,
-  /// which drains in-flight notifies first.
-  struct PendingWake {
-    std::mutex* mu;
-    std::condition_variable* cv;
+  struct Head {
+    Clock::time_point at;
+    int source;
+    bool operator>(const Head& o) const {
+      return std::tie(at, source) > std::tie(o.at, o.source);
+    }
   };
 
-  void park(Waiter& w, std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-            const std::function<bool()>& wake);
-  /// The scheduler step, run at every quiescence-relevant transition.
-  /// Exactly one of: wake interrupted waiters, grant the earliest pending
-  /// dispatch, or advance time to the earliest deadline and wake its
-  /// owner. Turn grants are notified inline (turn_cv_ waits on mu_);
-  /// waiter wakes are returned for the caller to deliver via flush_wakes
-  /// AFTER releasing mu_ — notifying a waiter's cv without holding its
-  /// service mutex can land between its predicate check and its block and
-  /// be lost (classic lost wakeup), deadlocking the simulation.
-  [[nodiscard]] std::vector<PendingWake> step_locked();
-  /// Deliver wakes collected by step_locked. Must be called with mu_
-  /// released. `held` is the service lock the caller still owns (park), or
-  /// null: a wake targeting it is notified directly (safe — we hold the
-  /// mutex); for any other target `held` is released first, so no thread
-  /// ever holds one service mutex while acquiring another (no lock
-  /// cycles). Releasing `held` mid-park is safe because cv.wait
-  /// re-evaluates its predicate under the lock before blocking.
-  void flush_wakes(std::vector<PendingWake> wakes, std::unique_lock<std::mutex>* held);
+  void run();
+  void reschedule(int source);
+  void remove_source(int source);
+  bool on_loop_thread() const { return std::this_thread::get_id() == loop_id_; }
+  void mark_dirty_locked(int source);
+  /// Re-read the head of every dirty source into the heap.
+  void refresh_locked();
+  /// Consume the next event to fire: the heap minimum, or the policy's
+  /// pick. False when nothing is armed.
+  bool pick_locked(Head& next);
+  bool pick_with_policy_locked(Head& next);
 
-  mutable std::mutex mu_;
-  std::condition_variable turn_cv_;
-  std::condition_variable notify_drain_cv_;
-  Clock::time_point now_{};  // virtual epoch: time_point zero
-  int workers_ = 0;
-  int next_worker_id_ = 0;
-  long pins_ = 0;
-  int pending_wakes_ = 0;
-  int notifies_in_flight_ = 0;
-  bool turn_active_ = false;
-  std::uint64_t wakeups_ = 0;
+  std::mutex mu_;
+  std::condition_variable loop_cv_;   // the loop waits for work or for pins to drop
+  std::condition_variable fired_cv_;  // deregistration waits out a running event
+  std::atomic<Clock::rep> now_{0};    // virtual epoch: time_point zero
+  std::atomic<long> pins_{0};
+  std::vector<Slot> slots_;  // indexed by source id
+  std::vector<int> dirty_;
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads_;
+  int firing_ = -1;  // source whose event runs on the loop right now
   WakePolicy* wake_policy_ = nullptr;
-  std::vector<Waiter*> parked_;
-  /// Parked waiters named by an interrupt since they parked: their
-  /// registered deadlines may overshoot their queues' new heads.
-  std::vector<Waiter*> stale_;
-  std::vector<TurnRequest*> turn_requests_;
-};
-
-/// RAII registration of a worker thread with a clock.
-class WorkerHandle {
- public:
-  explicit WorkerHandle(ClockSource& clock) : clock_(&clock), id_(clock.add_worker()) {}
-  ~WorkerHandle() { clock_->remove_worker(id_); }
-
-  WorkerHandle(const WorkerHandle&) = delete;
-  WorkerHandle& operator=(const WorkerHandle&) = delete;
-
-  int id() const { return id_; }
-
- private:
-  ClockSource* clock_;
-  int id_;
+  bool stop_ = false;
+  std::thread loop_;
+  std::thread::id loop_id_;
 };
 
 /// RAII activity pin; hold while injecting a workload so virtual time

@@ -13,6 +13,7 @@
 #include "cc/version_gate.hpp"
 #include "diag/wait_registry.hpp"
 #include "diag/watchdog.hpp"
+#include "net/timer_service.hpp"
 #include "time/clock.hpp"
 #include "util/sync.hpp"
 
@@ -209,43 +210,6 @@ TEST(DeadlockWatchdog, KickResetsTheWindow) {
   EXPECT_EQ(stalls_seen.load(), 0);
 }
 
-// A worker that drip-feeds a VirtualClock: each iteration parks on a short
-// virtual deadline (the scheduler jumps time forward and wakes it), then
-// spends real wall time before the next one — so simulated time keeps
-// moving across the watchdog's polls, the way a long live experiment does.
-class VirtualTimeDriver {
- public:
-  explicit VirtualTimeDriver(time::VirtualClock& clock) : clock_(clock), worker_(clock) {
-    thread_ = std::thread([this] {
-      std::mutex mu;
-      std::condition_variable cv;
-      while (!stop_.load(std::memory_order_relaxed)) {
-        const auto deadline = clock_.now() + 1ms;
-        {
-          std::unique_lock lock(mu);
-          while (clock_.now() < deadline && !stop_.load(std::memory_order_relaxed)) {
-            clock_.wait_until(worker_.id(), lock, cv, deadline,
-                              [this] { return stop_.load(std::memory_order_relaxed); });
-          }
-        }
-        std::this_thread::sleep_for(5ms);
-      }
-    });
-  }
-
-  ~VirtualTimeDriver() {
-    stop_.store(true, std::memory_order_relaxed);
-    clock_.interrupt(worker_.id());  // in case the worker is parked when we stop
-    thread_.join();
-  }
-
- private:
-  time::VirtualClock& clock_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
-
 TEST(DeadlockWatchdog, ClockAwareStuckBudgetIgnoresLongVirtualWaits) {
   // A wait parked for far longer than the stuck budget while the virtual
   // clock keeps advancing is a live simulation, not a wedge. The
@@ -253,7 +217,11 @@ TEST(DeadlockWatchdog, ClockAwareStuckBudgetIgnoresLongVirtualWaits) {
   // wall-budget watchdog (the control) must trip, proving the window the
   // clock awareness closes.
   time::VirtualClock clock;
-  VirtualTimeDriver driver(clock);
+  // A live simulation: a periodic 1 ms virtual timer whose callback spends
+  // 5 ms of wall time, so simulated time keeps moving across the
+  // watchdog's polls, the way a long live experiment does.
+  net::TimerService driver(&clock);
+  driver.schedule_periodic(1ms, [] { std::this_thread::sleep_for(5ms); });
 
   diag::WatchdogOptions aware_opts;
   aware_opts.budget = 30s;  // only the stuck-wait detector is under test
@@ -282,9 +250,9 @@ TEST(DeadlockWatchdog, ClockAwareStuckBudgetIgnoresLongVirtualWaits) {
 
 TEST(DeadlockWatchdog, ClockAwareStuckBudgetStillTripsWhenSimulationFreezes) {
   // Clock awareness must not disable the detector: a virtual clock that
-  // never advances (a wedged scheduler) plus a long-parked wait is exactly
+  // never advances (a wedged simulation) plus a long-parked wait is exactly
   // the stall the stuck budget exists for.
-  time::VirtualClock clock;  // no workers, no deadlines: now() is frozen
+  time::VirtualClock clock;  // no sources, no deadlines: now() is frozen
   diag::WatchdogOptions opts;
   opts.budget = 30s;
   opts.poll = 10ms;

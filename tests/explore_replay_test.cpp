@@ -9,20 +9,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <functional>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "explore/runner.hpp"
 #include "explore/shrink.hpp"
 #include "explore/strategy.hpp"
 #include "explore/trace.hpp"
+#include "net/timer_service.hpp"
 #include "test_support.hpp"
 #include "time/clock.hpp"
+#include "util/sync.hpp"
 
 namespace samoa::explore {
 namespace {
@@ -224,51 +225,32 @@ TEST(ExploreReplay, FirstStrategyRunsSeriallyAndClean) {
 
 // --- VirtualClock WakePolicy seam ('c' decisions) -------------------------
 
-/// Three worker threads, each sleeping through a fixed ladder of virtual
-/// deadlines; returns the order in which wakes were granted.
+/// Three timer services, each firing a ladder of one-shot timers (every
+/// rung is scheduled by the previous rung's callback); returns which
+/// service fired, in firing order.
 std::vector<int> run_clock_scenario(time::VirtualClock& clock) {
-  std::mutex log_mu;
-  std::vector<int> order;
-
-  std::mutex ready_mu;
-  std::condition_variable ready_cv;
-  int ready = 0;
-
   const std::vector<std::vector<int>> ladders = {{5, 12, 9}, {7, 3, 11}, {4, 8, 6}};
-  std::vector<std::thread> threads;
-  {
-    // Pin virtual time until every worker registered and reached its first
-    // park, so the first decision point always sees all three candidates.
-    time::Pin setup(clock);
-    for (int idx = 0; idx < 3; ++idx) {
-      threads.emplace_back([&, idx] {
-        time::WorkerHandle worker(clock);
-        std::mutex mu;
-        std::condition_variable cv;
-        {
-          std::lock_guard g(ready_mu);
-          ++ready;
-        }
-        ready_cv.notify_one();
-        for (int ms : ladders[static_cast<std::size_t>(idx)]) {
-          const auto deadline = clock.now() + std::chrono::milliseconds(ms);
-          std::unique_lock lock(mu);
-          while (clock.now() < deadline) {
-            clock.wait_until(worker.id(), lock, cv, deadline, [] { return false; });
-          }
-          lock.unlock();
-          {
-            std::lock_guard g(log_mu);
-            order.push_back(idx);
-          }
-          lock.lock();
-        }
-      });
-    }
-    std::unique_lock lock(ready_mu);
-    ready_cv.wait(lock, [&] { return ready == 3; });
+  std::vector<std::unique_ptr<net::TimerService>> services;
+  for (std::size_t i = 0; i < ladders.size(); ++i) {
+    services.push_back(std::make_unique<net::TimerService>(&clock));
   }
-  for (auto& t : threads) t.join();
+  std::vector<int> order;  // appended on the clock's loop only
+  WaitGroup rungs;
+  rungs.add(9);
+  std::function<void(std::size_t, std::size_t)> arm = [&](std::size_t idx, std::size_t rung) {
+    services[idx]->schedule(std::chrono::milliseconds(ladders[idx][rung]), [&, idx, rung] {
+      order.push_back(static_cast<int>(idx));
+      if (rung + 1 < ladders[idx].size()) arm(idx, rung + 1);
+      rungs.done();
+    });
+  };
+  {
+    // Pin virtual time until every ladder's first rung is armed, so the
+    // first decision point always sees all three candidates.
+    time::Pin setup(clock);
+    for (std::size_t idx = 0; idx < ladders.size(); ++idx) arm(idx, 0);
+  }
+  rungs.wait();
   return order;
 }
 

@@ -2,11 +2,14 @@
 // runs every computation to completion on the spawning thread, from a
 // per-thread FIFO in which async handler tasks run before queued roots.
 // These tests pin the ordering contract, the deadlock guard on waits, and
-// that a virtual fleet starts no dispatch threads at all.
+// that a virtual fleet runs every event on the clock's one loop thread,
+// starting no dispatch or service threads at all.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,31 @@ using testing::ProbeMp;
 RuntimeOptions virtual_opts(time::VirtualClock& clock) {
   return RuntimeOptions{.policy = CCPolicy::kVCABasic, .clock = &clock};
 }
+
+/// Threads of this process right now (Linux: one /proc/self/task entry
+/// each).
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Thread ids that ran some callback, recorded from any thread.
+struct ThreadLog {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+
+  void note() {
+    std::unique_lock lock(mu);
+    ids.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> snapshot() {
+    std::unique_lock lock(mu);
+    return ids;
+  }
+};
 
 /// Logs each handler's payload; payloads below 3 chain one more async
 /// trigger (payload + 10) from inside the handler.
@@ -172,22 +200,40 @@ TEST(InlineDispatch, VirtualGroupNodeFleetStartsNoDispatchThreads) {
   gc::GcOptions opts;
   opts.clock = &clock;
   opts.detector_impl = gc::DetectorImpl::kSwim;
+  // Every app delivery runs inside a computation spawned by a packet
+  // delivery; every script callback is a timer event. Both log their
+  // thread. Declared before the fleet, so they outlive its callbacks.
+  ThreadLog deliveries, timers;
+  const std::size_t threads_before = process_threads();
   net::SimNetwork net(net::LinkOptions{.base_latency = microseconds(100)}, 1, &clock);
   net::TimerService script(&clock);
   std::vector<std::unique_ptr<gc::GroupNode>> nodes;
   for (int i = 0; i < kSites; ++i) nodes.push_back(std::make_unique<gc::GroupNode>(net, opts));
+  const std::size_t threads_built = process_threads();
+  EXPECT_LE(threads_built, threads_before + 1)
+      << "building the network, " << kSites << " nodes and a TimerService started threads";
   std::vector<SiteId> members;
   for (auto& n : nodes) members.push_back(n->id());
+
+  for (auto& n : nodes) {
+    n->sink().set_view_source([&deliveries, mb = &n->membership()] {
+      deliveries.note();
+      return mb->view_snapshot().id();
+    });
+  }
 
   OneShotEvent done;
   {
     time::Pin setup(clock);
     for (auto& n : nodes) n->start(gc::View(1, members));
     for (std::size_t i = 0; i < kMessages; ++i) {
-      script.schedule(microseconds(500 + 300 * i),
-                      [&nodes, i] { nodes[i]->abcast("m" + std::to_string(i)); });
+      script.schedule(microseconds(500 + 300 * i), [&nodes, &timers, i] {
+        timers.note();
+        nodes[i]->abcast("m" + std::to_string(i));
+      });
     }
     script.schedule_periodic(microseconds(1000), [&] {
+      timers.note();
       for (auto& n : nodes) {
         if (n->sink().adelivered().size() < kMessages) return;
       }
@@ -197,6 +243,13 @@ TEST(InlineDispatch, VirtualGroupNodeFleetStartsNoDispatchThreads) {
     });
   }
   ASSERT_TRUE(done.wait_for(seconds(60))) << "fleet did not deliver every abcast";
+  EXPECT_LE(process_threads(), threads_built) << "the run started threads";
+  const std::set<std::thread::id> delivered_on = deliveries.snapshot();
+  std::set<std::thread::id> all = timers.snapshot();
+  all.insert(delivered_on.begin(), delivered_on.end());
+  EXPECT_EQ(delivered_on.size(), 1u) << "packet deliveries ran on several threads";
+  EXPECT_EQ(all.size(), 1u) << "packet deliveries and timer callbacks ran on different threads";
+  EXPECT_FALSE(all.contains(std::this_thread::get_id()));
   for (int i = 0; i < kSites; ++i) {
     Runtime& rt = nodes[i]->runtime();
     EXPECT_TRUE(rt.runs_inline()) << "site " << i;

@@ -1,15 +1,16 @@
 // Unit tests for the network substrate: SimNetwork (latency, loss,
 // partitions, crashes, detach) and TimerService.
 //
-// Most cases run on a time::VirtualClock: deadlines fire in virtual time
-// at quiescence, so the tests are deterministic and burn zero wall-clock
-// time in sleeps. The two *regression* tests at the bottom (drain during a
-// delivery callback, cancel during a periodic callback) deliberately run
-// on the wall clock with short bounded sleeps — they reproduce races that
-// only exist when callbacks overlap real time.
+// Most cases run on a time::VirtualClock: the clock's loop fires deadlines
+// in virtual time, so the tests are deterministic and burn zero wall-clock
+// time in sleeps. The lifecycle races at the bottom (detach, drain,
+// cancel and destruction while a callback runs) run once on each clock,
+// with short bounded sleeps: a callback blocks its clock's thread while
+// the test thread acts on the service.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -24,6 +25,21 @@ namespace {
 
 using time::Pin;
 using time::VirtualClock;
+using namespace std::chrono_literals;
+
+/// Runs `body` once on the wall clock and once on a fresh VirtualClock.
+template <typename Body>
+void on_both_clocks(Body body) {
+  {
+    SCOPED_TRACE("wall clock");
+    body(static_cast<time::ClockSource*>(nullptr));
+  }
+  {
+    SCOPED_TRACE("virtual clock");
+    VirtualClock clock;
+    body(static_cast<time::ClockSource*>(&clock));
+  }
+}
 
 TEST(SimNetwork, DeliversPacketToCallback) {
   VirtualClock clock;
@@ -186,19 +202,6 @@ TEST(SimNetwork, UnknownDestinationCountsAsDrop) {
   EXPECT_EQ(net.stats().dropped.value(), 1u);
 }
 
-TEST(SimNetwork, DetachStopsCallbacksSafely) {
-  VirtualClock clock;
-  SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(50)}, 1, &clock);
-  std::atomic<int> got{0};
-  SiteId a = net.add_site([](const Packet&) {});
-  SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
-  for (int i = 0; i < 10; ++i) net.send(a, b, Message::of(i));
-  net.detach(b);  // returns only when no callback for b is running
-  const int at_detach = got.load();
-  net.drain();
-  EXPECT_EQ(got.load(), at_detach);  // nothing delivered after detach returned
-}
-
 TEST(TimerService, OneShotFires) {
   VirtualClock clock;
   TimerService timers(&clock);
@@ -294,80 +297,133 @@ TEST(TimerService, CancelAllStopsEverything) {
   EXPECT_EQ(count.load(), 0);
 }
 
-TEST(VirtualClock, IdleWorkersAreNotWokenByOtherWorkersTraffic) {
-  // 64 idle timer services parked next to a two-site relay: every relay
-  // send interrupts only the network's own delivery loop, so the clock
-  // wakes O(1) workers per delivered packet instead of every parked one.
-  VirtualClock clock;
-  std::vector<std::unique_ptr<TimerService>> idle;
-  for (int i = 0; i < 64; ++i) idle.push_back(std::make_unique<TimerService>(&clock));
-  SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(100)}, 1, &clock);
-  SiteId a{}, b{};
-  a = net.add_site([&](const Packet& p) {
-    if (const int hops = p.payload.as<int>(); hops > 0) net.send(a, b, Message::of(hops - 1));
+// --- Lifecycle races (on both clocks; see file header) ---
+
+TEST(SimNetwork, DetachStopsCallbacksSafely) {
+  on_both_clocks([](time::ClockSource* clock) {
+    SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(50)}, 1, clock);
+    std::atomic<int> got{0};
+    SiteId a = net.add_site([](const Packet&) {});
+    SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
+    for (int i = 0; i < 10; ++i) net.send(a, b, Message::of(i));
+    net.detach(b);  // returns only when no callback for b is running
+    const int at_detach = got.load();
+    net.drain();
+    EXPECT_EQ(got.load(), at_detach);  // nothing delivered after detach returned
   });
-  b = net.add_site([&](const Packet& p) {
-    if (const int hops = p.payload.as<int>(); hops > 0) net.send(b, a, Message::of(hops - 1));
-  });
-  const std::uint64_t before = clock.wakeups();
-  net.send(a, b, Message::of(199));
-  net.drain();
-  const std::uint64_t delivered = net.stats().delivered.value();
-  ASSERT_EQ(delivered, 200u);
-  const double per_packet = static_cast<double>(clock.wakeups() - before) / delivered;
-  EXPECT_LE(per_packet, 2.0) << "wake storm: " << clock.wakeups() - before << " wakeups for "
-                             << delivered << " packets";
 }
 
-// --- Race regressions (wall clock on purpose; see file header) ---
-
 TEST(SimNetwork, DrainWaitsForInFlightDeliveryCallback) {
-  SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(10)});
-  OneShotEvent in_callback, release;
-  std::atomic<int> c_got{0};
-  SiteId b{}, c{};
-  SiteId a = net.add_site([](const Packet&) {});
-  b = net.add_site([&](const Packet&) {
-    in_callback.set();
-    release.wait();
-    // The callback produces follow-up traffic *before* it returns — the
-    // exact window in which a drain() keyed only on the queue leaks work.
-    net.send(b, c, Message::of(1));
-  });
-  c = net.add_site([&](const Packet&) { c_got.fetch_add(1); });
+  on_both_clocks([](time::ClockSource* clock) {
+    SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(10)}, 1, clock);
+    OneShotEvent in_callback, release;
+    std::atomic<int> c_got{0};
+    SiteId b{}, c{};
+    SiteId a = net.add_site([](const Packet&) {});
+    b = net.add_site([&](const Packet&) {
+      in_callback.set();
+      release.wait();
+      // The callback produces follow-up traffic *before* it returns — the
+      // exact window in which a drain() keyed only on the queue leaks work.
+      net.send(b, c, Message::of(1));
+    });
+    c = net.add_site([&](const Packet&) { c_got.fetch_add(1); });
 
-  net.send(a, b, Message::of(0));
-  in_callback.wait();  // b's callback is now running, queue is empty
+    net.send(a, b, Message::of(0));
+    in_callback.wait();  // b's callback is now running, queue is empty
 
-  std::atomic<bool> drain_returned{false};
-  std::thread drainer([&] {
-    net.drain();
-    drain_returned.store(true);
+    std::atomic<bool> drain_returned{false};
+    std::thread drainer([&] {
+      net.drain();
+      drain_returned.store(true);
+    });
+    std::this_thread::sleep_for(20ms);
+    EXPECT_FALSE(drain_returned.load()) << "drain returned while a delivery callback was running";
+    release.set();
+    drainer.join();
+    // drain() covered the callback's follow-up send too.
+    EXPECT_EQ(c_got.load(), 1);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(drain_returned.load()) << "drain returned while a delivery callback was running";
-  release.set();
-  drainer.join();
-  // drain() covered the callback's follow-up send too.
-  EXPECT_EQ(c_got.load(), 1);
+}
+
+TEST(SimNetwork, DestructionWaitsForARunningDeliveryThatSends) {
+  on_both_clocks([](time::ClockSource* clock) {
+    auto net = std::make_unique<SimNetwork>(
+        LinkOptions{.base_latency = std::chrono::microseconds(10)}, 1, clock);
+    SimNetwork* raw = net.get();
+    OneShotEvent in_callback, release;
+    std::atomic<int> a_got{0};
+    SiteId a{}, b{};
+    a = net->add_site([&](const Packet&) { a_got.fetch_add(1); });
+    b = net->add_site([&](const Packet&) {
+      in_callback.set();
+      release.wait();
+      raw->send(b, a, Message::of(1));  // after destruction began
+    });
+    net->send(a, b, Message::of(0));
+    in_callback.wait();
+    std::atomic<bool> destroyed{false};
+    std::thread destroyer([&] {
+      net.reset();
+      destroyed.store(true);
+    });
+    std::this_thread::sleep_for(20ms);
+    EXPECT_FALSE(destroyed.load()) << "destructor returned while a delivery was running";
+    release.set();
+    destroyer.join();
+    EXPECT_EQ(a_got.load(), 0) << "delivered after its destruction began";
+  });
 }
 
 TEST(TimerService, CancelDuringPeriodicCallbackIsHonored) {
-  TimerService timers;
-  OneShotEvent in_callback, release;
-  std::atomic<int> count{0};
-  TimerId id = timers.schedule_periodic(std::chrono::microseconds(1000), [&] {
-    if (count.fetch_add(1) == 0) {
-      in_callback.set();
-      release.wait();
-    }
+  on_both_clocks([](time::ClockSource* clock) {
+    TimerService timers(clock);
+    OneShotEvent in_callback, release;
+    std::atomic<int> count{0};
+    TimerId id = timers.schedule_periodic(std::chrono::microseconds(1000), [&] {
+      if (count.fetch_add(1) == 0) {
+        in_callback.set();
+        release.wait();
+      }
+    });
+    in_callback.wait();  // the callback is running; the entry is not queued
+    EXPECT_TRUE(timers.cancel(id)) << "cancel lost while the periodic callback was running";
+    release.set();
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(count.load(), 1) << "periodic timer re-armed despite cancellation";
+    EXPECT_FALSE(timers.cancel(id));  // gone for good
   });
-  in_callback.wait();  // the callback is running; the entry is not queued
-  EXPECT_TRUE(timers.cancel(id)) << "cancel lost while the periodic callback was running";
-  release.set();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(count.load(), 1) << "periodic timer re-armed despite cancellation";
-  EXPECT_FALSE(timers.cancel(id));  // gone for good
+}
+
+TEST(TimerService, DestructionWaitsForARunningCallbackAndStopsFiring) {
+  // A fleet torn down from the test thread does exactly this: each
+  // GroupNode's TimerService is destroyed while one of its callbacks may
+  // be running on the clock's thread, and that callback may still arm a
+  // timer of its own service after the destruction began.
+  on_both_clocks([](time::ClockSource* clock) {
+    auto timers = std::make_unique<TimerService>(clock);
+    TimerService* raw = timers.get();
+    OneShotEvent in_callback, release;
+    std::atomic<int> count{0};
+    timers->schedule_periodic(std::chrono::microseconds(1000), [&] {
+      if (count.fetch_add(1) == 0) {
+        in_callback.set();
+        release.wait();
+        raw->schedule(std::chrono::microseconds(0), [&] { count.fetch_add(1); });
+      }
+    });
+    in_callback.wait();
+    std::atomic<bool> destroyed{false};
+    std::thread destroyer([&] {
+      timers.reset();
+      destroyed.store(true);
+    });
+    std::this_thread::sleep_for(20ms);
+    EXPECT_FALSE(destroyed.load()) << "destructor returned while its callback was running";
+    release.set();
+    destroyer.join();
+    EXPECT_EQ(count.load(), 1) << "fired again after its destruction began";
+  });
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // is a pure function of its seed.
 //
 // Scheduling discipline: every scripted callback performs exactly ONE
-// node API call (one spawned computation). The clock's dispatch turns plus
+// node API call (one spawned computation). The clock's one loop thread plus
 // the runtime's activity pins then serialize all computations, which is
 // what makes the message streams — and the seeded RNG draws they trigger —
 // replay identically.
