@@ -1,5 +1,6 @@
 #include "cc/vca_basic.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -9,22 +10,15 @@ namespace samoa {
 
 class VCABasicComputationCC : public ComputationCC {
  public:
-  VCABasicComputationCC(VCABasicController& ctrl, ComputationId k,
-                        std::unordered_map<MicroprotocolId, std::uint64_t> pv)
-      : ctrl_(ctrl), k_(k), pv_(std::move(pv)) {}
+  /// `claims` sorted by mp id, every gate resolved and pv claimed.
+  VCABasicComputationCC(CCStats& stats, ComputationId k, std::vector<GateClaim> claims)
+      : stats_(stats), k_(k), claims_(std::move(claims)) {}
 
-  void on_issue(HandlerId, const Handler& h) override {
-    if (!pv_.contains(h.owner().id())) {
-      std::ostringstream os;
-      os << "isolated: computation " << k_ << " called handler '" << h.name()
-         << "' of undeclared microprotocol '" << h.owner().name() << "'";
-      throw IsolationError(os.str());
-    }
-  }
+  void on_issue(HandlerId, const Handler& h) override { claim_of(h); }
 
   void before_execute(const Handler& h) override {
-    const auto pv = pv_.at(h.owner().id());
-    ctrl_.gates_.gate(h.owner().id()).wait_exact(pv - 1, ctrl_.stats_, h.owner().name().c_str());
+    const GateClaim& c = claim_of(h);
+    c.gate->wait_exact(c.pv - 1, stats_, h.owner().name().c_str());
   }
 
   void after_execute(const Handler&) override {}
@@ -32,42 +26,52 @@ class VCABasicComputationCC : public ComputationCC {
   void on_complete() override {
     // Step 3: upgrade in admission order is implied — each wait_exact can
     // only be satisfied once every older computation upgraded, so the
-    // iteration order over pv_ is irrelevant for correctness.
-    for (const auto& [mp, pv] : pv_) {
-      auto& gate = ctrl_.gates_.gate(mp);
-      gate.wait_exact(pv - 1, ctrl_.stats_);
-      gate.set_lv(pv);
+    // iteration order over the claims is irrelevant for correctness.
+    for (const GateClaim& c : claims_) {
+      c.gate->wait_exact(c.pv - 1, stats_);
+      c.gate->set_lv(c.pv);
     }
   }
 
  private:
-  VCABasicController& ctrl_;
+  /// The claim on h's microprotocol; IsolationError if it was not declared.
+  const GateClaim& claim_of(const Handler& h) const {
+    const MicroprotocolId mp = h.owner().id();
+    const auto it =
+        std::lower_bound(claims_.begin(), claims_.end(), mp,
+                         [](const GateClaim& c, MicroprotocolId m) { return c.mp < m; });
+    if (it == claims_.end() || it->mp != mp) {
+      std::ostringstream os;
+      os << "isolated: computation " << k_ << " called handler '" << h.name()
+         << "' of undeclared microprotocol '" << h.owner().name() << "'";
+      throw IsolationError(os.str());
+    }
+    return *it;
+  }
+
+  CCStats& stats_;
   ComputationId k_;
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv_;
+  std::vector<GateClaim> claims_;
 };
 
 std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const Isolation& spec) {
   stats_.admissions.add();
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv;
-  const auto& members = spec.members();
-  if (members.size() == 1) {
+  std::vector<GateClaim> claims = resolve_claims(gates_, spec.members());
+  if (claims.size() == 1) {
     // Fast path: one microprotocol means one counter, so the admission is
     // atomic by construction — a single lock-free fetch_add.
     stats_.admit_fast.add();
-    const MicroprotocolId mp = members.front();
-    pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
+    claims.front().pv = claims.front().gate->admit(1, k.value());
   } else {
     // Slow path: Step 1 must bump every member gate as one indivisible
     // step. Holding all member admission locks in mp-id order serializes
     // any two admissions that share gates, which keeps the version order
     // identical on every shared microprotocol (total wait-for order).
     stats_.admit_slow.add();
-    OrderedAdmission locks(gates_, members);
-    for (MicroprotocolId mp : members) {
-      pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
-    }
+    OrderedAdmission locks(claims);
+    for (GateClaim& c : claims) c.pv = c.gate->admit(1, k.value());
   }
-  return std::make_unique<VCABasicComputationCC>(*this, k, std::move(pv));
+  return std::make_unique<VCABasicComputationCC>(stats_, k, std::move(claims));
 }
 
 std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
@@ -93,11 +97,11 @@ std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
     }
     for (const AdmitRequest& r : reqs) {
       const MicroprotocolId mp = r.spec->members().front();
+      VersionGate& gate = gates_.gate(mp);
       const std::uint64_t pv_k = next.at(mp)++;
-      gates_.gate(mp).note_holder(pv_k, r.k.value());
-      std::unordered_map<MicroprotocolId, std::uint64_t> pv;
-      pv.emplace(mp, pv_k);
-      out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(pv)));
+      gate.note_holder(pv_k, r.k.value());
+      std::vector<GateClaim> claims{{mp, &gate, pv_k}};
+      out.push_back(std::make_unique<VCABasicComputationCC>(stats_, r.k, std::move(claims)));
     }
     return out;
   }
@@ -109,13 +113,12 @@ std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
   for (const AdmitRequest& r : reqs) {
     union_mps.insert(union_mps.end(), r.spec->members().begin(), r.spec->members().end());
   }
-  OrderedAdmission locks(gates_, union_mps);
+  const std::vector<GateClaim> union_claims = resolve_claims(gates_, union_mps);
+  OrderedAdmission locks(union_claims);
   for (const AdmitRequest& r : reqs) {
-    std::unordered_map<MicroprotocolId, std::uint64_t> pv;
-    for (MicroprotocolId mp : r.spec->members()) {
-      pv.emplace(mp, gates_.gate(mp).admit(1, r.k.value()));
-    }
-    out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(pv)));
+    std::vector<GateClaim> claims = resolve_claims(gates_, r.spec->members());
+    for (GateClaim& c : claims) c.pv = c.gate->admit(1, r.k.value());
+    out.push_back(std::make_unique<VCABasicComputationCC>(stats_, r.k, std::move(claims)));
   }
   return out;
 }

@@ -18,6 +18,11 @@
 // (OrderedAdmission) so any two admissions sharing gates serialize and
 // observe identical version order everywhere. admit_batch() compresses a
 // burst of single-mp admissions into one fetch_add per distinct gate.
+//
+// A computation's private versions are one array of GateClaim (mp, gate,
+// pv) sorted by mp id: the gates are resolved once at admission, so the
+// gate checks of Steps 2 and 3 are a binary search and a pointer
+// dereference, with no hashing and no gate-table probe.
 #pragma once
 
 #include "cc/controller.hpp"
@@ -33,8 +38,6 @@ class VCABasicController : public ConcurrencyController {
   const char* name() const override { return "VCAbasic"; }
 
  private:
-  friend class VCABasicComputationCC;
-
   GateTable gates_;
 };
 

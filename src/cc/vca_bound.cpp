@@ -90,7 +90,8 @@ std::unique_ptr<ComputationCC> VCABoundController::admit(ComputationId k, const 
   } else {
     // Lock-ordered multi-mp path; see VCABasicController::admit.
     stats_.admit_slow.add();
-    OrderedAdmission locks(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    OrderedAdmission locks(claims);
     for (MicroprotocolId mp : members) admit_one(mp);
   }
   return std::make_unique<VCABoundComputationCC>(*this, k, std::move(slots));

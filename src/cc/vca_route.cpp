@@ -147,7 +147,8 @@ std::unique_ptr<ComputationCC> VCARouteController::admit(ComputationId k, const 
   } else {
     // Lock-ordered multi-mp path; see VCABasicController::admit.
     stats_.admit_slow.add();
-    OrderedAdmission locks(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    OrderedAdmission locks(claims);
     for (MicroprotocolId mp : members) {
       pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
     }

@@ -124,7 +124,8 @@ std::unique_ptr<ComputationCC> VCARWController::admit(ComputationId k, const Iso
     admit_one(mp);
   } else {
     stats_.admit_slow.add();
-    OrderedAdmission locks(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    OrderedAdmission locks(claims);
     for (MicroprotocolId mp : members) admit_one(mp);
   }
   return std::make_unique<VCARWComputationCC>(*this, k, std::move(slots));

@@ -314,21 +314,25 @@ VersionGate& GateTable::gate_slow(MicroprotocolId mp) {
   return *slot;
 }
 
-OrderedAdmission::OrderedAdmission(GateTable& gates, const std::vector<MicroprotocolId>& mps) {
-  std::vector<std::pair<std::uint32_t, VersionGate*>> members;
-  members.reserve(mps.size());
-  for (MicroprotocolId mp : mps) members.emplace_back(mp.value(), &gates.gate(mp));
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  locked_.reserve(members.size());
-  for (auto& [id, g] : members) {
-    g->admission_mutex().lock();
-    locked_.push_back(g);
-  }
+std::vector<GateClaim> resolve_claims(GateTable& gates, const std::vector<MicroprotocolId>& mps) {
+  std::vector<GateClaim> claims;
+  claims.reserve(mps.size());
+  for (MicroprotocolId mp : mps) claims.push_back({mp, nullptr, 0});
+  std::sort(claims.begin(), claims.end(),
+            [](const GateClaim& a, const GateClaim& b) { return a.mp < b.mp; });
+  claims.erase(std::unique(claims.begin(), claims.end(),
+                           [](const GateClaim& a, const GateClaim& b) { return a.mp == b.mp; }),
+               claims.end());
+  for (GateClaim& c : claims) c.gate = &gates.gate(c.mp);
+  return claims;
+}
+
+OrderedAdmission::OrderedAdmission(std::span<const GateClaim> claims) : claims_(claims) {
+  for (const GateClaim& c : claims_) c.gate->admission_mutex().lock();
 }
 
 OrderedAdmission::~OrderedAdmission() {
-  for (auto it = locked_.rbegin(); it != locked_.rend(); ++it) (*it)->admission_mutex().unlock();
+  for (auto it = claims_.rbegin(); it != claims_.rend(); ++it) it->gate->admission_mutex().unlock();
 }
 
 }  // namespace samoa

@@ -53,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -277,25 +278,41 @@ class GateTable {
   std::unordered_map<MicroprotocolId, std::unique_ptr<VersionGate>> overflow_;
 };
 
+/// One declared microprotocol of an admitted computation: its gate,
+/// resolved once at admission, and the private version pv claimed there
+/// (VCAbasic keeps exactly this; the other controllers use it to lock).
+struct GateClaim {
+  MicroprotocolId mp;
+  VersionGate* gate = nullptr;
+  std::uint64_t pv = 0;
+};
+
+/// The gates of `mps`, sorted by mp id with duplicates dropped (pv = 0):
+/// the layout OrderedAdmission locks in.
+std::vector<GateClaim> resolve_claims(GateTable& gates, const std::vector<MicroprotocolId>& mps);
+
 /// RAII lock-ordered admission over several gates (the multi-microprotocol
-/// slow path). Acquires every member gate's admission_mutex() in ascending
-/// mp-id order — two admissions sharing any two gates therefore overlap on
-/// at least one lock, which makes their gv bumps atomic relative to each
-/// other and keeps the wait-for relation a total order (the paper's
-/// atomic-admission invariant). Single-mp admissions never take these
-/// locks: a computation declaring one microprotocol can share at most one
-/// gate with anyone, and the per-gate version chain is already a total
-/// order, so it can never close a cycle.
+/// slow path). Acquires every claimed gate's admission_mutex() in
+/// ascending mp-id order — two admissions sharing any two gates therefore
+/// overlap on at least one lock, which makes their gv bumps atomic relative
+/// to each other and keeps the wait-for relation a total order (the
+/// paper's atomic-admission invariant). Single-mp admissions never take
+/// these locks: a computation declaring one microprotocol can share at
+/// most one gate with anyone, and the per-gate version chain is already a
+/// total order, so it can never close a cycle.
+///
+/// `claims` must be sorted by mp id without duplicates (resolve_claims)
+/// and outlive this object; nothing is allocated.
 class OrderedAdmission {
  public:
-  OrderedAdmission(GateTable& gates, const std::vector<MicroprotocolId>& mps);
+  explicit OrderedAdmission(std::span<const GateClaim> claims);
   ~OrderedAdmission();
 
   OrderedAdmission(const OrderedAdmission&) = delete;
   OrderedAdmission& operator=(const OrderedAdmission&) = delete;
 
  private:
-  std::vector<VersionGate*> locked_;  // in lock (mp-id) order
+  std::span<const GateClaim> claims_;
 };
 
 }  // namespace samoa

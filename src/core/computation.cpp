@@ -8,11 +8,9 @@
 
 namespace samoa {
 
-Computation::Computation(Runtime& runtime, ComputationId id, Isolation spec,
-                         std::unique_ptr<ComputationCC> cc)
+Computation::Computation(Runtime& runtime, ComputationId id, std::unique_ptr<ComputationCC> cc)
     : runtime_(runtime),
       id_(id),
-      spec_(std::move(spec)),
       cc_(std::move(cc)),
       inline_thread_(runtime.runs_inline() ? std::this_thread::get_id() : std::thread::id{}) {}
 
@@ -42,7 +40,7 @@ void Computation::finalize() {
   if (StepHook* hook = runtime_.step_hook()) hook->resync(id_);
   // Book-keeping before the completion signal: a waiter woken by
   // completed_ must observe the runtime's final counters.
-  runtime_.on_computation_done(id_);
+  runtime_.on_computation_done(id_, failed());
   diag::WaitRegistry::instance().note_progress();
   completed_.set();
 }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cc/controller.hpp"
-#include "core/isolation.hpp"
 #include "util/ids.hpp"
 #include "util/sync.hpp"
 
@@ -49,8 +48,9 @@ class UndoLog {
 
 class Computation : public std::enable_shared_from_this<Computation> {
  public:
-  Computation(Runtime& runtime, ComputationId id, Isolation spec,
-              std::unique_ptr<ComputationCC> cc);
+  /// The isolation declaration is consumed by the controller at
+  /// admission; `cc` holds everything the computation keeps of it.
+  Computation(Runtime& runtime, ComputationId id, std::unique_ptr<ComputationCC> cc);
 
   Computation(const Computation&) = delete;
   Computation& operator=(const Computation&) = delete;
@@ -58,7 +58,6 @@ class Computation : public std::enable_shared_from_this<Computation> {
   ComputationId id() const { return id_; }
   Runtime& runtime() const { return runtime_; }
   ComputationCC& cc() const { return *cc_; }
-  const Isolation& spec() const { return spec_; }
 
   /// Task accounting. The root expression counts as one task; every
   /// asynchronous trigger adds one. The task that drops the count to zero
@@ -92,7 +91,6 @@ class Computation : public std::enable_shared_from_this<Computation> {
 
   Runtime& runtime_;
   ComputationId id_;
-  Isolation spec_;
   std::unique_ptr<ComputationCC> cc_;
   /// The spawning thread, whose inline queue runs every task of this
   /// computation; no thread when the runtime dispatches to other threads.

@@ -16,6 +16,9 @@
 // under-declaration throws IsolationError at run time).
 #pragma once
 
+#include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/isolation.hpp"
@@ -28,13 +31,26 @@ namespace samoa {
 /// are treated as leaves (they trigger nothing).
 class TriggerDeclarations {
  public:
+  struct Trigger {
+    HandlerId handler;
+    EventTypeId event;
+  };
+
   /// Declare that `handler`'s body may trigger `event`.
   TriggerDeclarations& declare(const Handler& handler, const EventType& event);
+  /// Declare that `handler`'s body may trigger each of `events`.
+  TriggerDeclarations& declare(
+      const Handler& handler,
+      std::initializer_list<std::reference_wrapper<const EventType>> events);
 
-  const std::vector<EventTypeId>& triggers_of(HandlerId handler) const;
+  /// The declared triggers of `handler`, in declaration order.
+  std::span<const Trigger> triggers_of(HandlerId handler) const;
 
  private:
-  std::unordered_map<HandlerId, std::vector<EventTypeId>> triggers_;
+  /// One flat table kept sorted by handler (stable), so a handler's
+  /// triggers are contiguous: a stack declares a few dozen, and
+  /// inference runs once per root event at composition time.
+  std::vector<Trigger> triggers_;
 };
 
 /// Microprotocols whose handlers are reachable when the root expression

@@ -9,6 +9,7 @@ namespace samoa {
 
 Isolation Isolation::basic(std::vector<const Microprotocol*> mps) {
   Isolation iso(Kind::Basic);
+  iso.members_.reserve(mps.size());
   for (const auto* mp : mps) {
     if (mp == nullptr) throw ConfigError("Isolation::basic: null microprotocol");
     if (!iso.declares(mp->id())) iso.members_.push_back(mp->id());

@@ -161,14 +161,22 @@ std::function<void()> Runtime::root_task(std::shared_ptr<Computation> comp,
   };
 }
 
-ComputationHandle Runtime::spawn_isolated(Isolation spec, std::function<void(Context&)> root) {
+ComputationHandle Runtime::spawn_isolated(const Isolation& spec,
+                                          std::function<void(Context&)> root) {
   if (!stack_.sealed()) stack_.seal();
-  if (spec.kind() == Isolation::Kind::Route) spec.resolve_route(stack_);
 
   const ComputationId id = comp_ids_.next();
-  // Step 1 (atomic admission) happens inside the controller.
-  auto cc = controller_->admit(id, spec);
-  auto comp = std::make_shared<Computation>(*this, id, std::move(spec), std::move(cc));
+  // Step 1 (atomic admission) happens inside the controller. A route
+  // declaration is resolved against the stack first, on a copy.
+  std::unique_ptr<ComputationCC> cc;
+  if (spec.kind() == Isolation::Kind::Route) {
+    Isolation resolved = spec;
+    resolved.resolve_route(stack_);
+    cc = controller_->admit(id, resolved);
+  } else {
+    cc = controller_->admit(id, spec);
+  }
+  auto comp = std::make_shared<Computation>(*this, id, std::move(cc));
   if (opts_.policy == CCPolicy::kTSO) comp->enable_undo();
 
   {
@@ -218,8 +226,7 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
   std::vector<std::shared_ptr<Computation>> comps;
   comps.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    auto comp = std::make_shared<Computation>(*this, admits[i].k, std::move(reqs[i].spec),
-                                              std::move(ccs[i]));
+    auto comp = std::make_shared<Computation>(*this, admits[i].k, std::move(ccs[i]));
     if (opts_.policy == CCPolicy::kTSO) comp->enable_undo();
     comps.push_back(std::move(comp));
   }
@@ -299,8 +306,9 @@ bool Runtime::remove_inflight(ComputationId id) {
   return removed;
 }
 
-void Runtime::on_computation_done(ComputationId id) {
+void Runtime::on_computation_done(ComputationId id, bool failed) {
   stats_.completed.add();
+  if (failed) stats_.failed.add();
   if (remove_inflight(id) && opts_.clock != nullptr) opts_.clock->unpin();
 }
 

@@ -88,7 +88,9 @@ class Runtime {
 
   /// Spawn a computation under the isolation declaration `spec`; `root` is
   /// the expression e of `isolated M e`. Seals the stack on first use.
-  ComputationHandle spawn_isolated(Isolation spec, std::function<void(Context&)> root);
+  /// `spec` is read during the call only (the controller keeps what it
+  /// needs), so a declaration derived once can serve every spawn.
+  ComputationHandle spawn_isolated(const Isolation& spec, std::function<void(Context&)> root);
 
   /// One element of a batched spawn: the same (spec, root) pair
   /// spawn_isolated takes.
@@ -137,13 +139,17 @@ class Runtime {
   struct Stats {
     Counter spawned;
     Counter completed;
+    /// Of the completed: computations that recorded an error (a handler
+    /// threw, e.g. IsolationError for an undeclared call). Nobody may be
+    /// waiting on such a computation, so this is where it shows.
+    Counter failed;
     Counter handler_calls;
   };
   const Stats& stats() const { return stats_; }
 
   // -- internal (called by Computation / Context) --
   void record_computation_done(ComputationId id);
-  void on_computation_done(ComputationId id);
+  void on_computation_done(ComputationId id, bool failed);
   void count_handler_call() { stats_.handler_calls.add(); }
   /// Route an async handler task of computation `comp_id` to its dispatch
   /// substrate: the calling thread's inline FIFO, the shard owning

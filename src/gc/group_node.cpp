@@ -67,18 +67,29 @@ void GroupNode::build_stack() {
   // A Stack seals its bindings on first spawn, so a restart cannot reuse
   // it: each incarnation composes a brand-new stack — which is also
   // exactly the crash semantics we want, since every microprotocol comes
-  // back with empty volatile state.
+  // back with empty volatile state. Only the configured failure detector
+  // and ABcast are built: an implementation nothing ticks or submits to
+  // would still widen the declarations of every event that reaches a
+  // view change.
   stack_ = std::make_unique<Stack>();
+  fd_ = nullptr;
+  swim_ = nullptr;
+  seq_abcast_ = nullptr;
   const View empty;
   transport_ = &stack_->emplace<Transport>(opts_, events_, net_, self_);
   relcomm_ = &stack_->emplace<RelComm>(opts_, events_, self_, empty);
   relcast_ = &stack_->emplace<RelCast>(opts_, events_, self_, empty);
-  fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
-  swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
+  if (opts_.detector_impl == DetectorImpl::kSwim) {
+    swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
+  } else {
+    fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
+  }
   consensus_ = &stack_->emplace<Consensus>(opts_, events_, self_, empty);
   abcast_ = &stack_->emplace<ABcast>(opts_, events_, self_, empty);
   causal_ = &stack_->emplace<CausalCast>(opts_, events_, self_, empty);
-  seq_abcast_ = &stack_->emplace<SeqABcast>(opts_, events_, self_, empty);
+  if (opts_.abcast_impl == ABcastImpl::kSequencer) {
+    seq_abcast_ = &stack_->emplace<SeqABcast>(opts_, events_, self_, empty);
+  }
   membership_ = &stack_->emplace<Membership>(opts_, events_, self_, empty);
   sink_ = &stack_->emplace<DeliverSink>(opts_, events_);
 
@@ -87,6 +98,16 @@ void GroupNode::build_stack() {
   consensus_->set_frontier_source([ab = abcast_] { return ab->next_instance(); });
 
   bind_all();
+  triggers_ = declare_triggers();
+  const EventType* roots[] = {
+      &events_.rc_data,         &events_.rc_ack,         &events_.fd_heartbeat,
+      &events_.swim_wire,       &events_.cs_wire,        &events_.view_install,
+      &events_.retransmit_tick, &events_.heartbeat_tick, &events_.fd_check_tick,
+      &events_.swim_tick,       &events_.cs_retry_tick,  &events_.api_abcast,
+      &events_.api_rbcast,      &events_.api_ccast,      &events_.api_joinleave,
+  };
+  declarations_ = std::vector<RootDeclaration>(std::size(roots));
+  for (std::size_t i = 0; i < std::size(roots); ++i) declarations_[i].root = roots[i];
 
   RuntimeOptions rt_opts;
   rt_opts.policy = opts_.policy;
@@ -106,19 +127,23 @@ void GroupNode::bind_all() {
   // External events.
   stack_->bind(events_.rc_data, *relcomm_->recv_data_handler());
   stack_->bind(events_.rc_ack, *relcomm_->recv_ack_handler());
-  stack_->bind(events_.fd_heartbeat, *fd_->on_heartbeat_handler());
-  stack_->bind(events_.swim_wire, *swim_->on_wire_handler());
+  if (fd_ != nullptr) {
+    stack_->bind(events_.fd_heartbeat, *fd_->on_heartbeat_handler());
+    stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
+    stack_->bind(events_.fd_check_tick, *fd_->check_handler());
+  }
+  if (swim_ != nullptr) {
+    stack_->bind(events_.swim_wire, *swim_->on_wire_handler());
+    stack_->bind(events_.swim_tick, *swim_->tick_handler());
+  }
   stack_->bind(events_.cs_wire, *consensus_->on_wire_handler());
   stack_->bind(events_.view_install, *membership_->on_install_handler());
   stack_->bind(events_.retransmit_tick, *relcomm_->retransmit_handler());
-  stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
-  stack_->bind(events_.fd_check_tick, *fd_->check_handler());
-  stack_->bind(events_.swim_tick, *swim_->tick_handler());
   stack_->bind(events_.cs_retry_tick, *consensus_->retry_handler());
-  if (opts_.abcast_impl == ABcastImpl::kConsensus) {
-    stack_->bind(events_.api_abcast, *abcast_->submit_handler());
-  } else {
+  if (seq_abcast_ != nullptr) {
     stack_->bind(events_.api_abcast, *seq_abcast_->submit_handler());
+  } else {
+    stack_->bind(events_.api_abcast, *abcast_->submit_handler());
   }
   stack_->bind(events_.api_rbcast, *relcast_->bcast_handler());
   stack_->bind(events_.api_ccast, *causal_->submit_handler());
@@ -129,7 +154,7 @@ void GroupNode::bind_all() {
   stack_->bind(events_.from_rcomm, *relcast_->recv_handler());
   stack_->bind(events_.bcast, *relcast_->bcast_handler());
   stack_->bind(events_.deliver_out, *abcast_->on_rdeliver_handler());
-  if (opts_.abcast_impl == ABcastImpl::kSequencer) {
+  if (seq_abcast_ != nullptr) {
     stack_->bind(events_.deliver_out, *seq_abcast_->on_rdeliver_handler());
   }
   stack_->bind(events_.deliver_out, *causal_->on_rdeliver_handler());
@@ -143,12 +168,14 @@ void GroupNode::bind_all() {
   // inconsistent views.
   stack_->bind(events_.view_change, *relcast_->view_change_handler());
   stack_->bind(events_.view_change, *relcomm_->view_change_handler());
-  stack_->bind(events_.view_change, *fd_->view_change_handler());
-  stack_->bind(events_.view_change, *swim_->view_change_handler());
+  stack_->bind(events_.view_change, swim_ != nullptr ? *swim_->view_change_handler()
+                                                     : *fd_->view_change_handler());
   stack_->bind(events_.view_change, *consensus_->view_change_handler());
   stack_->bind(events_.view_change, *abcast_->view_change_handler());
   stack_->bind(events_.view_change, *causal_->view_change_handler());
-  stack_->bind(events_.view_change, *seq_abcast_->view_change_handler());
+  if (seq_abcast_ != nullptr) {
+    stack_->bind(events_.view_change, *seq_abcast_->view_change_handler());
+  }
   stack_->bind(events_.suspect, *consensus_->on_suspect_handler());
   stack_->bind(events_.cs_propose, *consensus_->propose_handler());
   stack_->bind(events_.cs_decided, *abcast_->on_decide_handler());
@@ -157,92 +184,89 @@ void GroupNode::bind_all() {
   // its dissemination input, so bind its rdeliver tap unconditionally.
   stack_->bind(events_.membership_abcast, *abcast_->submit_handler());
   stack_->bind(events_.abcast_catchup, *abcast_->on_catchup_handler());
-  stack_->bind(events_.seq_catchup, *seq_abcast_->on_catchup_handler());
+  if (seq_abcast_ != nullptr) {
+    stack_->bind(events_.seq_catchup, *seq_abcast_->on_catchup_handler());
+    membership_->set_order_floor_source([sa = seq_abcast_] { return sa->order_floor(); });
+  }
   stack_->bind(events_.transport_send, *transport_->send_handler());
 
-  membership_->set_order_floor_source([sa = seq_abcast_] { return sa->order_floor(); });
   sink_->set_view_source([mb = membership_] { return mb->view_snapshot().id(); });
 }
 
-Isolation GroupNode::spec(EventClass klass) const {
-  std::vector<const Microprotocol*> members;
-  switch (klass) {
-    case EventClass::kRcData:
-      // Under the sequencer implementation the total-order delivery (and
-      // hence the membership/view-change cascade) can fire directly from a
-      // data packet's computation, so the declaration covers the full
-      // stack (over-declaration is always legal).
-      members = {transport_, relcomm_, relcast_,   abcast_, seq_abcast_, causal_,
-                 consensus_, fd_,      swim_,       membership_, sink_};
-      break;
-    case EventClass::kRcAck:
-      members = {transport_, relcomm_};
-      break;
-    case EventClass::kFdHeartbeat:
-      members = {fd_};
-      break;
-    case EventClass::kSwimWire:
-      // Piggybacked updates can raise a suspicion, and the Suspect event
-      // feeds consensus (coordinator rotation), which sends.
-      members = {transport_, swim_, consensus_};
-      break;
-    case EventClass::kCsWire:
-      members = {transport_, relcomm_, relcast_, fd_,      swim_, consensus_, abcast_,
-                 seq_abcast_, causal_, membership_, sink_};
-      break;
-    case EventClass::kViewInstall:
-      members = {transport_, relcomm_, relcast_, fd_, swim_, consensus_, abcast_,
-                 seq_abcast_, causal_, membership_};
-      break;
-    case EventClass::kRetransmitTick:
-      members = {transport_, relcomm_};
-      break;
-    case EventClass::kHeartbeatTick:
-      members = {transport_, fd_};
-      break;
-    case EventClass::kFdCheckTick:
-      members = {transport_, fd_, consensus_};
-      break;
-    case EventClass::kSwimTick:
-      members = {transport_, swim_, consensus_};
-      break;
-    case EventClass::kCsRetryTick:
-      members = {transport_, consensus_};
-      break;
-    case EventClass::kApiRbcast:
-      members = {transport_, relcomm_, relcast_, abcast_, seq_abcast_, causal_, sink_};
-      break;
-    case EventClass::kApiCcast:
-      members = {transport_, relcomm_, relcast_, abcast_, seq_abcast_, causal_, sink_};
-      break;
-    case EventClass::kApiAbcast:
-      // The submitting site may itself be the sequencer: ordering (and the
-      // adeliver cascade) can complete synchronously inside this call.
-      members = {transport_, relcomm_, relcast_,   abcast_, seq_abcast_, causal_,
-                 consensus_, fd_,      swim_,       membership_, sink_};
-      break;
-    case EventClass::kApiJoinLeave:
-      members = {transport_, relcomm_, relcast_, abcast_, consensus_, membership_};
-      break;
+TriggerDeclarations GroupNode::declare_triggers() const {
+  // What each handler's body (helpers included) may trigger, as written.
+  // Inference follows these over the bindings, so a missing entry makes
+  // the declaration too narrow and the undeclared call throws
+  // IsolationError (counted in Runtime::Stats::failed). Handlers not
+  // listed are leaves: Transport::send, every viewChange except
+  // SeqABcast's, FailureDetector::on_heartbeat and the sink.
+  const GcEvents& ev = events_;
+  TriggerDeclarations d;
+  d.declare(*relcomm_->send_handler(), ev.transport_send)
+      .declare(*relcomm_->recv_data_handler(), {ev.transport_send, ev.from_rcomm})
+      .declare(*relcomm_->recv_ack_handler(), ev.transport_send)
+      .declare(*relcomm_->retransmit_handler(), ev.transport_send)
+      .declare(*relcast_->bcast_handler(), ev.send_out)
+      .declare(*relcast_->recv_handler(), {ev.send_out, ev.deliver_out})
+      .declare(*consensus_->propose_handler(), ev.transport_send)
+      .declare(*consensus_->on_wire_handler(), {ev.transport_send, ev.cs_decided})
+      .declare(*consensus_->on_suspect_handler(), ev.transport_send)
+      .declare(*consensus_->retry_handler(), ev.transport_send)
+      .declare(*abcast_->submit_handler(), {ev.bcast, ev.cs_propose})
+      .declare(*abcast_->on_rdeliver_handler(), ev.cs_propose)
+      .declare(*abcast_->on_decide_handler(), {ev.adeliver, ev.cs_propose})
+      .declare(*abcast_->on_catchup_handler(), ev.cs_propose)
+      .declare(*causal_->submit_handler(), {ev.causal_deliver, ev.bcast})
+      .declare(*causal_->on_rdeliver_handler(), ev.causal_deliver)
+      .declare(*membership_->joinleave_handler(), ev.membership_abcast)
+      .declare(*membership_->on_adeliver_handler(), {ev.view_change, ev.transport_send})
+      .declare(*membership_->on_install_handler(),
+               {ev.view_change, ev.abcast_catchup, ev.seq_catchup});
+  if (fd_ != nullptr) {
+    d.declare(*fd_->send_heartbeats_handler(), ev.transport_send)
+        .declare(*fd_->check_handler(), ev.suspect);
   }
-  if (opts_.policy == CCPolicy::kVCABound) {
-    std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
-    bounds.reserve(members.size());
-    for (const auto* mp : members) bounds.emplace_back(mp, opts_.vca_bound);
-    return Isolation::bound(std::move(bounds));
+  if (swim_ != nullptr) {
+    d.declare(*swim_->on_wire_handler(), {ev.transport_send, ev.suspect})
+        .declare(*swim_->tick_handler(), {ev.transport_send, ev.suspect});
   }
-  if (opts_.policy == CCPolicy::kVCARoute) {
-    throw ConfigError(
-        "GroupNode does not support VCAroute: the stack's call patterns are "
-        "data-dependent (the paper notes the variants' use is limited when "
-        "routing cannot be declared statically)");
+  if (seq_abcast_ != nullptr) {
+    d.declare(*seq_abcast_->submit_handler(), {ev.bcast, ev.adeliver})
+        .declare(*seq_abcast_->on_rdeliver_handler(), {ev.bcast, ev.adeliver})
+        .declare(*seq_abcast_->view_change_handler(), {ev.bcast, ev.adeliver})
+        .declare(*seq_abcast_->on_catchup_handler(), ev.adeliver);
   }
-  return Isolation::basic(std::move(members));
+  return d;
 }
 
-ComputationHandle GroupNode::spawn(EventClass klass, const EventType& ev, Message msg) {
-  return runtime_->spawn_isolated(
-      spec(klass), [ev, msg = std::move(msg)](Context& ctx) { ctx.trigger(ev, msg); });
+const Isolation& GroupNode::declaration(const EventType& root) const {
+  for (RootDeclaration& d : declarations_) {
+    if (d.root != &root) continue;
+    std::call_once(d.inferred, [&] {
+      if (stack_->bound_handlers(root.id()).empty()) return;  // its implementation is not built
+      Isolation members = infer_members(*stack_, triggers_, {root});
+      if (opts_.policy != CCPolicy::kVCABound) {
+        d.declaration = std::move(members);
+        return;
+      }
+      std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
+      for (MicroprotocolId mp : members.members()) {
+        bounds.emplace_back(stack_->find(mp), opts_.vca_bound);
+      }
+      d.declaration = Isolation::bound(std::move(bounds));
+    });
+    if (d.declaration) return *d.declaration;
+    break;
+  }
+  throw ConfigError("GroupNode: no handler of this node's stack is bound to '" + root.name() + "'");
+}
+
+ComputationHandle GroupNode::spawn(const EventType& root, Message msg) {
+  // `root` is a member of events_, which outlives the runtime and so every
+  // computation it runs.
+  return runtime_->spawn_isolated(declaration(root), [&root, msg = std::move(msg)](Context& ctx) {
+    ctx.trigger(root, msg);
+  });
 }
 
 void GroupNode::on_packet(const net::Packet& packet) {
@@ -260,18 +284,18 @@ void GroupNode::on_packet(const net::Packet& packet) {
       [&](const auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, RcData>) {
-          spawn(EventClass::kRcData, events_.rc_data, Message::of(fw));
+          spawn(events_.rc_data, Message::of(fw));
         } else if constexpr (std::is_same_v<T, RcAck>) {
-          spawn(EventClass::kRcAck, events_.rc_ack, Message::of(fw));
+          spawn(events_.rc_ack, Message::of(fw));
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-          spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, Message::of(fw));
+          spawn(events_.fd_heartbeat, Message::of(fw));
         } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                              std::is_same_v<T, SwimPingReq>) {
-          spawn(EventClass::kSwimWire, events_.swim_wire, Message::of(fw));
+          spawn(events_.swim_wire, Message::of(fw));
         } else if constexpr (std::is_same_v<T, ViewInstall>) {
-          spawn(EventClass::kViewInstall, events_.view_install, Message::of(fw));
+          spawn(events_.view_install, Message::of(fw));
         } else {
-          spawn(EventClass::kCsWire, events_.cs_wire, Message::of(fw));
+          spawn(events_.cs_wire, Message::of(fw));
         }
       },
       wire);
@@ -282,15 +306,21 @@ void GroupNode::start(View initial_view) {
   if (initial_view.id() == 0) {
     throw ConfigError("initial view must have id >= 1 (id 0 is the empty pre-start view)");
   }
+  if (opts_.policy == CCPolicy::kVCARoute) {
+    throw ConfigError(
+        "GroupNode does not support VCAroute: the stack's call patterns are "
+        "data-dependent (the paper notes the variants' use is limited when "
+        "routing cannot be declared statically)");
+  }
   // Install the initial view through the regular ViewInstall path so every
   // microprotocol learns it inside one isolated computation.
   const FromWire fw{self_, Wire{ViewInstall{initial_view.id(), initial_view.members()}}};
-  spawn(EventClass::kViewInstall, events_.view_install, Message::of(fw)).wait();
+  spawn(events_.view_install, Message::of(fw)).wait();
 
   arm_timers();
 }
 
-void GroupNode::spawn_tick(std::size_t slot, EventClass klass, const EventType& ev) {
+void GroupNode::spawn_tick(std::size_t slot, const EventType& root) {
   if (crashed_.load(std::memory_order_acquire)) return;
   std::unique_lock lock(tick_mu_);
   ComputationHandle& prev = last_tick_[slot];
@@ -298,32 +328,31 @@ void GroupNode::spawn_tick(std::size_t slot, EventClass klass, const EventType& 
     ticks_coalesced_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  prev = spawn(klass, ev, Message{});
+  prev = spawn(root, Message{});
 }
 
 void GroupNode::arm_timers() {
   timers_.schedule_periodic(opts_.retransmit_interval, [this] {
-    spawn_tick(0, EventClass::kRetransmitTick, events_.retransmit_tick);
+    spawn_tick(0, events_.retransmit_tick);
   });
-  // Only the selected failure detector's ticks run; the other detector's
-  // microprotocol sits in the stack unticked (its handlers never fire).
-  if (opts_.detector_impl == DetectorImpl::kHeartbeat) {
+  // Only the selected failure detector is built, and only its ticks run.
+  if (fd_ != nullptr) {
     timers_.schedule_periodic(opts_.heartbeat_interval, [this] {
-      spawn_tick(1, EventClass::kHeartbeatTick, events_.heartbeat_tick);
+      spawn_tick(1, events_.heartbeat_tick);
     });
     timers_.schedule_periodic(opts_.fd_timeout, [this] {
-      spawn_tick(2, EventClass::kFdCheckTick, events_.fd_check_tick);
+      spawn_tick(2, events_.fd_check_tick);
     });
   } else {
     // The SWIM tick runs at the ack-timeout resolution: the state machine
     // (direct deadline, period deadline, suspicion expiry) is time-
     // compared inside the handler, so one fast tick drives all of it.
     timers_.schedule_periodic(opts_.swim_ack_timeout, [this] {
-      spawn_tick(4, EventClass::kSwimTick, events_.swim_tick);
+      spawn_tick(4, events_.swim_tick);
     });
   }
   timers_.schedule_periodic(opts_.cs_retry_interval, [this] {
-    spawn_tick(3, EventClass::kCsRetryTick, events_.cs_retry_tick);
+    spawn_tick(3, events_.cs_retry_tick);
   });
 }
 
@@ -341,6 +370,7 @@ void GroupNode::archive_incarnation() {
   arc.retransmissions = relcomm_->retransmissions();
   arc.view_change_drops = relcomm_->view_change_drops();
   arc.joins_completed = membership_->joins_completed();
+  arc.failed_computations = runtime_->stats().failed.value();
   std::unique_lock lock(archive_mu_);
   archives_.push_back(std::move(arc));
 }
@@ -387,6 +417,13 @@ std::uint64_t GroupNode::total_retransmissions() const {
   return total;
 }
 
+std::uint64_t GroupNode::total_failed_computations() const {
+  std::uint64_t total = runtime_->stats().failed.value();
+  std::unique_lock lock(archive_mu_);
+  for (const auto& arc : archives_) total += arc.failed_computations;
+  return total;
+}
+
 std::vector<verify::IncarnationTrace> GroupNode::vs_traces() const {
   std::vector<verify::IncarnationTrace> traces;
   {
@@ -416,25 +453,23 @@ ComputationHandle GroupNode::rbcast(std::string data) {
   // of the per-origin sequence) so they never collide with ABcast ids.
   const std::uint64_t seq = kPlainChannelBit | epoch_bits(opts_.id_epoch) | ++rb_seq_;
   AppMessage msg{make_msg_id(self_, seq), std::move(data), /*atomic=*/false};
-  return spawn(EventClass::kApiRbcast, events_.api_rbcast, Message::of(msg));
+  return spawn(events_.api_rbcast, Message::of(msg));
 }
 
 ComputationHandle GroupNode::abcast(std::string data) {
-  return spawn(EventClass::kApiAbcast, events_.api_abcast, Message::of(std::move(data)));
+  return spawn(events_.api_abcast, Message::of(std::move(data)));
 }
 
 ComputationHandle GroupNode::ccast(std::string data) {
-  return spawn(EventClass::kApiCcast, events_.api_ccast, Message::of(std::move(data)));
+  return spawn(events_.api_ccast, Message::of(std::move(data)));
 }
 
 ComputationHandle GroupNode::request_join(SiteId newcomer) {
-  return spawn(EventClass::kApiJoinLeave, events_.api_joinleave,
-               Message::of(JoinLeave{'+', newcomer}));
+  return spawn(events_.api_joinleave, Message::of(JoinLeave{'+', newcomer}));
 }
 
 ComputationHandle GroupNode::request_leave(SiteId member) {
-  return spawn(EventClass::kApiJoinLeave, events_.api_joinleave,
-               Message::of(JoinLeave{'-', member}));
+  return spawn(events_.api_joinleave, Message::of(JoinLeave{'-', member}));
 }
 
 }  // namespace samoa::gc

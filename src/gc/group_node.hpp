@@ -1,10 +1,18 @@
 // GroupNode — one site's complete group-communication stack.
 //
-// Owns the Stack (Transport, RelComm, RelCast, FailureDetector, Consensus,
-// ABcast, Membership, a delivery sink), its Runtime with the chosen
+// Owns the Stack (Transport, RelComm, RelCast, the selected failure
+// detector, Consensus, ABcast, CausalCast, SeqABcast under the sequencer
+// ABcast only, Membership, a delivery sink), its Runtime with the chosen
 // concurrency-control policy, and a TimerService; registers with the
 // SimNetwork and turns every network packet and timer tick into an
-// `isolated` computation with the appropriate declaration.
+// `isolated` computation.
+//
+// Declarations are inferred, not hand-written (paper Section 4: M "could
+// be inferred statically"): one TriggerDeclarations table lists the events
+// each handler's body may trigger, and each root event's member set is
+// derived once per incarnation, on its first spawn, with infer_members
+// over the live bindings. A root event therefore declares exactly the
+// microprotocols its handlers can reach in the configured stack.
 //
 // Design note: computations never block on remote events — all sends are
 // fire-and-forget and every response arrives as a *new* external event, so
@@ -17,9 +25,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/errors.hpp"
+#include "core/infer.hpp"
 #include "core/runtime.hpp"
 #include "gc/abcast.hpp"
 #include "gc/causal_cast.hpp"
@@ -111,6 +122,7 @@ class GroupNode {
     std::uint64_t retransmissions = 0;
     std::uint64_t view_change_drops = 0;
     std::uint64_t joins_completed = 0;
+    std::uint64_t failed_computations = 0;
   };
   std::vector<IncarnationArchive> archives() const;
 
@@ -138,25 +150,37 @@ class GroupNode {
 
   // --- Introspection ---
   Runtime& runtime() { return *runtime_; }
+  const Stack& stack() const { return *stack_; }
   DeliverSink& sink() { return *sink_; }
   Membership& membership() { return *membership_; }
   RelComm& rel_comm() { return *relcomm_; }
   RelCast& rel_cast() { return *relcast_; }
   ABcast& ab() { return *abcast_; }
   CausalCast& causal() { return *causal_; }
-  SeqABcast& seq_ab() { return *seq_abcast_; }
   Consensus& consensus() { return *consensus_; }
-  FailureDetector& fd() { return *fd_; }
-  SwimDetector& swim() { return *swim_; }
+  /// The implementations only the matching option builds; each throws
+  /// ConfigError on a node configured with the other one.
+  SeqABcast& seq_ab() { return built(seq_abcast_, "SeqABcast (abcast_impl kSequencer)"); }
+  FailureDetector& fd() { return built(fd_, "FailureDetector (detector_impl kHeartbeat)"); }
+  SwimDetector& swim() { return built(swim_, "SwimDetector (detector_impl kSwim)"); }
   /// The failure detector selected by GcOptions::detector_impl, behind
   /// the common seam (harnesses compare detectors through this).
   Detector& detector() {
-    return opts_.detector_impl == DetectorImpl::kSwim ? static_cast<Detector&>(*swim_)
-                                                      : static_cast<Detector&>(*fd_);
+    return swim_ != nullptr ? static_cast<Detector&>(*swim_) : static_cast<Detector&>(*fd_);
   }
   Transport& transport() { return *transport_; }
   const GcEvents& events() const { return events_; }
   const GcOptions& options() const { return opts_; }
+
+  /// The declaration a computation spawned by external event `root`
+  /// (one of the network, timer or API events of events()) runs under in
+  /// the current incarnation, inferred on first use. Throws ConfigError if
+  /// no handler of the built stack is bound to `root`.
+  const Isolation& declaration(const EventType& root) const;
+
+  /// Computations that completed with a recorded error (see
+  /// Runtime::Stats::failed), summed over all incarnations.
+  std::uint64_t total_failed_computations() const;
 
   /// Stop the periodic timers (retransmit / heartbeat / fd / consensus
   /// retry). Needed before drain(): with timers armed, new computations
@@ -174,36 +198,28 @@ class GroupNode {
   }
 
  private:
-  enum class EventClass {
-    kRcData,
-    kRcAck,
-    kFdHeartbeat,
-    kSwimWire,
-    kCsWire,
-    kViewInstall,
-    kRetransmitTick,
-    kHeartbeatTick,
-    kFdCheckTick,
-    kSwimTick,
-    kCsRetryTick,
-    kApiRbcast,
-    kApiAbcast,
-    kApiCcast,
-    kApiJoinLeave,
-  };
+  template <typename T>
+  static T& built(T* mp, const char* what) {
+    if (mp == nullptr) {
+      throw ConfigError(std::string("GroupNode: this node was not built with ") + what);
+    }
+    return *mp;
+  }
 
-  Isolation spec(EventClass klass) const;
-  ComputationHandle spawn(EventClass klass, const EventType& ev, Message msg);
+  ComputationHandle spawn(const EventType& root, Message msg);
   /// Spawn a periodic tick computation unless the previous tick of the
   /// same class is still in flight (tick coalescing). A stalled stack —
   /// e.g. a view change blocking head-of-line — would otherwise accumulate
   /// one blocked computation per interval, unboundedly growing the thread
   /// pool; a tick re-run on the next interval observes the same state, so
   /// skipping loses nothing.
-  void spawn_tick(std::size_t slot, EventClass klass, const EventType& ev);
+  void spawn_tick(std::size_t slot, const EventType& root);
   void on_packet(const net::Packet& packet);
   void build_stack();
   void bind_all();
+  /// Every event each built handler's body may trigger — the one table
+  /// inference walks.
+  TriggerDeclarations declare_triggers() const;
   void arm_timers();
   void archive_incarnation();
 
@@ -224,6 +240,17 @@ class GroupNode {
   SeqABcast* seq_abcast_ = nullptr;
   Membership* membership_ = nullptr;
   DeliverSink* sink_ = nullptr;
+  /// One external event (network packet, timer tick, API call) and the
+  /// declaration its computations run under in this incarnation, inferred
+  /// on the root's first spawn — set-up spawns only the view install.
+  struct RootDeclaration {
+    const EventType* root = nullptr;
+    std::once_flag inferred;
+    std::optional<Isolation> declaration;  // stays empty if no built handler takes `root`
+  };
+  TriggerDeclarations triggers_;  // this incarnation's table
+  /// One entry per root event of events_, looked up linearly.
+  mutable std::vector<RootDeclaration> declarations_;
 
   std::unique_ptr<Runtime> runtime_;
   // Tick-coalescing state is used by timer callbacks, so it must be

@@ -89,7 +89,7 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
       if (vi.next_instance > 0) {
         out.trigger(events_->abcast_catchup, Message::of(vi.next_instance));
       }
-      if (vi.next_seq > 0) {
+      if (vi.next_seq > 0 && order_floor_) {
         out.trigger(events_->seq_catchup, Message::of(vi.next_seq));
       }
     }

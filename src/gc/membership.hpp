@@ -44,7 +44,9 @@ class Membership : public GcMicroprotocol {
   std::vector<View> installed_views();
 
   /// Provider of the sequencer-abcast order floor shipped in ViewInstall
-  /// (wired by GroupNode to SeqABcast::order_floor). Unset means 0.
+  /// (wired by GroupNode to SeqABcast::order_floor when the node runs the
+  /// sequencer). Unset means this site ships no sequencer floor and
+  /// ignores one it receives: it has no SeqABcast to apply it to.
   void set_order_floor_source(std::function<std::uint64_t()> source) {
     order_floor_ = std::move(source);
   }

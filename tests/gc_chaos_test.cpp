@@ -55,6 +55,11 @@ TEST_P(ChaosSweep, FleetConvergesUnderFaults) {
   for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
     EXPECT_EQ(out.gate_waits[i], 0u) << "seed " << seed << ": site " << i;
   }
+  // Every inferred declaration covered what its computation reached.
+  ASSERT_EQ(out.failed_computations.size(), static_cast<std::size_t>(kFleetSites));
+  for (std::size_t i = 0; i < out.failed_computations.size(); ++i) {
+    EXPECT_EQ(out.failed_computations[i], 0u) << "seed " << seed << ": site " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Values(1u, 17u, 4242u),
@@ -102,6 +107,10 @@ TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
   EXPECT_GE(out.rejoin4_first_delivery_us, out.rejoin4_requested_us);
   for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
     EXPECT_EQ(out.gate_waits[i], 0u) << "seed " << seed << ": site " << i;
+  }
+  ASSERT_EQ(out.failed_computations.size(), static_cast<std::size_t>(testing::kRecoverySites));
+  for (std::size_t i = 0; i < out.failed_computations.size(); ++i) {
+    EXPECT_EQ(out.failed_computations[i], 0u) << "seed " << seed << ": site " << i;
   }
 
   std::printf("seed %llu: recoveries=%llu rejoins_completed=%llu suspicion_revocations=%llu "

@@ -92,6 +92,7 @@ TEST(Infer, MissingDeclarationIsCaughtAtRuntime) {
   auto h = rt.spawn_isolated(infer_members(f.stack, partial, {f.eva}),
                              [&](Context& ctx) { ctx.trigger(f.eva); });
   EXPECT_THROW(h.wait(), IsolationError);
+  EXPECT_EQ(rt.stats().failed.value(), 1u);
 }
 
 TEST(Infer, RouteEntriesAndEdges) {

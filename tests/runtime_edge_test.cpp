@@ -131,6 +131,9 @@ TEST(RuntimeEdge, ErrorInOneComputationDoesNotPoisonOthers) {
   for (auto& h : oks) EXPECT_NO_THROW(h.wait());
   EXPECT_EQ(mp.calls.load(), 10);
   rt.drain();
+  // Nobody waited on the throwing computations; the stats still show them.
+  EXPECT_EQ(rt.stats().completed.value(), 20u);
+  EXPECT_EQ(rt.stats().failed.value(), 10u);
 }
 
 TEST(RuntimeEdge, StatsCountersAreConsistent) {
@@ -148,6 +151,7 @@ TEST(RuntimeEdge, StatsCountersAreConsistent) {
   rt.drain();
   EXPECT_EQ(rt.stats().spawned.value(), 7u);
   EXPECT_EQ(rt.stats().completed.value(), 7u);
+  EXPECT_EQ(rt.stats().failed.value(), 0u);
   EXPECT_EQ(rt.stats().handler_calls.value(), 14u);
 }
 

@@ -136,6 +136,11 @@ TEST_F(SwimChurnStress, MassCrashFlapsAndPartitionConverge) {
   EXPECT_GT(out.refutations, 0u);
   EXPECT_GT(out.revocations, 0u);
   EXPECT_GT(out.updates_piggybacked, 0u);
+  // Every inferred declaration covered what its computation reached.
+  ASSERT_EQ(out.failed_computations.size(), static_cast<std::size_t>(cfg.sites));
+  for (std::size_t i = 0; i < out.failed_computations.size(); ++i) {
+    EXPECT_EQ(out.failed_computations[i], 0u) << "site " << i;
+  }
 
   RecordProperty("sites", cfg.sites);
   RecordProperty("first_suspicion_us", static_cast<int>(out.first_suspicion_us));

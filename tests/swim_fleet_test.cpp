@@ -7,9 +7,10 @@
 // simultaneous crash of 10% of the fleet followed by scripted evictions.
 // Asserts convergence to the agreed survivor view with zero
 // virtual-synchrony violations, that the detection-latency samples landed
-// inside the detect window, and that no version gate ever blocked (virtual
-// time runs every computation inline). A heartbeat-detector cell runs the same
-// scenario at small scale through the same Detector seam.
+// inside the detect window, that no version gate ever blocked (virtual
+// time runs every computation inline) and that no computation failed. A
+// heartbeat-detector cell runs the same scenario at small scale through
+// the same Detector seam.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,6 +55,11 @@ TEST(SwimFleet, FiftySiteChurnConvergesWithZeroVsViolations) {
   for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
     EXPECT_EQ(out.gate_waits[i], 0u) << "site " << i;
   }
+  // Every inferred declaration covered what its computation reached.
+  ASSERT_EQ(out.failed_computations.size(), 50u);
+  for (std::size_t i = 0; i < out.failed_computations.size(); ++i) {
+    EXPECT_EQ(out.failed_computations[i], 0u) << "site " << i;
+  }
 }
 
 TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
@@ -80,6 +86,10 @@ TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
   EXPECT_EQ(out.periods, 0u);
   for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
     EXPECT_EQ(out.gate_waits[i], 0u) << "site " << i;
+  }
+  ASSERT_EQ(out.failed_computations.size(), 10u);
+  for (std::size_t i = 0; i < out.failed_computations.size(); ++i) {
+    EXPECT_EQ(out.failed_computations[i], 0u) << "site " << i;
   }
 }
 

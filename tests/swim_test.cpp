@@ -2,9 +2,11 @@
 // clusters: direct probe/ack keeps a healthy fleet quiet, indirect
 // ping-req probing masks a dead link, a crashed site is suspected and then
 // confirmed faulty, a wrongly accused site refutes with a bumped
-// incarnation, and view changes prune/seed the member table. All cells run
+// incarnation, and view changes prune/seed the member table. The cells run
 // GroupNode stacks with detector_impl = kSwim on the wall clock (same
-// idiom as gc_component_test); timings stretch under sanitizers.
+// idiom as gc_component_test), with timings stretched under sanitizers —
+// except the healthy-fleet cell, which runs on a time::VirtualClock so its
+// ack deadline is simulated time that no host stall can expire.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "gc/group_node.hpp"
+#include "time/clock.hpp"
+#include "util/sync.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define SAMOA_UNDER_TSAN 1
@@ -82,10 +86,68 @@ TEST(SwimComponent, DetectorSeamSelectsConfiguredImpl) {
   EXPECT_EQ(&hb_fleet.nodes[0]->detector(), static_cast<Detector*>(&hb_fleet.nodes[0]->fd()));
 }
 
+/// The same fleet on one virtual clock. Its ack deadline and probe period
+/// are simulated time, so they need no sanitizer stretch.
+struct VirtualSwimFleet {
+  time::VirtualClock clock;
+  OneShotEvent stopped;  // outlives `script`, whose callback sets it
+  SimNetwork net;
+  net::TimerService script;
+  std::vector<std::unique_ptr<GroupNode>> nodes;
+
+  explicit VirtualSwimFleet(int n)
+      : net(LinkOptions{.base_latency = std::chrono::microseconds(80)}, 7, &clock),
+        script(&clock) {
+    GcOptions opts;
+    opts.clock = &clock;
+    opts.detector_impl = DetectorImpl::kSwim;
+    opts.swim_probe_interval = std::chrono::microseconds(2000);
+    opts.swim_ack_timeout = std::chrono::microseconds(600);
+    opts.retransmit_interval = std::chrono::microseconds(2000);
+    opts.retransmit_timeout = std::chrono::microseconds(3000);
+    opts.cs_retry_interval = std::chrono::microseconds(5000);
+    opts.cs_retry_timeout = std::chrono::microseconds(8000);
+    for (int i = 0; i < n; ++i) nodes.push_back(std::make_unique<GroupNode>(net, opts));
+  }
+
+  /// Start every node in one view and run until `done` holds, checked
+  /// every 500 virtual us; then stop every timer and quiesce. False if
+  /// `done` never held within 60 wall seconds.
+  template <typename Pred>
+  bool run_until(Pred done) {
+    {
+      time::Pin setup(clock);
+      std::vector<SiteId> members;
+      for (auto& node : nodes) members.push_back(node->id());
+      for (auto& node : nodes) node->start(View(1, members));
+      script.schedule_periodic(std::chrono::microseconds(500), [&, done] {
+        if (!done()) return;
+        for (auto& node : nodes) node->stop_timers();
+        script.cancel_all();
+        stopped.set();
+      });
+    }
+    const bool ok = stopped.wait_for(std::chrono::seconds(60));
+    if (!ok) {
+      for (auto& node : nodes) node->stop_timers();
+      script.cancel_all();
+    }
+    std::uint64_t prev = ~std::uint64_t{0};
+    for (;;) {
+      net.drain();
+      for (auto& node : nodes) node->drain();
+      const std::uint64_t total = net.stats().sent.value() + net.stats().delivered.value();
+      if (total == prev) break;
+      prev = total;
+    }
+    return ok;
+  }
+};
+
 TEST(SwimComponent, HealthyFleetProbesWithoutSuspicion) {
-  SwimFleet f(4);
+  VirtualSwimFleet f(4);
   // Let several protocol periods elapse.
-  ASSERT_TRUE(wait_until([&] { return f.nodes[0]->swim().periods() >= 5; }));
+  ASSERT_TRUE(f.run_until([&] { return f.nodes[0]->swim().periods() >= 5; }));
   for (auto& n : f.nodes) {
     EXPECT_GT(n->swim().probes_sent(), 0u);
     for (auto& m : f.nodes) {

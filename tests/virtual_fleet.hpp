@@ -43,6 +43,7 @@ struct FleetOutcome {
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
   std::vector<std::uint64_t> gate_waits;  // per site; virtual time runs inline, so zero
+  std::vector<std::uint64_t> failed_computations;  // per site, all incarnations; zero
 };
 
 /// Version-gate waits per site (current incarnations). Under virtual time
@@ -54,6 +55,17 @@ inline std::vector<std::uint64_t> gate_waits_per_site(
     waits.push_back(n->runtime().controller().stats().gate_waits.value());
   }
   return waits;
+}
+
+/// Computations that completed with an error, per site, summed over its
+/// incarnations. Nobody waits on a packet's or a tick's computation, so a
+/// handler that throws (an IsolationError from a declaration that misses
+/// a microprotocol the computation reached) shows only here.
+inline std::vector<std::uint64_t> failed_computations_per_site(
+    const std::vector<std::unique_ptr<GroupNode>>& nodes) {
+  std::vector<std::uint64_t> failed;
+  for (const auto& n : nodes) failed.push_back(n->total_failed_computations());
+  return failed;
 }
 
 constexpr int kFleetSites = 5;
@@ -181,6 +193,7 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
   out.gate_waits = gate_waits_per_site(nodes);
+  out.failed_computations = failed_computations_per_site(nodes);
   return out;
 }
 
@@ -221,6 +234,7 @@ struct RecoveryOutcome {
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
   std::vector<std::uint64_t> gate_waits;  // per site, current incarnation
+  std::vector<std::uint64_t> failed_computations;  // per site, all incarnations
 };
 
 constexpr int kRecoverySites = 5;
@@ -434,6 +448,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
   out.gate_waits = gate_waits_per_site(nodes);
+  out.failed_computations = failed_computations_per_site(nodes);
   return out;
 }
 
@@ -510,6 +525,7 @@ struct ChurnOutcome {
   // fingerprint of the whole run, independent of protocol-level state.
   std::uint64_t event_hash = 0;
   std::vector<std::uint64_t> gate_waits;  // per site
+  std::vector<std::uint64_t> failed_computations;  // per site, all incarnations
 };
 
 inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
@@ -762,6 +778,7 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   out.net_dropped = net.stats().dropped.value();
   out.event_hash = net.event_hash();
   out.gate_waits = gate_waits_per_site(nodes);
+  out.failed_computations = failed_computations_per_site(nodes);
   return out;
 }
 
