@@ -24,18 +24,13 @@ using namespace samoa::gc;
 using net::LinkOptions;
 using net::SimNetwork;
 
-struct Result {
-  double makespan_ns = -1;  // -1: did not converge
-  std::uint64_t packets = 0;
-};
-
-Result run_abcast(CCPolicy policy, bool manual_locks, int sites, int messages,
-                  std::chrono::microseconds link_latency,
-                  ABcastImpl impl = ABcastImpl::kConsensus) {
+/// Time until every site delivered every message, in ns; -1 if the run
+/// did not converge.
+double run_abcast(CCPolicy policy, bool manual_locks, int sites, int messages,
+                  std::chrono::microseconds link_latency) {
   GcOptions opts;
   opts.policy = policy;
   opts.manual_locks = manual_locks;
-  opts.abcast_impl = impl;
   // Calm the periodic machinery: on the single-core CI host the default
   // (aggressive) timers flood the run with heartbeats and spurious
   // consensus retries that measure the scheduler, not the controllers.
@@ -69,17 +64,15 @@ Result run_abcast(CCPolicy policy, bool manual_locks, int sites, int messages,
     if (converged) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  Result res;
-  if (converged) res.makespan_ns = ns_since(start);
-  res.packets = net.stats().sent.value();
+  const double makespan_ns = converged ? ns_since(start) : -1;
   for (auto& n : nodes) n->stop_timers();
-  return res;
+  return makespan_ns;
 }
 
-std::string cell(const Result& r, int messages) {
-  if (r.makespan_ns < 0) return "DNF";
-  const double per_msg = r.makespan_ns / messages;
-  return format_duration_ns(r.makespan_ns) + " (" + format_duration_ns(per_msg) + "/msg)";
+std::string cell(double makespan_ns, int messages) {
+  if (makespan_ns < 0) return "DNF";
+  const double per_msg = makespan_ns / messages;
+  return format_duration_ns(makespan_ns) + " (" + format_duration_ns(per_msg) + "/msg)";
 }
 
 }  // namespace
@@ -107,24 +100,6 @@ int main() {
                    cell(bound, kMessages), cell(unsync, kMessages)});
   }
   table.print("Time to total order (all sites delivered every message)");
-
-  // Ablation: ordering implementation under the default controller.
-  Table impls({"sites", "consensus (Paxos/slot)", "fixed sequencer", "packets c/s"});
-  for (int sites : {3, 5, 7}) {
-    const auto cons = run_abcast(CCPolicy::kVCABasic, false, sites, kMessages, kLatency,
-                                 ABcastImpl::kConsensus);
-    const auto seq = run_abcast(CCPolicy::kVCABasic, false, sites, kMessages, kLatency,
-                                ABcastImpl::kSequencer);
-    impls.add_row({std::to_string(sites), cell(cons, kMessages), cell(seq, kMessages),
-                   std::to_string(cons.packets) + "/" + std::to_string(seq.packets)});
-  }
-  impls.print("Ordering-implementation ablation (VCAbasic on every site)");
-  std::printf(
-      "\nAblation note: on this bursty workload the consensus implementation\n"
-      "wins — it batches up to 16 messages per instance, while the sequencer\n"
-      "announces every message individually through the O(n^2) reliable\n"
-      "broadcast (see the packet counts). The sequencer's classic two-delay\n"
-      "latency advantage applies to isolated messages, not saturated bursts.\n");
 
   std::printf(
       "\nExpected shape: all controllers converge, and the versioned\n"

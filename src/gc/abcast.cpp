@@ -31,8 +31,7 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     {
       auto lock = guard();
       const auto& msg = m.as<AppMessage>();
-      if (!msg.atomic) return;  // plain reliable broadcast: not ours to order
-      if (!is_consensus_channel(msg.id)) return;  // another layer's traffic
+      if (!msg.atomic) return;  // plain or causal broadcast: not ours to order
       if (delivered_ids_.contains(msg.id) || pending_.contains(msg.id)) return;
       pending_.emplace(msg.id, msg);
       maybe_propose(out);

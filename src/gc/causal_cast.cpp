@@ -83,8 +83,11 @@ CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId sel
     {
       auto lock = guard();
       const auto& app = m.as<AppMessage>();
+      // Causal broadcasts carry the causal channel bit (set by submit); any
+      // other payload is not ours, however its bytes happen to decode.
+      if (app.atomic || !in_channel(app.id, kCausalChannelBit)) return;
       CausalMsg msg;
-      if (app.atomic || !decode(app.data, msg)) return;  // not a causal broadcast
+      if (!decode(app.data, msg)) return;                // malformed header
       if (msg.origin == self_) return;                   // delivered at submit
       if (msg.vc.count(msg.origin) == 0) return;         // malformed header
       if (msg.vc.at(msg.origin) <= vc_[msg.origin]) return;  // duplicate/old

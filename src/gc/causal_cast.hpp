@@ -10,7 +10,9 @@
 // The vector clock travels inside AppMessage::data (a magic-prefixed
 // binary header built with the net/codec ByteWriter), so CausalCast rides
 // the existing reliable broadcast unchanged — microprotocol layering as
-// the paper's framework intends.
+// the paper's framework intends. Causal broadcasts are recognised by the
+// kCausalChannelBit of their MsgId, never by their payload bytes: a plain
+// reliable broadcast may carry any bytes, a causal header included.
 #pragma once
 
 #include <map>

@@ -42,11 +42,11 @@ struct JoinLeave {
 };
 
 /// Total-order delivery handed to Membership and the application sink.
-/// `next_ordinal` is the ordering position right after this message's
-/// (consensus slot + 1 / sequencer seq + 1): when the message is a join
-/// op, that is exactly the catch-up floor Membership must ship to the
-/// joining site — and unlike the deliverer's own ordering cursor it is
-/// identical at every member, whatever else each one has buffered.
+/// `next_ordinal` is the consensus slot right after the one that ordered
+/// this message: when the message is a join op, that is exactly the
+/// catch-up floor Membership must ship to the joining site — and unlike
+/// the deliverer's own ordering cursor it is identical at every member,
+/// whatever else each one has buffered.
 struct ADelivery {
   AppMessage m;
   std::uint64_t next_ordinal = 0;
@@ -82,16 +82,14 @@ struct GcEvents {
   EventType cs_propose{"CsPropose"};      // -> Consensus.propose
   EventType cs_decided{"CsDecided"};      // -> ABcast.on_decide
   EventType transport_send{"Transport"};  // -> Transport.send
-  // Rejoin catch-up floors extracted from a received ViewInstall: the
-  // ordering layers fast-forward their delivery cursors so the rejoined
-  // site continues the total order instead of replaying or stalling.
+  // Rejoin catch-up floor extracted from a received ViewInstall: ABcast
+  // fast-forwards its delivery cursor so the rejoined site continues the
+  // total order instead of replaying or stalling.
   EventType abcast_catchup{"ABcastCatchup"};  // -> ABcast.on_catchup
-  EventType seq_catchup{"SeqCatchup"};        // -> SeqABcast.on_catchup
-  /// Membership operations are always ordered by the consensus-based
-  /// ABcast, even when application messages use the sequencer
-  /// implementation — a crashed sequencer cannot be evicted through an
-  /// ordering service it is itself the single point of failure of.
-  EventType membership_abcast{"MembershipABcast"};
+  /// Membership's own submit path into ABcast: view operations are
+  /// ordered with the application's messages, but enter from Membership's
+  /// joinleave handler rather than through the api.ABcast external event.
+  EventType membership_abcast{"MembershipABcast"};  // -> ABcast.submit
 };
 
 }  // namespace samoa::gc

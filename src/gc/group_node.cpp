@@ -1,6 +1,8 @@
 #include "core/context.hpp"
 #include "gc/group_node.hpp"
 
+#include <stdexcept>
+
 #include "core/errors.hpp"
 
 namespace samoa::gc {
@@ -10,10 +12,9 @@ DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
   on_rdeliver_ = &register_handler("on_rdeliver", [this](Context&, const Message& m) {
     auto lock = guard();
     const auto& msg = m.as<AppMessage>();
-    if (msg.atomic) return;  // atomic payloads are delivered via ADeliver
-    // Control payloads (causal headers, sequencer order announcements)
-    // share the 0x01 prefix byte and are not application messages.
-    if (!msg.data.empty() && msg.data[0] == '\x01') return;
+    // Atomic payloads are delivered via ADeliver and causal broadcasts via
+    // CDeliver; the MsgId says which, whatever bytes the payload holds.
+    if (msg.atomic || in_channel(msg.id, kCausalChannelBit)) return;
     std::unique_lock snap(mu_);
     rdelivered_.push_back(msg);
   });
@@ -31,6 +32,7 @@ DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
     std::unique_lock snap(mu_);
     adelivered_.push_back(del.m);
     if (view_source_) {
+      // The record's ordinal is the consensus slot that ordered the message.
       records_.push_back(verify::DeliveryRecord{del.m.id, view_source_(), del.next_ordinal - 1,
                                                 del.m.data});
     }
@@ -68,13 +70,11 @@ void GroupNode::build_stack() {
   // it: each incarnation composes a brand-new stack — which is also
   // exactly the crash semantics we want, since every microprotocol comes
   // back with empty volatile state. Only the configured failure detector
-  // and ABcast are built: an implementation nothing ticks or submits to
-  // would still widen the declarations of every event that reaches a
-  // view change.
+  // is built: a detector nothing ticks would still widen the declarations
+  // of every event that reaches a view change.
   stack_ = std::make_unique<Stack>();
   fd_ = nullptr;
   swim_ = nullptr;
-  seq_abcast_ = nullptr;
   const View empty;
   transport_ = &stack_->emplace<Transport>(opts_, events_, net_, self_);
   relcomm_ = &stack_->emplace<RelComm>(opts_, events_, self_, empty);
@@ -87,9 +87,6 @@ void GroupNode::build_stack() {
   consensus_ = &stack_->emplace<Consensus>(opts_, events_, self_, empty);
   abcast_ = &stack_->emplace<ABcast>(opts_, events_, self_, empty);
   causal_ = &stack_->emplace<CausalCast>(opts_, events_, self_, empty);
-  if (opts_.abcast_impl == ABcastImpl::kSequencer) {
-    seq_abcast_ = &stack_->emplace<SeqABcast>(opts_, events_, self_, empty);
-  }
   membership_ = &stack_->emplace<Membership>(opts_, events_, self_, empty);
   sink_ = &stack_->emplace<DeliverSink>(opts_, events_);
 
@@ -140,11 +137,7 @@ void GroupNode::bind_all() {
   stack_->bind(events_.view_install, *membership_->on_install_handler());
   stack_->bind(events_.retransmit_tick, *relcomm_->retransmit_handler());
   stack_->bind(events_.cs_retry_tick, *consensus_->retry_handler());
-  if (seq_abcast_ != nullptr) {
-    stack_->bind(events_.api_abcast, *seq_abcast_->submit_handler());
-  } else {
-    stack_->bind(events_.api_abcast, *abcast_->submit_handler());
-  }
+  stack_->bind(events_.api_abcast, *abcast_->submit_handler());
   stack_->bind(events_.api_rbcast, *relcast_->bcast_handler());
   stack_->bind(events_.api_ccast, *causal_->submit_handler());
   stack_->bind(events_.api_joinleave, *membership_->joinleave_handler());
@@ -154,9 +147,6 @@ void GroupNode::bind_all() {
   stack_->bind(events_.from_rcomm, *relcast_->recv_handler());
   stack_->bind(events_.bcast, *relcast_->bcast_handler());
   stack_->bind(events_.deliver_out, *abcast_->on_rdeliver_handler());
-  if (seq_abcast_ != nullptr) {
-    stack_->bind(events_.deliver_out, *seq_abcast_->on_rdeliver_handler());
-  }
   stack_->bind(events_.deliver_out, *causal_->on_rdeliver_handler());
   stack_->bind(events_.deliver_out, *sink_->on_rdeliver_handler());
   stack_->bind(events_.adeliver, *membership_->on_adeliver_handler());
@@ -173,21 +163,11 @@ void GroupNode::bind_all() {
   stack_->bind(events_.view_change, *consensus_->view_change_handler());
   stack_->bind(events_.view_change, *abcast_->view_change_handler());
   stack_->bind(events_.view_change, *causal_->view_change_handler());
-  if (seq_abcast_ != nullptr) {
-    stack_->bind(events_.view_change, *seq_abcast_->view_change_handler());
-  }
   stack_->bind(events_.suspect, *consensus_->on_suspect_handler());
   stack_->bind(events_.cs_propose, *consensus_->propose_handler());
   stack_->bind(events_.cs_decided, *abcast_->on_decide_handler());
-  // Membership ops always order through the consensus implementation (see
-  // events.hpp); under the sequencer impl the consensus ABcast still needs
-  // its dissemination input, so bind its rdeliver tap unconditionally.
   stack_->bind(events_.membership_abcast, *abcast_->submit_handler());
   stack_->bind(events_.abcast_catchup, *abcast_->on_catchup_handler());
-  if (seq_abcast_ != nullptr) {
-    stack_->bind(events_.seq_catchup, *seq_abcast_->on_catchup_handler());
-    membership_->set_order_floor_source([sa = seq_abcast_] { return sa->order_floor(); });
-  }
   stack_->bind(events_.transport_send, *transport_->send_handler());
 
   sink_->set_view_source([mb = membership_] { return mb->view_snapshot().id(); });
@@ -198,8 +178,8 @@ TriggerDeclarations GroupNode::declare_triggers() const {
   // Inference follows these over the bindings, so a missing entry makes
   // the declaration too narrow and the undeclared call throws
   // IsolationError (counted in Runtime::Stats::failed). Handlers not
-  // listed are leaves: Transport::send, every viewChange except
-  // SeqABcast's, FailureDetector::on_heartbeat and the sink.
+  // listed are leaves: Transport::send, every viewChange,
+  // FailureDetector::on_heartbeat and the sink.
   const GcEvents& ev = events_;
   TriggerDeclarations d;
   d.declare(*relcomm_->send_handler(), ev.transport_send)
@@ -220,8 +200,7 @@ TriggerDeclarations GroupNode::declare_triggers() const {
       .declare(*causal_->on_rdeliver_handler(), ev.causal_deliver)
       .declare(*membership_->joinleave_handler(), ev.membership_abcast)
       .declare(*membership_->on_adeliver_handler(), {ev.view_change, ev.transport_send})
-      .declare(*membership_->on_install_handler(),
-               {ev.view_change, ev.abcast_catchup, ev.seq_catchup});
+      .declare(*membership_->on_install_handler(), {ev.view_change, ev.abcast_catchup});
   if (fd_ != nullptr) {
     d.declare(*fd_->send_heartbeats_handler(), ev.transport_send)
         .declare(*fd_->check_handler(), ev.suspect);
@@ -229,12 +208,6 @@ TriggerDeclarations GroupNode::declare_triggers() const {
   if (swim_ != nullptr) {
     d.declare(*swim_->on_wire_handler(), {ev.transport_send, ev.suspect})
         .declare(*swim_->tick_handler(), {ev.transport_send, ev.suspect});
-  }
-  if (seq_abcast_ != nullptr) {
-    d.declare(*seq_abcast_->submit_handler(), {ev.bcast, ev.adeliver})
-        .declare(*seq_abcast_->on_rdeliver_handler(), {ev.bcast, ev.adeliver})
-        .declare(*seq_abcast_->view_change_handler(), {ev.bcast, ev.adeliver})
-        .declare(*seq_abcast_->on_catchup_handler(), ev.adeliver);
   }
   return d;
 }
@@ -457,6 +430,13 @@ ComputationHandle GroupNode::rbcast(std::string data) {
 }
 
 ComputationHandle GroupNode::abcast(std::string data) {
+  char op;
+  SiteId site;
+  if (Membership::decode_op(data, op, site)) {
+    throw std::invalid_argument("GroupNode::abcast: '" + data +
+                                "' is reserved for view operations (use request_join / "
+                                "request_leave)");
+  }
   return spawn(events_.api_abcast, Message::of(std::move(data)));
 }
 

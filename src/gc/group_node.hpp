@@ -1,11 +1,10 @@
 // GroupNode — one site's complete group-communication stack.
 //
 // Owns the Stack (Transport, RelComm, RelCast, the selected failure
-// detector, Consensus, ABcast, CausalCast, SeqABcast under the sequencer
-// ABcast only, Membership, a delivery sink), its Runtime with the chosen
-// concurrency-control policy, and a TimerService; registers with the
-// SimNetwork and turns every network packet and timer tick into an
-// `isolated` computation.
+// detector, Consensus, ABcast, CausalCast, Membership, a delivery sink),
+// its Runtime with the chosen concurrency-control policy, and a
+// TimerService; registers with the SimNetwork and turns every network
+// packet and timer tick into an `isolated` computation.
 //
 // Declarations are inferred, not hand-written (paper Section 4: M "could
 // be inferred statically"): one TriggerDeclarations table lists the events
@@ -40,7 +39,6 @@
 #include "gc/gc_options.hpp"
 #include "gc/membership.hpp"
 #include "gc/rel_cast.hpp"
-#include "gc/seq_abcast.hpp"
 #include "gc/rel_comm.hpp"
 #include "gc/swim.hpp"
 #include "gc/transport.hpp"
@@ -59,7 +57,9 @@ class DeliverSink : public GcMicroprotocol {
   const Handler* on_adeliver_handler() const { return on_adeliver_; }
   const Handler* on_cdeliver_handler() const { return on_cdeliver_; }
 
-  /// Reliable-broadcast deliveries (unordered), membership ops filtered.
+  /// Plain reliable-broadcast deliveries (unordered): neither atomic
+  /// payloads nor causal broadcasts, which arrive through their own
+  /// delivery events.
   std::vector<AppMessage> rdelivered();
   /// Atomic-broadcast deliveries, in total order, membership ops filtered.
   std::vector<AppMessage> adelivered();
@@ -71,7 +71,7 @@ class DeliverSink : public GcMicroprotocol {
   void set_view_source(std::function<std::uint64_t()> source) {
     view_source_ = std::move(source);
   }
-  /// Atomic deliveries annotated with view + ordinal, for the
+  /// Atomic deliveries annotated with view + consensus slot, for the
   /// virtual-synchrony checker.
   std::vector<verify::DeliveryRecord> delivery_records();
 
@@ -111,7 +111,7 @@ class GroupNode {
   /// MsgId epoch is bumped, and the site re-attaches to the network with
   /// timers re-armed. The node is NOT a group member afterwards: a current
   /// member must `request_join(id())` so the membership/state-transfer
-  /// path installs a view (with ordering catch-up floors) on it.
+  /// path installs a view (with its ordering catch-up floor) on it.
   void restart();
 
   /// One finished lifetime of this node (archived by restart()).
@@ -143,6 +143,10 @@ class GroupNode {
 
   // --- Application API (each call is one external event) ---
   ComputationHandle rbcast(std::string data);
+  /// Atomic broadcast. Payloads Membership::decode_op accepts ("!view"
+  /// followed by '+' or '-' and a site id) are reserved for view
+  /// operations, which share the total order: such a payload throws
+  /// std::invalid_argument instead of changing the view.
   ComputationHandle abcast(std::string data);
   ComputationHandle ccast(std::string data);  // causal-order broadcast
   ComputationHandle request_join(SiteId newcomer);
@@ -158,9 +162,8 @@ class GroupNode {
   ABcast& ab() { return *abcast_; }
   CausalCast& causal() { return *causal_; }
   Consensus& consensus() { return *consensus_; }
-  /// The implementations only the matching option builds; each throws
+  /// The failure detectors only the matching option builds; each throws
   /// ConfigError on a node configured with the other one.
-  SeqABcast& seq_ab() { return built(seq_abcast_, "SeqABcast (abcast_impl kSequencer)"); }
   FailureDetector& fd() { return built(fd_, "FailureDetector (detector_impl kHeartbeat)"); }
   SwimDetector& swim() { return built(swim_, "SwimDetector (detector_impl kSwim)"); }
   /// The failure detector selected by GcOptions::detector_impl, behind
@@ -237,7 +240,6 @@ class GroupNode {
   Consensus* consensus_ = nullptr;
   ABcast* abcast_ = nullptr;
   CausalCast* causal_ = nullptr;
-  SeqABcast* seq_abcast_ = nullptr;
   Membership* membership_ = nullptr;
   DeliverSink* sink_ = nullptr;
   /// One external event (network packet, timer tick, API call) and the

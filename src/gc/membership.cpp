@@ -57,15 +57,14 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
       install(out, next);
       if (op == '+' && old_view.contains(self_)) {
         // Every member of the previous view ships the new view plus the
-        // ordering catch-up floors to the joining site (state-transfer
+        // consensus catch-up floor to the joining site (state-transfer
         // shortcut). The install travels over the raw transport, so the
         // redundancy is the loss protection; del.next_ordinal — the slot
         // after the one that ordered this very join op — is identical at
         // every member, so the duplicates agree.
         out.trigger(events_->transport_send,
                     Message::of(TransportSend{
-                        site, Wire{ViewInstall{next.id(), next.members(), del.next_ordinal,
-                                               order_floor_ ? order_floor_() : 0}}}));
+                        site, Wire{ViewInstall{next.id(), next.members(), del.next_ordinal}}}));
       }
     }
     out.flush(ctx);
@@ -83,14 +82,10 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
         install(out, next);
         if (vi.next_instance > 0) joins_completed_.add();
       }
-      // Catch-up floors are forwarded even when the view itself is a
-      // duplicate: the ordering layers max-merge, and for the sequencer
-      // floor only the (unknown) sequencer's copy is authoritative.
+      // The floor is forwarded even when the view itself is a duplicate;
+      // ABcast ignores a floor at or below its cursor.
       if (vi.next_instance > 0) {
         out.trigger(events_->abcast_catchup, Message::of(vi.next_instance));
-      }
-      if (vi.next_seq > 0 && order_floor_) {
-        out.trigger(events_->seq_catchup, Message::of(vi.next_seq));
       }
     }
     out.flush(ctx);

@@ -9,14 +9,13 @@
 // joined receives the freshly-installed view directly (ViewInstall) from
 // every member of the previous view — redundant on purpose, since the
 // install travels over the raw transport (no retransmission) and a lost
-// install would strand the joiner. The install carries the ordering
-// catch-up floors (see ViewInstall in wire.hpp); duplicates are harmless
-// because the floors are max-merged and same-id installs are not
-// re-installed. This is the state-transfer shortcut documented in
-// DESIGN.md.
+// install would strand the joiner. The install carries the consensus
+// catch-up floor (see ViewInstall in wire.hpp); duplicates are harmless
+// because every member ships the same floor, ABcast ignores one at or
+// below its cursor, and same-id installs are not re-installed. This is
+// the state-transfer shortcut documented in DESIGN.md.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,17 +42,9 @@ class Membership : public GcMicroprotocol {
   View view_snapshot();
   std::vector<View> installed_views();
 
-  /// Provider of the sequencer-abcast order floor shipped in ViewInstall
-  /// (wired by GroupNode to SeqABcast::order_floor when the node runs the
-  /// sequencer). Unset means this site ships no sequencer floor and
-  /// ignores one it receives: it has no SeqABcast to apply it to.
-  void set_order_floor_source(std::function<std::uint64_t()> source) {
-    order_floor_ = std::move(source);
-  }
-
-  /// Joins completed via a received ViewInstall carrying catch-up floors —
+  /// Joins completed via a received ViewInstall carrying a catch-up floor —
   /// i.e. this incarnation entered an existing group through the
-  /// state-transfer path (the bootstrap install of view 1 has no floors
+  /// state-transfer path (the bootstrap install of view 1 has no floor
   /// and does not count).
   std::uint64_t joins_completed() const { return joins_completed_.value(); }
 
@@ -64,7 +55,6 @@ class Membership : public GcMicroprotocol {
   SiteId self_;
   View view_;
   std::vector<View> history_;
-  std::function<std::uint64_t()> order_floor_;
   Counter joins_completed_;
   mutable std::mutex snap_mu_;
 

@@ -6,6 +6,8 @@
 #include <thread>
 
 #include "gc/group_node.hpp"
+#include "time/clock.hpp"
+#include "util/sync.hpp"
 
 namespace samoa::gc {
 namespace {
@@ -91,10 +93,11 @@ struct CausalUnit {
   }
   ~CausalUnit() { delete log; }
 
-  /// Inject a causal message as if RelCast had just delivered it.
+  /// Inject a causal message as if RelCast had just delivered it; its id
+  /// carries the causal channel bit, as CausalCast::submit's ids do.
   void inject(SiteId origin, std::map<SiteId, std::uint64_t> vc, std::string payload) {
     CausalMsg msg{origin, std::move(vc), std::move(payload)};
-    AppMessage app{make_msg_id(origin, 1), CausalCast::encode(msg), false};
+    AppMessage app{make_msg_id(origin, kCausalChannelBit | 1), CausalCast::encode(msg), false};
     rt->spawn_isolated(Isolation::basic(mps_), [&, app](Context& ctx) {
         ctx.trigger_all(events.deliver_out, Message::of(app));
       }).wait();
@@ -158,6 +161,66 @@ TEST(CausalCast, ChainedBufferDrain) {
   EXPECT_TRUE(u.log->empty());
   u.inject(a, {{a, 1}}, "m1");  // releases the whole chain
   EXPECT_EQ(*u.log, (std::vector<std::string>{"m1", "m2", "m3"}));
+}
+
+/// Two sites on one virtual clock: site 0 rbcasts `payload` once, and the
+/// fleet runs 20 virtual ms — far past RelCast's delivery everywhere —
+/// before it stops and quiesces.
+struct RbcastPair {
+  time::VirtualClock clock;
+  OneShotEvent stopped;  // outlives `script`, whose callback sets it
+  SimNetwork net{LinkOptions{.base_latency = std::chrono::microseconds(100)}, 5, &clock};
+  net::TimerService script{&clock};
+  std::vector<std::unique_ptr<GroupNode>> nodes;
+
+  explicit RbcastPair(const std::string& payload) {
+    GcOptions opts;
+    opts.clock = &clock;
+    for (int i = 0; i < 2; ++i) nodes.push_back(std::make_unique<GroupNode>(net, opts));
+    {
+      time::Pin setup(clock);
+      const View initial(1, {nodes[0]->id(), nodes[1]->id()});
+      for (auto& n : nodes) n->start(initial);
+      script.schedule(std::chrono::microseconds(500), [this, payload] {
+        nodes[0]->rbcast(payload);
+      });
+      script.schedule(std::chrono::microseconds(20'000), [this] {
+        for (auto& n : nodes) n->stop_timers();
+        stopped.set();
+      });
+    }
+    stopped.wait();
+    net.drain();
+    for (auto& n : nodes) n->drain();
+  }
+};
+
+TEST(CausalCast, PlainBroadcastStartingWithTheHeaderByteIsDelivered) {
+  // A causal header starts with 0x01, but only the causal channel bit of a
+  // MsgId marks causal traffic: a plain rbcast may start with any byte.
+  const std::string payload = "\x01" "raw bytes";
+  RbcastPair p(payload);
+  for (auto& n : p.nodes) {
+    const auto got = n->sink().rdelivered();
+    ASSERT_EQ(got.size(), 1u) << "site " << n->id().value() << " dropped the rbcast";
+    EXPECT_EQ(got[0].data, payload);
+  }
+}
+
+TEST(CausalCast, CausalShapedPlainBroadcastIsNotCausallyDelivered) {
+  // A plain rbcast whose bytes decode as a causal header from origin 77:
+  // without the causal channel bit it is an ordinary payload.
+  const std::string payload =
+      CausalCast::encode(CausalMsg{SiteId{77}, {{SiteId{77}, 1}}, "forged"});
+  RbcastPair p(payload);
+  for (auto& n : p.nodes) {
+    EXPECT_TRUE(n->sink().cdelivered().empty())
+        << "site " << n->id().value() << " causally delivered a plain rbcast";
+    EXPECT_EQ(n->causal().delivered_count(), 0u);
+    const auto got = n->sink().rdelivered();
+    ASSERT_EQ(got.size(), 1u) << "site " << n->id().value();
+    EXPECT_EQ(got[0].data, payload);
+  }
 }
 
 TEST(CausalCast, EndToEndCausalOrderAcrossSites) {

@@ -124,11 +124,14 @@ TEST(WireCodec, PromiseWithAndWithoutValue) {
 }
 
 TEST(WireCodec, ViewInstallRoundTrip) {
+  const auto same = [](const ViewInstall& a, const ViewInstall& b) {
+    return a.view_id == b.view_id && a.members == b.members &&
+           a.next_instance == b.next_instance;
+  };
+  // A join's install carries the rejoin floor; the bootstrap install has none.
   expect_roundtrip<ViewInstall>(SiteId{0},
-                                ViewInstall{3, {SiteId{0}, SiteId{1}, SiteId{2}}},
-                                [](const ViewInstall& a, const ViewInstall& b) {
-                                  return a.view_id == b.view_id && a.members == b.members;
-                                });
+                                ViewInstall{3, {SiteId{0}, SiteId{1}, SiteId{2}}, 300}, same);
+  expect_roundtrip<ViewInstall>(SiteId{4}, ViewInstall{1, {SiteId{4}}, 0}, same);
 }
 
 TEST(WireCodec, SwimMessagesRoundTrip) {

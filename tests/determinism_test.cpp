@@ -197,12 +197,27 @@ TEST(Determinism, GcFleetSeedSweepReplaysIdentically) {
 // of the seed: byte-identical view sequences, per-incarnation delivery
 // traces, retransmission counts and chaos-engine logs across replays.
 TEST(Determinism, RecoveryFleetReplaysIdentically) {
+  // Golden event-stream hashes of the rejoin path, libstdc++-specific for
+  // the same reason as the churn goldens below.
+#ifdef __GLIBCXX__
+  const std::map<std::uint64_t, std::uint64_t> golden = {
+      {1ull, 0x2523a255fc669327ull},
+      {17ull, 0xf6478156cca2fdf9ull},
+  };
+#endif
   for (const std::uint64_t seed : {1ull, 17ull}) {
     const auto a = testing::run_recovery_fleet(seed);
     const auto b = testing::run_recovery_fleet(seed);
     ASSERT_TRUE(a.converged) << "seed " << seed;
     ASSERT_TRUE(b.converged) << "seed " << seed;
     EXPECT_EQ(a.converged_at_us, b.converged_at_us) << "seed " << seed;
+    EXPECT_EQ(a.event_hash, b.event_hash) << "seed " << seed << ": event streams diverged";
+#ifdef __GLIBCXX__
+    EXPECT_EQ(a.event_hash, golden.at(seed))
+        << "seed " << seed << ": delivery order changed vs the golden pin; actual hash is 0x"
+        << std::hex << a.event_hash
+        << ". If the change is intentional, re-run and update the literal.";
+#endif
     EXPECT_EQ(a.trace_lines, b.trace_lines) << "seed " << seed << ": delivery traces diverged";
     EXPECT_EQ(a.view_lines, b.view_lines) << "seed " << seed << ": view sequences diverged";
     EXPECT_EQ(a.retransmissions, b.retransmissions)

@@ -1,10 +1,10 @@
 // GroupNode composition and declaration inference: a node builds only the
-// configured failure detector and ABcast, and every root event (network
-// packet, timer tick, API call) runs under the member set inferred from
-// the handlers' declared triggers over the live bindings. The tables
-// below pin those member sets for the SWIM, heartbeat and sequencer
-// configurations; a change to a handler's triggers or to the bindings
-// must show up here as a deliberate edit.
+// configured failure detector, and every root event (network packet,
+// timer tick, API call) runs under the member set inferred from the
+// handlers' declared triggers over the live bindings. The tables below
+// pin those member sets for the SWIM and heartbeat configurations; a
+// change to a handler's triggers or to the bindings must show up here as
+// a deliberate edit.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -47,14 +47,13 @@ void expect_declarations(const GroupNode& node, const Table& table) {
   }
 }
 
-GcOptions with(DetectorImpl detector, ABcastImpl abcast = ABcastImpl::kConsensus) {
+GcOptions with(DetectorImpl detector) {
   GcOptions opts;
   opts.detector_impl = detector;
-  opts.abcast_impl = abcast;
   return opts;
 }
 
-TEST(GcDeclaration, ConsensusSwimStackHoldsNoHeartbeatDetectorNorSequencer) {
+TEST(GcDeclaration, ConsensusSwimStackHoldsNoHeartbeatDetector) {
   net::SimNetwork net;
   GroupNode node(net, with(DetectorImpl::kSwim));
   EXPECT_EQ(stack_names(node), (Names{"transport", "relcomm", "relcast", "swim", "consensus",
@@ -68,27 +67,16 @@ TEST(GcDeclaration, HeartbeatStackHoldsNoSwimDetector) {
                                       "abcast", "causal", "membership", "app"}));
 }
 
-TEST(GcDeclaration, SequencerStackAddsSeqABcast) {
-  net::SimNetwork net;
-  GroupNode node(net, with(DetectorImpl::kHeartbeat, ABcastImpl::kSequencer));
-  EXPECT_EQ(stack_names(node), (Names{"transport", "relcomm", "relcast", "fd", "consensus",
-                                      "abcast", "causal", "seq_abcast", "membership", "app"}));
-}
-
 TEST(GcDeclaration, UnbuiltImplementationAccessorsThrow) {
   net::SimNetwork net;
   GroupNode swim_node(net, with(DetectorImpl::kSwim));
   EXPECT_THROW(swim_node.fd(), ConfigError);
-  EXPECT_THROW(swim_node.seq_ab(), ConfigError);
   EXPECT_NO_THROW(swim_node.swim());
   EXPECT_EQ(&swim_node.detector(), static_cast<Detector*>(&swim_node.swim()));
 
   GroupNode hb_node(net, with(DetectorImpl::kHeartbeat));
   EXPECT_THROW(hb_node.swim(), ConfigError);
   EXPECT_NO_THROW(hb_node.fd());
-
-  GroupNode seq_node(net, with(DetectorImpl::kHeartbeat, ABcastImpl::kSequencer));
-  EXPECT_NO_THROW(seq_node.seq_ab());
 }
 
 TEST(GcDeclaration, SwimConsensusMembersPerRootEvent) {
@@ -147,35 +135,6 @@ TEST(GcDeclaration, HeartbeatConsensusMembersPerRootEvent) {
              {&ev.api_abcast, {"abcast", "relcast", "relcomm", "transport", "consensus"}},
              {&ev.api_rbcast, {"relcast", "relcomm", "transport"}},
              {&ev.api_ccast, {"causal", "app", "relcast", "relcomm", "transport"}},
-             {&ev.api_joinleave,
-              {"membership", "abcast", "relcast", "relcomm", "transport", "consensus"}}});
-}
-
-TEST(GcDeclaration, SequencerMembersPerRootEvent) {
-  net::SimNetwork net;
-  GroupNode node(net, with(DetectorImpl::kHeartbeat, ABcastImpl::kSequencer));
-  const GcEvents& ev = node.events();
-  // The sequencer can order and deliver inside a data packet's or a
-  // submit's computation, and a delivered view operation installs a view
-  // on every microprotocol: those roots reach the whole stack.
-  const Names all{"transport", "relcomm", "relcast",    "fd",         "consensus",
-                  "abcast",    "causal",  "seq_abcast", "membership", "app"};
-  expect_declarations(
-      node, {{&ev.rc_data, all},
-             {&ev.rc_ack, {"relcomm", "transport"}},
-             {&ev.fd_heartbeat, {"fd"}},
-             {&ev.swim_wire, {}},
-             {&ev.cs_wire, all},
-             {&ev.view_install, all},
-             {&ev.retransmit_tick, {"relcomm", "transport"}},
-             {&ev.heartbeat_tick, {"fd", "transport"}},
-             {&ev.fd_check_tick, {"fd", "transport", "consensus"}},
-             {&ev.swim_tick, {}},
-             {&ev.cs_retry_tick, {"consensus", "transport"}},
-             {&ev.api_abcast, all},
-             {&ev.api_rbcast, {"relcast", "relcomm", "transport"}},
-             {&ev.api_ccast, {"causal", "app", "relcast", "relcomm", "transport"}},
-             // Membership ops always order through consensus.
              {&ev.api_joinleave,
               {"membership", "abcast", "relcast", "relcomm", "transport", "consensus"}}});
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "gc/group_node.hpp"
@@ -165,6 +166,31 @@ TEST(GcIntegration, LeaveShrinksView) {
            c[1].membership().view_snapshot().size() == 2;
   }));
   EXPECT_FALSE(c[0].membership().view_snapshot().contains(c[2].id()));
+}
+
+TEST(GcIntegration, AbcastOfAViewOperationThrowsAndKeepsTheView) {
+  // "!view-<id>" is the payload Membership orders for a leave: were an
+  // application abcast of it accepted, every member would evict that site.
+  Cluster c(3);
+  c.start();
+  EXPECT_THROW(c[0].abcast(Membership::encode_op('-', c[2].id())), std::invalid_argument);
+  EXPECT_THROW(c[1].abcast(Membership::encode_op('+', SiteId{99})), std::invalid_argument);
+  // A later abcast from the same sites is ordered after anything those
+  // calls could have submitted; once it is delivered everywhere, no view
+  // operation is still in flight.
+  c[0].abcast("after-0");
+  c[1].abcast("after-1");
+  EXPECT_TRUE(wait_until([&] {
+    for (auto& n : c.nodes) {
+      if (n->sink().adelivered().size() != 2) return false;
+    }
+    return true;
+  })) << "abcasts after the rejected calls were not delivered";
+  for (auto& n : c.nodes) {
+    const View view = n->membership().view_snapshot();
+    EXPECT_EQ(view.id(), 1u) << "site " << n->id().value();
+    EXPECT_EQ(view.size(), 3u) << "site " << n->id().value();
+  }
 }
 
 TEST(GcIntegration, ViewHistoryConsistentAcrossMembers) {

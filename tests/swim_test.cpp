@@ -5,8 +5,9 @@
 // incarnation, and view changes prune/seed the member table. The cells run
 // GroupNode stacks with detector_impl = kSwim on the wall clock (same
 // idiom as gc_component_test), with timings stretched under sanitizers —
-// except the healthy-fleet cell, which runs on a time::VirtualClock so its
-// ack deadline is simulated time that no host stall can expire.
+// except the healthy-fleet and dissemination cells, which run on a
+// time::VirtualClock so their ack deadlines are simulated time that no
+// host stall can expire.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -259,13 +260,22 @@ TEST(SwimComponent, DisseminationPiggybacksOnProbeTraffic) {
   // A churn event (crash) must travel as piggybacked updates — the only
   // dissemination channel SWIM has — and the gossip budget must retransmit
   // it more than once.
-  SwimFleet f(5);
-  ASSERT_TRUE(wait_until([&] { return f.nodes[0]->swim().periods() >= 2; }));
-  f.nodes[4]->crash();
+  VirtualSwimFleet f(5);
   const SiteId dead = f.nodes[4]->id();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(wait_until([&, i] { return f.nodes[i]->detector().is_suspected(dead); }));
-  }
+  bool crashed = false;
+  // The script crashes site 4 once two periods have elapsed, then runs
+  // until every survivor suspects it.
+  ASSERT_TRUE(f.run_until([&] {
+    if (!crashed) {
+      if (f.nodes[0]->swim().periods() < 2) return false;
+      f.nodes[4]->crash();
+      crashed = true;
+    }
+    for (int i = 0; i < 4; ++i) {
+      if (!f.nodes[i]->detector().is_suspected(dead)) return false;
+    }
+    return true;
+  }));
   std::uint64_t piggybacked = 0;
   for (int i = 0; i < 4; ++i) piggybacked += f.nodes[i]->swim().updates_piggybacked();
   EXPECT_GT(piggybacked, 4u) << "suspicion spread without piggybacked updates?";

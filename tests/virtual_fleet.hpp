@@ -235,6 +235,7 @@ struct RecoveryOutcome {
   std::uint64_t net_dropped = 0;
   std::vector<std::uint64_t> gate_waits;  // per site, current incarnation
   std::vector<std::uint64_t> failed_computations;  // per site, all incarnations
+  std::uint64_t event_hash = 0;  // SimNetwork event-stream hash (FNV-1a)
 };
 
 constexpr int kRecoverySites = 5;
@@ -260,6 +261,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
                                        .jitter = microseconds(200),
                                        .drop_probability = 0.02},
                       seed, &clock);
+  net.enable_event_log(/*store_lines=*/false);  // rolling hash only
   net::TimerService script(&clock);  // harness-owned scenario + chaos timers
   chaos::ChaosEngine engine(net, script);
 
@@ -449,6 +451,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
   out.net_dropped = net.stats().dropped.value();
   out.gate_waits = gate_waits_per_site(nodes);
   out.failed_computations = failed_computations_per_site(nodes);
+  out.event_hash = net.event_hash();
   return out;
 }
 
