@@ -141,25 +141,17 @@ void BM_ThreadedSingleMpAdmit(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadedSingleMpAdmit)->ThreadRange(1, 8)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-/// E-DISPATCH — handler dispatches/sec under the two dispatch substrates
-/// (RuntimeOptions::dispatch_impl), threaded single-mp cells: each thread
-/// spawns computations on its own microprotocol, every computation issuing
-/// 8 async handler dispatches. items_per_second is the handler-dispatch
-/// rate. The executor cells also surface the PR 8 queue telemetry:
-/// enqueues, drain batches, mean batch size, mean sampled queue depth,
-/// consumer handoffs and ring-overflow enqueues.
+/// E-DISPATCH — handler dispatches/sec on the elastic pool, threaded
+/// single-mp cells: each thread spawns computations on its own
+/// microprotocol, every computation issuing 8 async handler dispatches.
+/// items_per_second is the handler-dispatch rate.
 void BM_ThreadedSingleMpDispatch(benchmark::State& state) {
   static Env* env = nullptr;
   static Runtime* rt = nullptr;
-  const DispatchImpl impl =
-      state.range(0) == 0 ? DispatchImpl::kElasticPool : DispatchImpl::kExecutor;
   if (state.thread_index() == 0) {
     env = new Env(64);
     env->stack.seal();
-    RuntimeOptions opts;
-    opts.policy = CCPolicy::kVCABasic;
-    opts.dispatch_impl = impl;
-    rt = new Runtime(env->stack, opts);
+    rt = new Runtime(env->stack, RuntimeOptions{.policy = CCPolicy::kVCABasic});
   }
   constexpr int kCalls = 8;
   for (auto _ : state) {
@@ -172,41 +164,22 @@ void BM_ThreadedSingleMpDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kCalls);
   if (state.thread_index() == 0) {
-    const CCStats& cc = rt->controller().stats();
-    state.counters["admit_slow"] = static_cast<double>(cc.admit_slow.value());
-    state.counters["exec_enqueues"] = static_cast<double>(cc.exec_enqueues.value());
-    state.counters["exec_batches"] = static_cast<double>(cc.exec_batches.value());
-    state.counters["batch_mean"] = cc.exec_batch_size.mean_ns();
-    state.counters["qdepth_mean"] = cc.exec_queue_depth.mean_ns();
-    state.counters["handoffs"] = static_cast<double>(cc.exec_handoffs.value());
-    state.counters["overflow"] = static_cast<double>(cc.exec_overflow.value());
+    state.counters["admit_slow"] = static_cast<double>(rt->controller().stats().admit_slow.value());
     delete rt;
     rt = nullptr;
     delete env;
     env = nullptr;
   }
-  state.SetLabel(impl == DispatchImpl::kExecutor ? "executor" : "pool");
 }
-BENCHMARK(BM_ThreadedSingleMpDispatch)
-    ->ArgsProduct({{0, 1}})
-    ->ThreadRange(1, 8)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
+BENCHMARK(BM_ThreadedSingleMpDispatch)->ThreadRange(1, 8)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /// E-DISPATCH fan-out cell: one computation async_trigger_all-ing an event
-/// bound to 16 microprotocols. Under the executor this enqueues one node
-/// per distinct target shard (<= 8) instead of 16 — exec_enqueues in the
-/// output makes the batching visible; under the pool it is 16 pool submits.
+/// bound to 16 microprotocols, which is 16 pool submits.
 void BM_FanoutDispatch(benchmark::State& state) {
-  const DispatchImpl impl =
-      state.range(0) == 0 ? DispatchImpl::kElasticPool : DispatchImpl::kExecutor;
   Env env(16);
   EventType fan("fan");
   for (auto* mp : env.mps) env.stack.bind(fan, *mp->handler);
-  RuntimeOptions opts;
-  opts.policy = CCPolicy::kVCABasic;
-  opts.dispatch_impl = impl;
-  Runtime rt(env.stack, opts);
+  Runtime rt(env.stack, RuntimeOptions{.policy = CCPolicy::kVCABasic});
   std::vector<const Microprotocol*> members(env.mps.begin(), env.mps.end());
   for (auto _ : state) {
     rt.spawn_isolated(Isolation::basic(members),
@@ -214,13 +187,8 @@ void BM_FanoutDispatch(benchmark::State& state) {
         .wait();
   }
   state.SetItemsProcessed(state.iterations() * 16);
-  const CCStats& cc = rt.controller().stats();
-  state.counters["exec_enqueues"] = static_cast<double>(cc.exec_enqueues.value());
-  state.counters["exec_batches"] = static_cast<double>(cc.exec_batches.value());
-  state.counters["batch_mean"] = cc.exec_batch_size.mean_ns();
-  state.SetLabel(impl == DispatchImpl::kExecutor ? "executor" : "pool");
 }
-BENCHMARK(BM_FanoutDispatch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FanoutDispatch)->Unit(benchmark::kMicrosecond);
 
 /// Cost of 16 gated handler calls inside one computation.
 void BM_GatedCalls(benchmark::State& state) {

@@ -40,17 +40,14 @@ struct CCStats {
   Counter gate_waits;          // before_execute calls that actually blocked
   Histogram gate_wait_time;    // duration of blocking waits
 
-  // Executor dispatch layer (DispatchImpl::kExecutor; see core/executor.hpp).
-  // Written by the runtime's ExecutorGroup — they live here so the dispatch
-  // and admission hot-path counters surface through one stats() surface.
-  Counter exec_dispatched;     // tasks run on shard consumers
-  Counter exec_batches;        // run-to-completion drain batches
-  Counter exec_enqueues;       // submit() calls (ring or overflow)
-  Counter exec_overflow;       // of which: ring-full mutex-path enqueues
-  Counter exec_handoffs;       // consumer-role parks inside a task's wait
-  Counter exec_wakeups;        // idle consumers woken by a producer
-  Histogram exec_batch_size;   // tasks per drain batch (value = count)
-  Histogram exec_queue_depth;  // shard backlog sampled at batch start
+  // Nothing writes these, so they always read 0. They remain only because
+  // perfbench/ reads them for its core.exec_* metrics.
+  Counter exec_dispatched;
+  Counter exec_batches;
+  Counter exec_overflow;
+  Counter exec_handoffs;
+  Counter exec_wakeups;
+  Histogram exec_queue_depth;
 };
 
 class ComputationCC {
@@ -131,9 +128,6 @@ class ConcurrencyController {
   virtual const char* name() const = 0;
 
   const CCStats& stats() const { return stats_; }
-  /// Mutable access for runtime-owned collaborators that publish into the
-  /// same stats block (the ExecutorGroup's exec_* counters).
-  CCStats& stats() { return stats_; }
 
  protected:
   CCStats stats_;

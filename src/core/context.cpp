@@ -44,12 +44,6 @@ void Context::dispatch(const EventType& type, const Message& msg, Fanout fanout,
                       rt.controller().name() +
                       " controller (a restart cannot recall in-flight tasks)");
   }
-  if (async && fanout == Fanout::kAll && handlers.size() > 1) {
-    if (ExecutorGroup* ex = rt.executor_group()) {
-      dispatch_batched(*ex, handlers, msg);
-      return;
-    }
-  }
   for (const Handler* h : handlers) {
     // Issue runs synchronously in this thread: declaration violations
     // (IsolationError) surface here, and VCAroute marks the callee
@@ -64,64 +58,6 @@ void Context::dispatch(const EventType& type, const Message& msg, Fanout fanout,
       run_handler_now(*h, msg);
     }
   }
-}
-
-void Context::dispatch_batched(ExecutorGroup& ex, const std::vector<const Handler*>& handlers,
-                               const Message& msg) {
-  Runtime& rt = comp_->runtime();
-  // Group handlers by target shard, preserving binding order within each
-  // group; one queue node per shard amortizes the enqueue CAS and the
-  // consumer wakeup, and same-shard handlers run back-to-back in one
-  // drain batch with zero cross-thread handoffs.
-  std::vector<std::pair<std::size_t, std::vector<const Handler*>>> groups;
-  auto flush = [&] {
-    for (auto& [shard, hs] : groups) {
-      for (std::size_t i = 0; i < hs.size(); ++i) comp_->task_started();
-      auto comp = comp_;
-      ex.submit(
-          shard,
-          [comp, hs = std::move(hs), msg] {
-            diag::ScopedComputation diag_scope(comp->id().value());
-            for (const Handler* h : hs) {
-              Context ctx(comp, HandlerId{});
-              try {
-                ctx.run_handler_now(*h, msg);
-              } catch (...) {
-                comp->record_error(std::current_exception());
-              }
-              comp->task_finished();
-            }
-          },
-          comp_->id().value());
-    }
-  };
-  // Issues stay synchronous and in binding order (declaration violations
-  // surface to the caller; VCAroute pending marks land before anything
-  // runs). If one throws mid-way, the handlers already issued are
-  // accounted for by the controller and must still execute: flush what
-  // was grouped so far, then propagate.
-  try {
-    for (const Handler* h : handlers) {
-      comp_->cc().on_issue(current_, *h);
-      if (TraceRecorder* tr = rt.trace()) {
-        tr->record(TracePhase::kIssue, comp_->id(), h->owner().id(), h->id());
-      }
-      const std::size_t shard = ex.shard_of(h->owner().id().value());
-      auto it = groups.begin();
-      for (; it != groups.end(); ++it) {
-        if (it->first == shard) break;
-      }
-      if (it == groups.end()) {
-        groups.push_back({shard, {}});
-        it = std::prev(groups.end());
-      }
-      it->second.push_back(h);
-    }
-  } catch (...) {
-    flush();
-    throw;
-  }
-  flush();
 }
 
 void Context::yield_point(const char* label) {
@@ -182,9 +118,7 @@ void Context::enqueue_handler(const Handler& h, Message msg) {
     comp->task_finished();
     if (hook != nullptr) hook->on_task_finished(comp->id());
   };
-  // Inline, or the owning microprotocol's shard (hook != nullptr implies
-  // the executor is disabled — see RuntimeOptions::dispatch_impl).
-  rt.submit_handler(h.owner().id().value(), comp->id().value(), std::move(task));
+  rt.submit_handler(comp->id().value(), std::move(task));
 }
 
 }  // namespace samoa

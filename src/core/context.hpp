@@ -20,7 +20,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/event.hpp"
 #include "util/ids.hpp"
@@ -62,11 +61,6 @@ class Context {
 
   enum class Fanout { kOne, kAll };
   void dispatch(const EventType& type, const Message& msg, Fanout fanout, bool async);
-  /// Batched async fan-out under executor dispatch: one queue node per
-  /// target shard instead of one per handler (amortizes the ring CAS and
-  /// the consumer wakeup across same-shard handlers).
-  void dispatch_batched(class ExecutorGroup& ex, const std::vector<const Handler*>& handlers,
-                        const Message& msg);
   void run_handler_now(const Handler& h, const Message& msg);
   void enqueue_handler(const Handler& h, Message msg);
 

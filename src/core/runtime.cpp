@@ -1,9 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <deque>
-#include <string_view>
 
 #include "core/errors.hpp"
 #include "diag/wait_registry.hpp"
@@ -12,19 +10,10 @@ namespace samoa {
 
 namespace {
 
-DispatchImpl resolve_dispatch(DispatchImpl requested, const StepHook* hook) {
-  DispatchImpl impl = requested;
-  if (impl == DispatchImpl::kAuto) {
-    impl = DispatchImpl::kExecutor;
-    if (const char* env = std::getenv("SAMOA_DISPATCH")) {
-      if (std::string_view(env) == "pool") impl = DispatchImpl::kElasticPool;
-    }
-  }
-  // Exploration always drives the per-task pool path; see the
-  // RuntimeOptions::dispatch_impl comment.
-  if (hook != nullptr) impl = DispatchImpl::kElasticPool;
-  return impl;
-}
+/// The pool's worker floor and its cap on runnable workers (parked ones do
+/// not count; see util/thread_pool.hpp).
+constexpr std::size_t kMinThreads = 2;
+constexpr std::size_t kMaxThreads = 1024;
 
 /// The calling thread's run-to-completion queue for inline dispatch. Every
 /// handler task belongs to a computation already running on this thread,
@@ -62,19 +51,14 @@ thread_local InlineQueue t_inline;
 Runtime::Runtime(Stack& stack, RuntimeOptions opts)
     : stack_(stack),
       opts_(opts),
-      dispatch_(resolve_dispatch(opts.dispatch_impl, opts.step_hook)),
       inline_(opts.clock != nullptr && opts.clock->is_virtual() && opts.step_hook == nullptr),
       controller_(make_controller(opts.policy)),
       trace_(opts.record_trace ? std::make_unique<TraceRecorder>() : nullptr),
-      pool_(ElasticThreadPool::Options{inline_ ? 0 : opts.min_threads, opts.max_threads,
-                                       std::chrono::milliseconds(200)}),
-      executors_(!inline_ && dispatch_ == DispatchImpl::kExecutor
-                     ? std::make_unique<ExecutorGroup>(opts.executor, &controller_->stats())
-                     : nullptr) {}
+      pool_(ElasticThreadPool::Options{inline_ ? 0 : kMinThreads, kMaxThreads,
+                                       std::chrono::milliseconds(200)}) {}
 
 Runtime::~Runtime() {
   drain();
-  if (executors_ != nullptr) executors_->shutdown();
   pool_.shutdown();
 }
 
@@ -82,22 +66,17 @@ void Runtime::submit_root(std::uint64_t comp_id, std::function<void()> fn) {
   if (inline_) {
     t_inline.roots.push_back(std::move(fn));
     t_inline.drain();
-  } else if (executors_ != nullptr) {
-    executors_->submit(executors_->next_shard(), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
 }
 
-void Runtime::submit_handler(std::uint64_t owner, std::uint64_t comp_id,
-                             std::function<void()> fn) {
+void Runtime::submit_handler(std::uint64_t comp_id, std::function<void()> fn) {
   if (inline_) {
     // Issued by a computation running inline, so the drain running it
     // picks this up.
     assert(t_inline.draining);
     t_inline.handlers.push_back(std::move(fn));
-  } else if (executors_ != nullptr) {
-    executors_->submit(executors_->shard_of(owner), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
@@ -241,48 +220,21 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
   }
   try {
     stats_.spawned.add(comps.size());
-    if (executors_ != nullptr) {
-      // Shard-major enqueue in admission order (the executor implies no
-      // step hook, so tickets are 0): the burst is split into contiguous
-      // chunks, one chunk per shard, each root task still its own queue
-      // node. Contiguous runs amortize the consumer wakeup (the first
-      // submit of a chunk wakes the shard, the rest land on a running
-      // consumer's run-to-completion batch) where interleaved round-robin
-      // pays a cross-thread wakeup per task; every shard still gets a
-      // chunk, so burst members may overlap, with the versions claimed by
-      // admit_batch ordering the conflicts.
-      const std::size_t nshards = executors_->shard_count();
-      const std::size_t chunk = (comps.size() + nshards - 1) / nshards;
-      const std::size_t base = executors_->next_shard();
-      for (std::size_t i = 0; i < comps.size(); ++i) {
-        auto& comp = comps[i];
-        if (trace_) {
-          trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
-        }
-        comp->task_started();  // the root expression counts as one task
-        executors_->submit((base + i / chunk) % nshards,
-                           root_task(comp, std::move(reqs[i].root), /*ticket=*/0),
-                           comp->id().value());
-      }
+    std::vector<ElasticThreadPool::Task> tasks;
+    tasks.reserve(comps.size());
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+      auto& comp = comps[i];
+      if (trace_) trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
+      comp->task_started();  // the root expression counts as one task
+      const std::uint64_t ticket =
+          opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
+      tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
+    }
+    if (inline_) {
+      for (auto& task : tasks) t_inline.roots.push_back(std::move(task.fn));
+      t_inline.drain();
     } else {
-      std::vector<ElasticThreadPool::Task> tasks;
-      tasks.reserve(comps.size());
-      for (std::size_t i = 0; i < comps.size(); ++i) {
-        auto& comp = comps[i];
-        if (trace_) {
-          trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
-        }
-        comp->task_started();  // the root expression counts as one task
-        const std::uint64_t ticket =
-            opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
-        tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
-      }
-      if (inline_) {
-        for (auto& task : tasks) t_inline.roots.push_back(std::move(task.fn));
-        t_inline.drain();
-      } else {
-        pool_.submit_batch(std::move(tasks));
-      }
+      pool_.submit_batch(std::move(tasks));
     }
   } catch (...) {
     for (const auto& comp : comps) {

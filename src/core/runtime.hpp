@@ -3,14 +3,17 @@
 // One Runtime drives one protocol stack with one concurrency-control
 // policy. `spawn_isolated(spec, root)` is the C++ rendering of the paper's
 // `isolated M e`: it admits a new computation under the controller
-// (Step 1), runs `root` on a dispatch thread, and guarantees that the
-// concurrent execution of all spawned computations satisfies the isolation
-// property (for the VCA policies; kSerial trivially so, kUnsync not at
-// all — it exists as the Cactus-like baseline).
+// (Step 1), runs `root` on a worker of the runtime's elastic pool, and
+// guarantees that the concurrent execution of all spawned computations
+// satisfies the isolation property (for the VCA policies; kSerial
+// trivially so, kUnsync not at all — it exists as the Cactus-like
+// baseline). The version gates order conflicting handler calls; the pool
+// only supplies threads.
 //
-// Under a virtual clock (and no step hook) there is no dispatch thread:
-// the computation runs inline, to completion, on the spawning thread (see
-// Runtime::runs_inline).
+// Under a virtual clock (and no step hook) there is no pool worker: the
+// computation runs inline, to completion, on the spawning thread (see
+// Runtime::runs_inline). The clock and the hook make that choice; there is
+// no option for it.
 #pragma once
 
 #include <condition_variable>
@@ -23,7 +26,6 @@
 #include "cc/controller.hpp"
 #include "core/computation.hpp"
 #include "core/context.hpp"
-#include "core/executor.hpp"
 #include "core/stack.hpp"
 #include "core/step_hook.hpp"
 #include "core/trace.hpp"
@@ -33,49 +35,21 @@
 
 namespace samoa {
 
-/// Which dispatch substrate runs computation tasks on the wall clock — the
-/// same seam pattern as GcOptions::detector_impl: both implementations
-/// drive identical controller/trace semantics and every wall-clock test can
-/// run against either. Virtual-time runtimes use neither (they run inline;
-/// see Runtime::runs_inline).
-enum class DispatchImpl {
-  /// Resolve from the SAMOA_DISPATCH env var ("pool" or "executor");
-  /// defaults to kExecutor. This is how CI runs tier-1 against both.
-  kAuto,
-  /// Shared elastic pool: one cross-thread handoff per task (pre-PR-8
-  /// behaviour, and the fallback under schedule exploration).
-  kElasticPool,
-  /// Per-microprotocol sharded single-consumer event loops with batched
-  /// drains (core/executor.hpp).
-  kExecutor,
-};
-
 struct RuntimeOptions {
   CCPolicy policy = CCPolicy::kVCABasic;
   /// Record (event, handler) runs for the isolation checker / diagnostics.
   bool record_trace = false;
-  std::size_t min_threads = 2;
-  std::size_t max_threads = 1024;
   /// Time base. Null means the process wall clock. Under a
   /// time::VirtualClock the runtime holds one activity pin per in-flight
   /// computation, so virtual time stands still while computations run,
   /// and (without a step_hook) runs every computation inline — see
-  /// Runtime::runs_inline; dispatch_impl and `executor` then do not apply.
+  /// Runtime::runs_inline.
   time::ClockSource* clock = nullptr;
   /// Schedule-exploration seam (see core/step_hook.hpp). Null — the
   /// default — costs one pointer test per scheduling point; non-null
-  /// serializes all computation tasks behind the hook's token scheduler.
+  /// serializes all computation tasks behind the hook's token scheduler,
+  /// on the elastic pool even under a virtual clock.
   StepHook* step_hook = nullptr;
-  /// Dispatch substrate. Note: a non-null step_hook always forces the
-  /// elastic pool — the explorer's token barrier requires every submitted
-  /// task to be independently schedulable, which a single-consumer shard
-  /// cannot provide (a queued task would "arrive" only after its
-  /// predecessor finishes, deadlocking the barrier). Executor schedules
-  /// are a subset of the explored per-task interleavings, so exploration
-  /// over the pool path covers them; see DESIGN.md "Dispatch".
-  DispatchImpl dispatch_impl = DispatchImpl::kAuto;
-  /// Executor shard/queue tunables (used when the executor is active).
-  ExecutorOptions executor{};
 };
 
 class Runtime {
@@ -115,19 +89,14 @@ class Runtime {
   ConcurrencyController& controller() { return *controller_; }
   CCPolicy policy() const { return opts_.policy; }
 
-  /// The wall-clock dispatch implementation (kAuto and the step-hook
-  /// fallback resolved; never kAuto). Not in effect when runs_inline().
-  DispatchImpl dispatch_impl() const { return dispatch_; }
-  /// Null when dispatching through the elastic pool or inline.
-  ExecutorGroup* executor_group() { return executors_.get(); }
-
   /// True when the clock is virtual and no step hook is installed: every
   /// root task and its async handler tasks then run to completion on the
-  /// spawning thread, from a per-thread FIFO, with no executor group and
-  /// no pool workers. Queued handler tasks run before any queued root, so
-  /// a computation spawned from inside another runs after its spawner
-  /// completed, never re-entrantly. Virtual time already runs events one
-  /// at a time; this removes every thread handoff from an event.
+  /// spawning thread, from a per-thread FIFO, with no pool workers.
+  /// Queued handler tasks run before any queued root, so a computation
+  /// spawned from inside another runs after its spawner completed, never
+  /// re-entrantly. Virtual time already runs events one at a time; this
+  /// removes every thread handoff from an event. Otherwise every task
+  /// runs on the elastic pool.
   bool runs_inline() const { return inline_; }
 
   /// Null when tracing is off.
@@ -151,10 +120,9 @@ class Runtime {
   void record_computation_done(ComputationId id);
   void on_computation_done(ComputationId id, bool failed);
   void count_handler_call() { stats_.handler_calls.add(); }
-  /// Route an async handler task of computation `comp_id` to its dispatch
-  /// substrate: the calling thread's inline FIFO, the shard owning
-  /// microprotocol `owner`, or the elastic pool.
-  void submit_handler(std::uint64_t owner, std::uint64_t comp_id, std::function<void()> fn);
+  /// Route an async handler task of computation `comp_id` to the calling
+  /// thread's inline FIFO or to the elastic pool.
+  void submit_handler(std::uint64_t comp_id, std::function<void()> fn);
 
  private:
   /// Erase `id` from inflight_, waking drain(). Returns whether this call
@@ -166,22 +134,17 @@ class Runtime {
   std::function<void()> root_task(std::shared_ptr<Computation> comp,
                                   std::function<void(Context&)> root, std::uint64_t ticket);
 
-  /// Route a root task to its dispatch substrate: the calling thread's
-  /// inline FIFO (run before returning unless that thread is already
-  /// running inline tasks), round-robin across executor shards
-  /// (independent computations must be able to overlap; the version gates
-  /// order the conflicting ones — see the core/executor.hpp placement
-  /// comment), or the elastic pool.
+  /// Route a root task to the calling thread's inline FIFO (run before
+  /// returning unless that thread is already running inline tasks) or to
+  /// the elastic pool.
   void submit_root(std::uint64_t comp_id, std::function<void()> fn);
 
   Stack& stack_;
   RuntimeOptions opts_;
-  DispatchImpl dispatch_;
   bool inline_;
   std::unique_ptr<ConcurrencyController> controller_;
   std::unique_ptr<TraceRecorder> trace_;
   ElasticThreadPool pool_;
-  std::unique_ptr<ExecutorGroup> executors_;
 
   IdAllocator<ComputationTag> comp_ids_;
   Stats stats_;

@@ -40,14 +40,11 @@
 //
 // A null hook (the default) costs one pointer test per call site.
 //
-// Dispatch interaction: a non-null hook forces DispatchImpl::kElasticPool
-// (see RuntimeOptions::dispatch_impl). The controller's token barrier
-// treats every submitted task as independently startable; a
-// single-consumer executor shard serializes queued tasks, so a task
-// "arrives" at the barrier only after its shard predecessor finishes —
-// a structural deadlock. Since executor schedules are a strict subset of
-// the per-task interleavings the explorer enumerates over the pool,
-// exploring on the pool path loses no coverage.
+// Dispatch interaction: a runtime with a hook runs its tasks on its
+// elastic pool, even under a virtual clock (it never runs inline). The
+// controller's token barrier treats every submitted task as independently
+// startable, which the pool provides: each task gets a thread of its own
+// and then waits at on_task_started for its turn.
 #pragma once
 
 #include <cstdint>

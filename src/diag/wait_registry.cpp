@@ -24,8 +24,6 @@ const char* to_string(WaitKind kind) {
       return "drain";
     case WaitKind::kCompletion:
       return "completion";
-    case WaitKind::kExecutorIdle:
-      return "executor-idle";
     case WaitKind::kExternal:
       return "external";
   }
@@ -74,16 +72,6 @@ void WaitRegistry::unregister_pool(samoa::ElasticThreadPool* pool) {
   pools_.erase(std::remove(pools_.begin(), pools_.end(), pool), pools_.end());
 }
 
-void WaitRegistry::register_executor(const ExecutorSource* src) {
-  std::unique_lock lock(mu_);
-  executors_.push_back(src);
-}
-
-void WaitRegistry::unregister_executor(const ExecutorSource* src) {
-  std::unique_lock lock(mu_);
-  executors_.erase(std::remove(executors_.begin(), executors_.end(), src), executors_.end());
-}
-
 std::uint64_t WaitRegistry::add_wait(WaitRecord rec) {
   std::unique_lock lock(mu_);
   rec.id = next_wait_id_++;
@@ -110,17 +98,9 @@ std::size_t WaitRegistry::wait_count() const {
 
 std::chrono::steady_clock::duration WaitRegistry::oldest_wait_age() const {
   std::unique_lock lock(mu_);
-  // An executor consumer parked on an empty queue is idle, not starved —
-  // it would otherwise look like a stuck wait for as long as the runtime
-  // is quiet and trip the watchdog's stuck-wait budget.
+  if (waits_.empty()) return {};
   auto oldest = std::chrono::steady_clock::time_point::max();
-  bool any = false;
-  for (const auto& [id, rec] : waits_) {
-    if (rec.kind == WaitKind::kExecutorIdle) continue;
-    oldest = std::min(oldest, rec.since);
-    any = true;
-  }
-  if (!any) return {};
+  for (const auto& [id, rec] : waits_) oldest = std::min(oldest, rec.since);
   return std::chrono::steady_clock::now() - oldest;
 }
 
@@ -152,8 +132,6 @@ Dump WaitRegistry::snapshot() const {
     // registry lock also blocks unregister_pool, keeping the pointers
     // alive). Pools never call back into the registry under their lock.
     for (auto* p : pools_) d.pools.push_back(p->diag_state());
-    // Same contract for executor groups (shard mutexes are leaves).
-    for (const auto* e : executors_) d.executors.push_back(e->diag_state());
   }
   std::sort(d.waits.begin(), d.waits.end(),
             [](const WaitRecord& a, const WaitRecord& b) { return a.id < b.id; });
@@ -335,22 +313,6 @@ std::string Dump::to_text() const {
       os << "\n";
     }
   }
-  for (const ExecutorGroupState& e : executors) {
-    os << "  [executor " << e.group << "] shards=" << e.shards.size()
-       << " dispatched=" << e.dispatched << " handoffs=" << e.handoffs << "\n";
-    for (const ExecutorShardState& s : e.shards) {
-      if (s.queued == 0 && s.consumer == 0 && s.running_comp == 0) continue;
-      const char* state = s.consumer == 2 ? "running" : (s.consumer == 1 ? "idle" : "NO-CONSUMER");
-      os << "    shard " << s.index << ": " << state << " queued=" << s.queued;
-      if (s.running_comp != 0) os << " running comp " << s.running_comp;
-      if (s.queued > 0 && s.consumer != 2) os << "  <-- STALLED (backlog, no running consumer)";
-      if (!s.queued_comps.empty()) {
-        os << "\n      queued comps:";
-        for (auto t : s.queued_comps) os << " " << t;
-      }
-      os << "\n";
-    }
-  }
   for (const SubjectState& s : subjects) {
     if (s.holders.empty()) continue;
     os << "  [subject " << (s.name.empty() ? "?" : s.name) << " @" << s.subject
@@ -426,25 +388,6 @@ std::string Dump::to_json() const {
     }
     os << "]}";
   }
-  os << "],\"executors\":[";
-  for (std::size_t i = 0; i < executors.size(); ++i) {
-    const ExecutorGroupState& e = executors[i];
-    if (i) os << ",";
-    os << "{\"dispatched\":" << e.dispatched << ",\"handoffs\":" << e.handoffs << ",\"shards\":[";
-    for (std::size_t j = 0; j < e.shards.size(); ++j) {
-      const ExecutorShardState& s = e.shards[j];
-      if (j) os << ",";
-      os << "{\"index\":" << s.index << ",\"consumer\":" << s.consumer
-         << ",\"queued\":" << s.queued << ",\"running_comp\":" << s.running_comp
-         << ",\"queued_comps\":[";
-      for (std::size_t k = 0; k < s.queued_comps.size(); ++k) {
-        if (k) os << ",";
-        os << s.queued_comps[k];
-      }
-      os << "]}";
-    }
-    os << "]}";
-  }
   os << "],\"subjects\":[";
   bool first = true;
   for (const SubjectState& s : subjects) {
@@ -471,18 +414,14 @@ std::string Dump::to_json() const {
 
 namespace {
 thread_local int t_wait_depth = 0;
-thread_local WorkerParkTarget* t_park_target = nullptr;
 }  // namespace
-
-WorkerParkTarget* current_park_target() { return t_park_target; }
-void set_current_park_target(WorkerParkTarget* target) { t_park_target = target; }
 
 ScopedWait::ScopedWait(WaitKind kind, const void* subject, std::string subject_name,
                        std::uint64_t awaiting_lo, std::uint64_t awaiting_hi,
                        std::uint64_t observed) {
   // Nested waits (an instrumented primitive parking inside an already
   // registered wait, e.g. wait_done's OneShotEvent) stay invisible: the
-  // outer record describes the park, and pool/target/observer must see
+  // outer record describes the park, and pool/observer must see
   // exactly one park per blocked thread.
   outermost_ = ++t_wait_depth == 1;
   if (!outermost_) return;
@@ -499,14 +438,11 @@ ScopedWait::ScopedWait(WaitKind kind, const void* subject, std::string subject_n
   kind_ = kind;
   comp_ = rec.comp;
   pool_ = samoa::ElasticThreadPool::current();
-  target_ = t_park_target;
   rec.pool = pool_;
   id_ = WaitRegistry::instance().add_wait(std::move(rec));
   // Release this worker's runnable slot for the duration of the park —
-  // the pool may need to grow (or the executor shard hand off its
-  // consumer role) to run the task that unblocks us.
+  // the pool may need to grow to run the task that unblocks us.
   if (pool_ != nullptr) pool_->note_worker_parked();
-  if (target_ != nullptr) target_->note_worker_parked();
   if (WaitObserver* obs = WaitRegistry::instance().observer()) obs->on_wait_park(kind_, comp_);
 }
 
@@ -514,7 +450,6 @@ ScopedWait::~ScopedWait() {
   --t_wait_depth;
   if (!outermost_) return;
   if (WaitObserver* obs = WaitRegistry::instance().observer()) obs->on_wait_unpark(kind_, comp_);
-  if (target_ != nullptr) target_->note_worker_unparked();
   if (pool_ != nullptr) pool_->note_worker_unparked();
   WaitRegistry::instance().remove_wait(id_);
 }

@@ -46,12 +46,9 @@ enum class WaitKind {
   kSerialTurn,  // serial controller turnstile (on_start)
   kClaim,       // TSO claim wait (wait-die: older computation parks)
   kClaimAbort,  // TSO post-abort wait for the killer claim to clear
-  kDrain,        // Runtime::drain waiting for inflight_ to empty
-  kCompletion,   // ComputationHandle/Computation wait_done
-  kExecutorIdle, // executor shard consumer parked on an empty queue — not a
-                 // stall: skipped by oldest_wait_age() and the watchdog's
-                 // blocked-quiescence predicate
-  kExternal,     // test/bench-registered wait (e.g. polling loops)
+  kDrain,       // Runtime::drain waiting for inflight_ to empty
+  kCompletion,  // ComputationHandle/Computation wait_done
+  kExternal,    // test/bench-registered wait (e.g. polling loops)
 };
 
 const char* to_string(WaitKind kind);
@@ -118,51 +115,6 @@ class HolderSource {
   virtual std::vector<HolderEntry> outstanding_holders() const = 0;
 };
 
-/// Per-thread park notification for worker threads that are not
-/// ElasticThreadPool workers. An executor shard consumer installs itself
-/// via set_current_park_target(); ScopedWait then brackets every
-/// instrumented blocking point on that thread with parked()/unparked(),
-/// mirroring the pool's note_worker_parked contract — which is how a
-/// single-consumer shard hands its role off instead of wedging the tasks
-/// queued behind a gate wait. Lives in diag (not util or core) so the
-/// executor gets the hook without an include cycle.
-class WorkerParkTarget {
- public:
-  virtual ~WorkerParkTarget() = default;
-  virtual void note_worker_parked() = 0;
-  virtual void note_worker_unparked() = 0;
-};
-
-/// The calling thread's park target (null for ordinary threads and pool
-/// workers — pools are tracked via ElasticThreadPool::current()).
-WorkerParkTarget* current_park_target();
-void set_current_park_target(WorkerParkTarget* target);
-
-struct ExecutorShardState {
-  std::size_t index = 0;
-  int consumer = 0;  // ExecutorGroup::ConsumerState: 0 none, 1 idle, 2 running
-  std::size_t queued = 0;
-  std::uint64_t running_comp = 0;            // 0 = no task running
-  std::vector<std::uint64_t> queued_comps;   // best-effort, truncated
-};
-
-struct ExecutorGroupState {
-  const void* group = nullptr;
-  std::uint64_t dispatched = 0;
-  std::uint64_t handoffs = 0;
-  std::vector<ExecutorShardState> shards;
-};
-
-/// Registered by each ExecutorGroup; snapshot() queries it for dumps and
-/// the watchdog's stalled-shard check (queued work with no running
-/// consumer). Called under the registry mutex; implementations may take
-/// their own shard mutexes but never call back into the registry.
-class ExecutorSource {
- public:
-  virtual ~ExecutorSource() = default;
-  virtual ExecutorGroupState diag_state() const = 0;
-};
-
 struct PoolState {
   const samoa::ElasticThreadPool* pool = nullptr;
   std::size_t live = 0;
@@ -189,7 +141,6 @@ struct Dump {
   std::chrono::steady_clock::time_point taken{};
   std::vector<WaitRecord> waits;
   std::vector<PoolState> pools;
-  std::vector<ExecutorGroupState> executors;
   /// subject -> (name, last published version, outstanding holders)
   struct SubjectState {
     const void* subject = nullptr;
@@ -239,10 +190,6 @@ class WaitRegistry {
   void register_pool(samoa::ElasticThreadPool* pool);
   void unregister_pool(samoa::ElasticThreadPool* pool);
 
-  // --- executor groups ---
-  void register_executor(const ExecutorSource* src);
-  void unregister_executor(const ExecutorSource* src);
-
   /// Snapshot every wait record, pool and subject, derive wait-for edges,
   /// and run cycle detection.
   Dump snapshot() const;
@@ -290,7 +237,6 @@ class WaitRegistry {
   std::unordered_map<std::uint64_t, WaitRecord> waits_;
   std::unordered_map<const void*, Subject> subjects_;
   std::vector<samoa::ElasticThreadPool*> pools_;
-  std::vector<const ExecutorSource*> executors_;
   std::uint64_t next_wait_id_ = 1;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<WaitObserver*> observer_{nullptr};
@@ -299,11 +245,10 @@ class WaitRegistry {
 /// RAII wait registration. Construct immediately before parking (the
 /// caller may hold the mutex it parks with) and let it unwind after the
 /// wait returns. Also marks the current thread parked in its
-/// ElasticThreadPool (or its WorkerParkTarget — executor shard consumer),
-/// releasing its runnable slot for the duration.
+/// ElasticThreadPool, releasing its runnable slot for the duration.
 ///
 /// Nesting: only the outermost ScopedWait on a thread registers a record
-/// and notifies the pool/target/observer. Inner waits (e.g. the
+/// and notifies the pool/observer. Inner waits (e.g. the
 /// OneShotEvent park inside Computation::wait_done, which already holds a
 /// kCompletion record) are invisible, so park notifications stay balanced
 /// at one per actual park.
@@ -319,7 +264,6 @@ class ScopedWait {
  private:
   std::uint64_t id_ = 0;
   samoa::ElasticThreadPool* pool_ = nullptr;
-  WorkerParkTarget* target_ = nullptr;
   WaitKind kind_ = WaitKind::kExternal;
   std::uint64_t comp_ = 0;
   bool outermost_ = false;

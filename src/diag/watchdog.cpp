@@ -88,24 +88,12 @@ void DeadlockWatchdog::loop() {
       reason = "no progress for " + std::to_string(opts_.budget.count()) + "ms";
     }
     // Only a *blocked* quiescence counts: an idle process (no parked
-    // waits, no stuck queue) is healthy. Executor consumers parked on
-    // empty queues are idle; an executor shard with queued work and no
-    // *running* consumer is exactly a stalled dispatch (a wedged or
-    // never-spawned consumer) and must be reported.
+    // waits, no stuck queue) is healthy.
     Dump dump = reg.snapshot();
-    bool stuck_queue = false;
-    for (const PoolState& p : dump.pools) {
-      if (!p.queued_tags.empty() && p.idle == 0) stuck_queue = true;
-    }
-    for (const ExecutorGroupState& e : dump.executors) {
-      for (const ExecutorShardState& s : e.shards) {
-        if (s.queued > 0 && s.consumer != 2) stuck_queue = true;
-      }
-    }
-    const bool any_blocking_wait =
-        std::any_of(dump.waits.begin(), dump.waits.end(),
-                    [](const WaitRecord& w) { return w.kind != WaitKind::kExecutorIdle; });
-    if (!any_blocking_wait && !stuck_queue) {
+    const bool stuck_queue =
+        std::any_of(dump.pools.begin(), dump.pools.end(),
+                    [](const PoolState& p) { return !p.queued_tags.empty() && p.idle == 0; });
+    if (dump.waits.empty() && !stuck_queue) {
       last_change = now;  // idle, not stalled; restart the window
       continue;
     }

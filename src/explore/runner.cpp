@@ -275,7 +275,6 @@ RunResult run_schedule(const CellOptions& opts, Strategy& strategy) {
   ro.policy = opts.policy;
   ro.record_trace = true;
   ro.step_hook = &sched;
-  ro.dispatch_impl = opts.dispatch_impl;  // non-null hook resolves this to the pool
   Runtime rt(w.stack, ro);
 
   sched.pause();

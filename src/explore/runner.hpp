@@ -46,13 +46,6 @@ struct CellOptions {
   std::size_t pct_k = 3;
   std::size_t exhaustive_depth = 8;
   std::size_t shrink_budget = 150;
-  /// Requested dispatch substrate for the cell's runtime. Exploration
-  /// always resolves to the elastic pool (the ScheduleController's token
-  /// barrier needs independently startable tasks — see
-  /// RuntimeOptions::dispatch_impl), so a kExecutor request explores the
-  /// same schedule space and replays the same traces bit-for-bit; the
-  /// knob exists so that pin is a tested fact rather than an assumption.
-  DispatchImpl dispatch_impl = DispatchImpl::kAuto;
 };
 
 /// One schedule of a cell.

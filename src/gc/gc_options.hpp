@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "cc/controller.hpp"
-#include "core/runtime.hpp"
 #include "time/clock.hpp"
 
 namespace samoa::gc {
@@ -27,14 +26,6 @@ struct GcOptions {
   /// cross-microprotocol isolation the paper's Section 3 race needs, which
   /// is exactly what the view-change experiment demonstrates.
   bool manual_locks = false;
-
-  /// Dispatch substrate of the node's runtime on the wall clock (see
-  /// RuntimeOptions::dispatch_impl; a virtual-clock node runs its
-  /// computations inline and ignores it). The Section 3 race demo pins
-  /// kElasticPool: reproducing the unsynchronised baseline's interleaving
-  /// needs OS-level overlap of same-microprotocol computations, which the
-  /// executor's per-mp serialization intentionally removes.
-  DispatchImpl dispatch_impl = DispatchImpl::kAuto;
 
   /// Artificial widening of the Section 3 race window: RelComm's
   /// viewChange handler sleeps this long *before* adopting the new view,

@@ -110,7 +110,6 @@ void GroupNode::build_stack() {
   rt_opts.policy = opts_.policy;
   rt_opts.record_trace = opts_.record_trace;
   rt_opts.clock = opts_.clock;
-  rt_opts.dispatch_impl = opts_.dispatch_impl;
   runtime_ = std::make_unique<Runtime>(*stack_, rt_opts);
 }
 

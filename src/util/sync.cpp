@@ -6,11 +6,11 @@
 #include "diag/wait_registry.hpp"
 
 // Every actual park below registers a diag::ScopedWait (kExternal). Besides
-// showing up in blocked-state dumps, this is a liveness requirement under
-// executor dispatch: a handler body blocking on one of these primitives
-// parks a single-consumer shard, and only an instrumented wait triggers the
-// consumer-role handoff that keeps the tasks queued behind it runnable
-// (see core/executor.hpp). Nested registration is handled by ScopedWait
+// showing up in blocked-state dumps, this is a liveness requirement: a
+// handler body blocking on one of these primitives parks a pool worker,
+// and only an instrumented wait tells the ElasticThreadPool to stop
+// counting that worker as runnable and grow for the tasks queued behind it
+// (see util/thread_pool.hpp). Nested registration is handled by ScopedWait
 // itself — an already-registered wait (e.g. Computation::wait_done) that
 // parks through OneShotEvent stays a single record.
 

@@ -28,14 +28,12 @@
 //
 // Idle workers retire after a timeout down to a configurable floor.
 //
-// Role in dispatch (PR 8): computation tasks normally run on the
-// per-microprotocol executor shards (core/executor.hpp); this pool is the
-// runtime-selectable fallback (DispatchImpl::kElasticPool) and the only
-// substrate under schedule exploration. The parked-worker contract above
-// (diag::ScopedWait -> note_worker_parked) is shared with the executor's
-// consumer-role handoff — both implement "a runnable task must never wait
-// on a parked thread", this pool by growing, the executor by re-spawning
-// the shard consumer.
+// Role in dispatch: every Runtime that does not run inline (a wall clock,
+// or any clock under a schedule explorer's step hook) runs each root and
+// async handler task as one task on its own pool; see core/runtime.hpp.
+// The pool hands out threads and nothing more — the version gates order
+// conflicting handler calls, as the paper's one-thread-per-computation
+// model has them do.
 #pragma once
 
 #include <condition_variable>

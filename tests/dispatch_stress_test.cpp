@@ -1,13 +1,10 @@
-// Executor dispatch under adversarial load (PR 8): several spawner
-// threads hammer one runtime with a seeded mix of single-mp, shared-mp
-// and multi-mp computations, sync and async triggers, fan-outs, and
-// handlers that park mid-task. Run under both dispatch substrates so the
-// executor path and the elastic-pool fallback face the same workload; a
-// fail-fast deadlock watchdog turns any shard wedge (the zombie-consumer
-// class of bug) into an immediate abort with a shard-state dump instead
-// of a 300-second ctest timeout. CI runs this under TSan as well — the
-// Vyukov ring's seq protocol and the park/handoff protocol are exactly
-// the code TSan is for.
+// Wall-clock dispatch under adversarial load: several spawner threads
+// hammer one runtime's elastic pool with a seeded mix of single-mp,
+// shared-mp and multi-mp computations, sync and async triggers and
+// fan-outs, and a second cell keeps a handler parked mid-task while other
+// computations run. A fail-fast deadlock watchdog turns any
+// wedge into an immediate abort with a blocked-state dump instead of a
+// 300-second ctest timeout. CI runs this under TSan as well.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,12 +41,12 @@ using testing::ProbeMp;
 constexpr int kSpawnsPerThread = SAMOA_UNDER_TSAN ? 40 : 120;
 constexpr int kSpawnerThreads = 4;
 
-class ExecutorStress : public ::testing::Test {
+class DispatchStress : public ::testing::Test {
  protected:
   void SetUp() override {
     diag::WatchdogOptions opts;
     opts.budget = 60s;
-    opts.name = "executor_stress";
+    opts.name = "dispatch_stress";
     opts.abort_on_stall = true;
     if (const char* dir = std::getenv("SAMOA_WATCHDOG_DIR")) opts.dump_dir = dir;
     dog_ = std::make_unique<diag::DeadlockWatchdog>(std::move(opts));
@@ -80,11 +77,12 @@ struct Workload {
   }
 };
 
-void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
+TEST_F(DispatchStress, MixedWorkload) {
+  const std::uint64_t seed = testing::test_seed(2024);
+  SCOPED_TRACE("seed=" + std::to_string(seed));
   Workload w;
   RuntimeOptions opts;
   opts.policy = CCPolicy::kVCABasic;
-  opts.dispatch_impl = impl;
   opts.record_trace = true;
   Runtime rt(w.stack, opts);
 
@@ -117,7 +115,7 @@ void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
                 ctx.async_trigger(w.shared_ev);
               });
         } else {
-          // Batched fan-out across three mps' shards.
+          // Async fan-out to three mps.
           h = rt.spawn_isolated(Isolation::basic({w.own[0], w.own[1], w.own[2]}),
                                 [&](Context& ctx) { ctx.async_trigger_all(w.fan_ev); });
         }
@@ -135,38 +133,20 @@ void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
   rt.drain();
 
   EXPECT_EQ(spawned.load(), kSpawnerThreads * kSpawnsPerThread);
-  // Isolation must hold regardless of substrate: no mp ever runs two
-  // handlers concurrently.
+  // The version gates, not the pool, keep every mp to one handler at a
+  // time.
   for (ProbeMp* mp : w.own) EXPECT_LE(mp->max_in_flight.load(), 1) << mp->name();
   EXPECT_LE(w.shared->max_in_flight.load(), 1);
   testing::expect_isolated(rt);
-  if (impl == DispatchImpl::kExecutor) {
-    ASSERT_NE(rt.executor_group(), nullptr);
-    EXPECT_GT(rt.controller().stats().exec_dispatched.value(), 0u);
-  } else {
-    EXPECT_EQ(rt.executor_group(), nullptr);
-  }
-}
-
-TEST_F(ExecutorStress, MixedWorkloadExecutorDispatch) {
-  const std::uint64_t seed = testing::test_seed(2024);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  run_mixed_cell(DispatchImpl::kExecutor, seed);
+  EXPECT_GE(rt.pool().peak_thread_count(), 1u);
   dog_->kick();
 }
 
-TEST_F(ExecutorStress, MixedWorkloadPoolDispatch) {
-  const std::uint64_t seed = testing::test_seed(2024);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  run_mixed_cell(DispatchImpl::kElasticPool, seed);
-  dog_->kick();
-}
-
-TEST_F(ExecutorStress, BlockingChurnForcesHandoffs) {
-  // Repeatedly park a consumer inside a handler while other computations
-  // keep flowing: the consumer role must hand off and recover every round.
-  const std::uint64_t seed = testing::test_seed(7);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+TEST_F(DispatchStress, BlockingChurnKeepsProbesRunning) {
+  // Repeatedly park a pool worker inside a handler while other
+  // computations keep flowing: every probe must complete while the
+  // blocker stays parked, because the pool grows past a parked worker
+  // instead of queueing work behind it.
   constexpr int kRounds = SAMOA_UNDER_TSAN ? 4 : 10;
   Stack stack;
   auto& probe = stack.emplace<ProbeMp>("p", std::chrono::microseconds(2));
@@ -182,27 +162,37 @@ TEST_F(ExecutorStress, BlockingChurnForcesHandoffs) {
   }
   RuntimeOptions opts;
   opts.policy = CCPolicy::kVCABasic;
-  opts.dispatch_impl = DispatchImpl::kExecutor;
   opts.record_trace = true;
   Runtime rt(stack, opts);
   for (int r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    BlockingMp& blocker = *blockers[static_cast<std::size_t>(r)];
     auto blocked = rt.spawn_isolated(
-        Isolation::basic({blockers[static_cast<std::size_t>(r)]}),
+        Isolation::basic({&blocker}),
         [&, r](Context& ctx) { ctx.trigger(block_evs[static_cast<std::size_t>(r)]); });
-    blockers[static_cast<std::size_t>(r)]->started.wait();
+    blocker.started.wait();
+    // started fires just before the handler parks on release.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (rt.pool().parked_count() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(rt.pool().parked_count(), 1u) << "the blocker never parked";
     std::vector<ComputationHandle> hs;
     for (int i = 0; i < 8; ++i) {
       hs.push_back(rt.spawn_isolated(Isolation::basic({&probe}),
                                      [&](Context& ctx) { ctx.trigger(probe_ev); }));
     }
     for (auto& h : hs) h.wait();
-    blockers[static_cast<std::size_t>(r)]->release.set();
+    EXPECT_EQ(probe.calls.load(), (r + 1) * 8);
+    EXPECT_FALSE(blocked.done());
+    EXPECT_EQ(blocker.calls.load(), 0);
+    blocker.release.set();
     blocked.wait();
     dog_->kick();
   }
   rt.drain();
   EXPECT_EQ(probe.calls.load(), kRounds * 8);
-  EXPECT_GE(rt.controller().stats().exec_handoffs.value(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_GE(rt.pool().peak_parked_count(), 1u);
   testing::expect_isolated(rt);
 }
 

@@ -172,35 +172,6 @@ TEST(ExploreReplay, EveryPolicyReplaysBitForBit) {
   }
 }
 
-TEST(ExploreReplay, ExecutorDispatchExploresAndReplaysIdentically) {
-  // Under a step hook the runtime must resolve any requested dispatch
-  // substrate to the elastic pool: the token barrier requires every
-  // submitted task to be independently startable, which single-consumer
-  // executor shards cannot provide. Pin that resolution, and with it that
-  // a kExecutor cell explores the same schedule space and replays
-  // bit-for-bit against a kElasticPool cell.
-  for (CCPolicy policy : {CCPolicy::kVCABasic, CCPolicy::kUnsync}) {
-    CellOptions pool_opts = small_cell(policy);
-    pool_opts.dispatch_impl = DispatchImpl::kElasticPool;
-    CellOptions exec_opts = small_cell(policy);
-    exec_opts.dispatch_impl = DispatchImpl::kExecutor;
-    SCOPED_TRACE(std::string(to_string(policy)) + " seed=" + std::to_string(exec_opts.seed));
-
-    RandomWalkStrategy a(pool_opts.seed);
-    RandomWalkStrategy b(exec_opts.seed);
-    const RunResult pool_run = run_schedule(pool_opts, a);
-    const RunResult exec_run = run_schedule(exec_opts, b);
-    ASSERT_FALSE(exec_run.events.empty());
-    EXPECT_EQ(exec_run.executed, pool_run.executed);
-    expect_same_events(pool_run.events, exec_run.events);
-
-    const RunResult replayed = replay_schedule(exec_opts, exec_run.executed);
-    EXPECT_FALSE(replayed.replay_diverged);
-    EXPECT_EQ(replayed.executed, exec_run.executed);
-    expect_same_events(exec_run.events, replayed.events);
-  }
-}
-
 TEST(ExploreReplay, SameStrategySeedGivesIdenticalRuns) {
   const CellOptions opts = small_cell(CCPolicy::kVCABasic);
   RandomWalkStrategy a(opts.seed);

@@ -80,13 +80,7 @@ TEST(Fig1, UnsyncProducesR3StyleViolation) {
   bool violated = false;
   for (int attempt = 0; attempt < 20 && !violated; ++attempt) {
     Fig1Protocol proto;
-    // Pin the elastic pool: the r3 demo needs ka and kb to overlap at the
-    // OS level, and under executor dispatch both root tasks land on the
-    // same per-mp shard (serialized even without gates — which is exactly
-    // the point of that substrate).
-    RuntimeOptions opts{.policy = CCPolicy::kUnsync, .record_trace = true};
-    opts.dispatch_impl = DispatchImpl::kElasticPool;
-    Runtime rt(proto.stack(), opts);
+    Runtime rt(proto.stack(), RuntimeOptions{.policy = CCPolicy::kUnsync, .record_trace = true});
     auto ka = proto.spawn(rt, Fig1Msg{.tag = 'a', .delay_r = std::chrono::microseconds(3000)});
     auto kb = proto.spawn(rt, Fig1Msg{.tag = 'b'});
     ka.wait();

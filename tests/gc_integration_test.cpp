@@ -9,6 +9,9 @@
 #include <thread>
 
 #include "gc/group_node.hpp"
+#include "net/timer_service.hpp"
+#include "time/clock.hpp"
+#include "util/sync.hpp"
 #include "verify/checker.hpp"
 
 namespace samoa::gc {
@@ -256,21 +259,46 @@ TEST(GcIntegration, AbcastSurvivesNonCoordinatorCrash) {
 }
 
 TEST(GcIntegration, RelCommRetransmitsThroughLoss) {
+  // On one virtual clock the 40% loss drops the same packets on every run,
+  // whatever the wall-clock timing.
+  time::VirtualClock clock;
+  OneShotEvent delivered;  // outlives `script`, whose callback sets it
+  SimNetwork net(LinkOptions{.base_latency = std::chrono::microseconds(50),
+                             .drop_probability = 0.4},
+                 /*seed=*/1234, &clock);
+  net::TimerService script(&clock);
   GcOptions opts;
+  opts.clock = &clock;
   opts.retransmit_interval = std::chrono::microseconds(1000);
   opts.retransmit_timeout = std::chrono::microseconds(1500);
-  Cluster c(2, opts,
-            LinkOptions{.base_latency = std::chrono::microseconds(50),
-                        .drop_probability = 0.4},
-            /*seed=*/1234);
-  c.start();
-  for (int i = 0; i < 5; ++i) c[0].rbcast("r" + std::to_string(i));
-  EXPECT_TRUE(wait_until(
-      [&] { return c[1].sink().rdelivered().size() == 5; },
-      std::chrono::milliseconds(30000)))
+  std::vector<std::unique_ptr<GroupNode>> c;
+  for (int i = 0; i < 2; ++i) c.push_back(std::make_unique<GroupNode>(net, opts));
+  {
+    time::Pin setup(clock);
+    const View initial(1, {c[0]->id(), c[1]->id()});
+    for (auto& n : c) n->start(initial);
+    // In this fixed schedule the loss alone never costs site 1 a message
+    // (a first send or a relay copy always arrives), so the first sends
+    // cross a cut that the script heals once retransmissions have begun.
+    net.set_partitioned_oneway(c[0]->id(), c[1]->id(), true);
+    for (int i = 0; i < 5; ++i) c[0]->rbcast("r" + std::to_string(i));
+    script.schedule(std::chrono::microseconds(2500),
+                    [&] { net.set_partitioned_oneway(c[0]->id(), c[1]->id(), false); });
+    script.schedule_periodic(std::chrono::microseconds(500), [&] {
+      if (c[1]->sink().rdelivered().size() != 5) return;
+      for (auto& n : c) n->stop_timers();
+      script.cancel_all();
+      delivered.set();
+    });
+  }
+  EXPECT_TRUE(delivered.wait_for(std::chrono::seconds(60)))
       << "reliable delivery failed under 40% loss; retransmissions="
-      << c[0].rel_comm().retransmissions();
-  EXPECT_GT(c[0].rel_comm().retransmissions() + c[1].rel_comm().retransmissions(), 0u);
+      << c[0]->rel_comm().retransmissions();
+  for (auto& n : c) n->stop_timers();
+  script.cancel_all();
+  net.drain();
+  for (auto& n : c) n->drain();
+  EXPECT_GT(c[0]->rel_comm().retransmissions() + c[1]->rel_comm().retransmissions(), 0u);
 }
 
 // The Section 3 experiment in miniature. A new site joins while a member
@@ -290,9 +318,6 @@ std::int64_t discarded_in_race(CCPolicy policy, bool manual_locks,
   opts.policy = policy;
   opts.manual_locks = manual_locks;
   opts.view_change_delay = window;
-  // The unsync baseline's lost-message race needs computations to overlap
-  // at the OS level; the executor's per-mp shards serialize them away.
-  if (policy == CCPolicy::kUnsync) opts.dispatch_impl = DispatchImpl::kElasticPool;
   Cluster c(4, opts);
   c.start(3);
 

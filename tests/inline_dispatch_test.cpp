@@ -88,7 +88,6 @@ TEST(InlineDispatch, RunsOnTheSpawningThreadWithNoDispatchWorkers) {
   stack.bind(ev, *mp.handler);
   Runtime rt(stack, virtual_opts(clock));
   ASSERT_TRUE(rt.runs_inline());
-  EXPECT_EQ(rt.executor_group(), nullptr);
 
   std::thread::id root_thread;
   auto h = rt.spawn_isolated(Isolation::basic({&mp}), [&](Context& ctx) {
@@ -253,7 +252,6 @@ TEST(InlineDispatch, VirtualGroupNodeFleetStartsNoDispatchThreads) {
   for (int i = 0; i < kSites; ++i) {
     Runtime& rt = nodes[i]->runtime();
     EXPECT_TRUE(rt.runs_inline()) << "site " << i;
-    EXPECT_EQ(rt.executor_group(), nullptr) << "site " << i;
     EXPECT_EQ(rt.pool().peak_thread_count(), 0u) << "site " << i;
     EXPECT_EQ(rt.controller().stats().gate_waits.value(), 0u) << "site " << i;
   }
