@@ -4,31 +4,38 @@
 // Part 1 (E-EXPLORE) runs the standard conflicting cell (4 computations x
 // 3 triggers over a 3-mp stack with a shared hotspot) under every
 // controller policy and every exploration strategy, and reports per cell:
-// schedules executed, decision points by kind (s=step, c=clock,
-// n=network), wall cost, and — when a violation is found — the trace
-// sizes before and after shrinking.
+// schedules executed, decision points by kind (s=step, n=network), wall
+// cost, and — when a violation is found — the trace sizes before and
+// after shrinking.
 //
-// Part 2 (E-EXPLORE-NET) runs the whole-fleet network cells: the toy
-// view-sync fleet (3 members, 3 relays, rotating relay assignment) under
-// random-walk and PCT exploration of SimNetwork delivery order, with
-// vs_checker as the oracle and fault-timing controls in the decision mix.
+// Part 2 (E-EXPLORE-NET) explores SimNetwork delivery order on the real
+// GroupNode stack: the 5-site recovery fleet (two crash -> evict ->
+// restart -> rejoin cycles) and the 5-site chaos fleet
+// (tests/virtual_fleet.hpp), under random-walk and PCT. Per fleet x
+// strategy it reports schedules, 'n' decisions, distinct event hashes and
+// the oracle verdict (vs checker over every incarnation, convergence by
+// the horizon, zero failed computations), then searches for a schedule
+// that changes site 0's agreed delivery order: the first hit, and its
+// trace before and after shrinking.
 //
-// The sanity gates double as the exit code: kUnsync must be flagged
-// non-isolated by every strategy within the budget and the isolating
-// policies must stay clean; vs-unsync must be flagged by every network
-// strategy while vs-synced stays clean and the default (deliver_at, seq)
-// order never violates.
+// The exit code gates the oracles only: kUnsync must be flagged
+// non-isolated by every strategy within the budget, the isolating
+// policies must stay clean, and every explored fleet schedule must pass
+// every oracle. The order-flip search is reported, not gated: the nightly
+// job passes arbitrary seeds, and at some seeds no flip shows within the
+// budget.
 //
 // Usage: bench_explore [max_schedules] [seed]   (defaults 64, 42)
 // Honors SAMOA_EXPLORE_SCHEDULES (budget multiplier) and
 // SAMOA_EXPLORE_DUMP_DIR (shrunk-trace dumps) like the tests do.
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
 #include "bench_common.hpp"
 #include "diag/watchdog.hpp"
-#include "explore/net_runner.hpp"
 #include "explore/runner.hpp"
+#include "virtual_fleet.hpp"
 
 int main(int argc, char** argv) {
   samoa::diag::install_env_watchdog("bench_explore");
@@ -95,87 +102,55 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- Part 2: whole-fleet network cells (E-EXPLORE-NET) ------------------
-  NetCellOptions net_base;
-  net_base.max_schedules = base.max_schedules;
-  net_base.seed = base.seed;
-  net_base.views = 2;
-
-  const std::vector<NetProtocol> protocols{NetProtocol::kSynced, NetProtocol::kUnsync};
+  // --- Part 2: the real stack under explored delivery orders --------------
+  using gc::testing::ExploredFleet;
+  using gc::testing::FleetPredicate;
+  using gc::testing::FleetSchedule;
   const std::vector<StrategyKind> net_strategies{StrategyKind::kRandomWalk, StrategyKind::kPct};
 
-  std::printf("E-EXPLORE-NET — SimNetwork delivery-order exploration, toy view-sync fleet "
-              "(3 members, 3 relays, %d epoch(s)), vs_checker oracle\n\n",
-              net_base.views > 1 ? net_base.views - 1 : 1);
-  std::printf("%-10s %-11s %-6s %10s %-18s %9s  %s\n", "protocol", "strategy", "faults",
-              "schedules", "decisions", "wall-ms", "verdict");
+  std::printf("E-EXPLORE-NET — SimNetwork delivery-order exploration of the real stack "
+              "(5-site recovery and chaos fleets), fleet seed %llu\n\n",
+              static_cast<unsigned long long>(base.seed));
+  std::printf("%-9s %-11s %10s %12s %9s %9s  %-8s %s\n", "fleet", "strategy", "schedules",
+              "n-decisions", "distinct", "wall-ms", "verdict", "order flip");
 
-  bool net_unsync_flagged_by_all = true;
-  bool net_synced_clean = true;
-  bool net_default_clean = true;
-  for (StrategyKind strategy : net_strategies) {
-    bool unsync_flagged = false;
-    for (NetProtocol protocol : protocols) {
-      for (bool faults : {false, true}) {
-        NetCellOptions opts = net_base;
-        opts.protocol = protocol;
-        opts.strategy = strategy;
-        opts.with_faults = faults;
-        const auto start = Clock::now();
-        const NetCellResult r = explore_net_cell(opts);
-        const double wall_ms = bench::ns_since(start) / 1e6;
+  bool fleets_clean = true;
+  for (ExploredFleet fleet : {ExploredFleet::kRecovery, ExploredFleet::kChaos}) {
+    for (StrategyKind strategy : net_strategies) {
+      CellOptions opts = base;
+      opts.strategy = strategy;
+      std::set<std::uint64_t> hashes;
+      const auto start = Clock::now();
+      const CellResult r = explore_cell(
+          opts, gc::testing::fleet_cell(fleet, opts.seed, FleetPredicate::kOracleViolation,
+                                        [&hashes](const FleetSchedule& s) {
+                                          hashes.insert(s.event_hash);
+                                        }));
+      const double wall_ms = bench::ns_since(start) / 1e6;
+      const CellResult flip = explore_cell(
+          opts, gc::testing::fleet_cell(fleet, opts.seed, FleetPredicate::kOrderFlip));
 
-        char verdict[128];
-        if (r.violation_found) {
-          std::snprintf(verdict, sizeof(verdict), "VIOLATION (trace %zu -> shrunk %zu)",
-                        r.first_violation.size(), r.shrunk.size());
-        } else {
-          std::snprintf(verdict, sizeof(verdict), "clean");
-        }
-        std::printf("%-10s %-11s %-6s %10zu %-18s %9.1f  %s\n", to_string(protocol),
-                    to_string(strategy), faults ? "on" : "off", r.schedules_run,
-                    r.decisions.summary().c_str(), wall_ms, verdict);
-
-        if (protocol == NetProtocol::kUnsync) {
-          unsync_flagged = unsync_flagged || r.violation_found;
-        } else if (r.violation_found) {
-          net_synced_clean = false;
-          std::printf("  !! vs-synced should hold under every interleaving; repro:\n%s\n",
-                      r.repro.c_str());
-        }
+      char flip_text[96];
+      if (flip.violation_found) {
+        std::snprintf(flip_text, sizeof(flip_text), "at schedule %zu (trace %zu -> shrunk %zu)",
+                      flip.first_violation_at, flip.first_violation.size(), flip.shrunk.size());
+      } else {
+        std::snprintf(flip_text, sizeof(flip_text), "none in %zu", flip.schedules_run);
       }
-    }
-    if (!unsync_flagged) {
-      net_unsync_flagged_by_all = false;
-      std::printf("  !! %s failed to flag vs-unsync within the budget\n", to_string(strategy));
-    }
-    std::printf("\n");
-  }
-
-  // Default (deliver_at, seq) order: the seeded bug is invisible without
-  // exploration — data is seeded before views and FIFO keeps it that way.
-  for (NetProtocol protocol : protocols) {
-    for (bool faults : {false, true}) {
-      NetCellOptions opts = net_base;
-      opts.protocol = protocol;
-      opts.with_faults = faults;
-      const NetRunResult r = run_net_schedule(opts, nullptr);
-      if (r.violated) {
-        net_default_clean = false;
-        std::printf("  !! default order violated %s (faults %s): %s\n", to_string(protocol),
-                    faults ? "on" : "off", r.violation_summary.c_str());
+      std::printf("%-9s %-11s %10zu %12llu %9zu %9.1f  %-8s %s\n", to_string(fleet),
+                  to_string(strategy), r.schedules_run,
+                  static_cast<unsigned long long>(r.decisions.n), hashes.size(), wall_ms,
+                  r.violation_found ? "VIOLATED" : "clean", flip_text);
+      if (r.violation_found) {
+        fleets_clean = false;
+        std::printf("  !! %s\n%s\n", r.violation_summary.c_str(), r.repro.c_str());
       }
     }
   }
 
-  std::printf("sanity gate: unsync flagged by all strategies = %s, isolating policies clean = %s, "
-              "vs-unsync flagged by all net strategies = %s, vs-synced clean = %s, "
-              "default net order clean = %s\n",
+  std::printf("\nsanity gate: unsync flagged by all strategies = %s, "
+              "isolating policies clean = %s, explored fleets clean = %s\n",
               unsync_flagged_by_all ? "yes" : "NO", isolating_clean ? "yes" : "NO",
-              net_unsync_flagged_by_all ? "yes" : "NO", net_synced_clean ? "yes" : "NO",
-              net_default_clean ? "yes" : "NO");
-  return (unsync_flagged_by_all && isolating_clean && net_unsync_flagged_by_all &&
-          net_synced_clean && net_default_clean)
-             ? 0
-             : 1;
+              fleets_clean ? "yes" : "NO");
+  return (unsync_flagged_by_all && isolating_clean && fleets_clean) ? 0 : 1;
 }

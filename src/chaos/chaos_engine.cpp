@@ -4,42 +4,12 @@
 
 namespace samoa::chaos {
 
-namespace {
-std::string fault_label(const FaultAction& action) {
-  switch (action.kind) {
-    case FaultAction::Kind::kCrash:
-      return "crash:" + std::to_string(action.a.value());
-    case FaultAction::Kind::kRecover:
-      return "recover:" + std::to_string(action.a.value());
-    case FaultAction::Kind::kPartition:
-      return "cut:" + std::to_string(action.a.value()) + "-" + std::to_string(action.b.value());
-    case FaultAction::Kind::kHeal:
-      return "heal:" + std::to_string(action.a.value()) + "-" + std::to_string(action.b.value());
-    case FaultAction::Kind::kPartitionOneway:
-      return "cut1:" + std::to_string(action.a.value()) + ">" + std::to_string(action.b.value());
-    case FaultAction::Kind::kHealOneway:
-      return "heal1:" + std::to_string(action.a.value()) + ">" + std::to_string(action.b.value());
-    case FaultAction::Kind::kLossBurst:
-      return "loss_on";
-    case FaultAction::Kind::kLossClear:
-      return "loss_off";
-    case FaultAction::Kind::kCall:
-      return "call:" + action.label;
-  }
-  return "fault";
-}
-}  // namespace
-
-ChaosEngine::ChaosEngine(net::SimNetwork& net, net::TimerService& timers, Route route)
-    : net_(net), timers_(timers), route_(route) {}
+ChaosEngine::ChaosEngine(net::SimNetwork& net, net::TimerService& timers)
+    : net_(net), timers_(timers) {}
 
 void ChaosEngine::arm(const FaultPlan& plan) {
   for (const FaultAction& action : plan.actions()) {
-    if (route_ == Route::kNetwork) {
-      net_.schedule_control(action.at, fault_label(action), [this, action] { apply(action); });
-    } else {
-      timers_.schedule(action.at, [this, action] { apply(action); });
-    }
+    timers_.schedule(action.at, [this, action] { apply(action); });
   }
 }
 

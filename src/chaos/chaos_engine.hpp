@@ -1,18 +1,10 @@
-// ChaosEngine — arms a FaultPlan on a TimerService (or on the network's
-// control-event queue).
+// ChaosEngine — arms a FaultPlan on a TimerService.
 //
 // Every action of the plan becomes one timer callback at its virtual-time
 // offset; under a VirtualClock each fires as its own event on the clock's
 // loop, so fault injection interleaves deterministically with protocol
 // events. The engine keeps a timestamped log of everything it
 // applied (for chaos-test summaries) plus per-kind counters.
-//
-// Route::kNetwork instead arms each action as a SimNetwork control event
-// (schedule_control). Functionally identical timing under the default
-// delivery order, but when a DeliveryHook is installed every action's
-// firing *relative to packet deliveries at the same virtual instant*
-// becomes an explorable 'n' decision — fault timing joins delivery order
-// in the explored schedule space.
 #pragma once
 
 #include <mutex>
@@ -27,11 +19,8 @@ namespace samoa::chaos {
 
 class ChaosEngine {
  public:
-  /// Where arm() schedules the plan's actions.
-  enum class Route { kTimers, kNetwork };
-
   /// `timers` must outlive the engine and drive the same clock as `net`.
-  ChaosEngine(net::SimNetwork& net, net::TimerService& timers, Route route = Route::kTimers);
+  ChaosEngine(net::SimNetwork& net, net::TimerService& timers);
 
   /// Schedule every action of the plan (relative to now). Can be called
   /// several times to layer plans.
@@ -56,7 +45,6 @@ class ChaosEngine {
 
   net::SimNetwork& net_;
   net::TimerService& timers_;
-  Route route_;
   Stats stats_;
   bool burst_active_ = false;        // guarded by mu_
   net::LinkOptions saved_defaults_;  // defaults to restore after a burst

@@ -163,7 +163,7 @@ std::unique_ptr<Strategy> make_fresh_strategy(const CellOptions& opts, std::size
 }
 
 /// Standalone snippet a human can paste into a test body to re-execute the
-/// shrunk schedule.
+/// shrunk step-cell schedule.
 std::string make_repro(const CellOptions& o, const ScheduleTrace& trace) {
   std::ostringstream out;
   out << "// Repro: replays the shrunk violating schedule bit-for-bit.\n"
@@ -184,10 +184,11 @@ std::string make_repro(const CellOptions& o, const ScheduleTrace& trace) {
 void dump_if_requested(const CellResult& res) {
   const char* dir = std::getenv("SAMOA_EXPLORE_DUMP_DIR");
   if (dir == nullptr || *dir == '\0') return;
-  std::ofstream out(std::string(dir) + "/" + res.cell_name() + ".trace");
+  std::ofstream out(std::string(dir) + "/" + res.name + ".trace");
   if (!out) return;
-  out << "cell: " << res.cell_name() << "\n"
+  out << "cell: " << res.name << "\n"
       << "schedules_run: " << res.schedules_run << "\n"
+      << "decisions: " << res.decisions.summary() << "\n"
       << "first_violation: " << res.first_violation.encode() << "\n"
       << "shrunk: " << res.shrunk.encode() << "\n"
       << res.violation_summary << "\n\n"
@@ -202,9 +203,6 @@ void DecisionCounts::add(const ScheduleTrace& trace) {
       case 's':
         ++s;
         break;
-      case 'c':
-        ++c;
-        break;
       case 'n':
         ++n;
         break;
@@ -216,7 +214,7 @@ void DecisionCounts::add(const ScheduleTrace& trace) {
 
 std::string DecisionCounts::summary() const {
   std::ostringstream out;
-  out << "s=" << s << " c=" << c << " n=" << n;
+  out << "s=" << s << " n=" << n;
   return out.str();
 }
 
@@ -232,13 +230,6 @@ const char* to_string(StrategyKind kind) {
       return "exhaustive";
   }
   return "?";
-}
-
-std::string CellResult::cell_name() const {
-  std::ostringstream out;
-  out << to_string(options.policy) << "_" << to_string(options.strategy) << "_seed"
-      << options.seed;
-  return out.str();
 }
 
 std::size_t schedule_budget(std::size_t base) {
@@ -305,55 +296,70 @@ RunResult replay_schedule(const CellOptions& opts, const ScheduleTrace& trace) {
   return r;
 }
 
-CellResult explore_cell(const CellOptions& opts) {
+CellResult explore_cell(const CellOptions& opts, const ExploreTarget& target) {
   CellResult res;
+  res.name = target.name;
   res.options = opts;
   const std::size_t budget = schedule_budget(opts.max_schedules);
 
-  auto note_run = [&](const RunResult& r) {
+  auto run = [&](Strategy& strategy) {
+    Verdict v = target.run(strategy);
     ++res.schedules_run;
-    res.decision_points += r.executed.size();
-    res.decisions.add(r.executed);
+    res.decision_points += v.executed.size();
+    res.decisions.add(v.executed);
+    return v;
   };
 
-  auto on_violation = [&](const RunResult& r) {
+  auto on_violation = [&](const Verdict& v) {
     res.violation_found = true;
-    res.first_violation = r.executed;
-    res.violation_summary = r.violation_summary;
+    res.first_violation_at = res.schedules_run;
+    res.first_violation = v.executed;
+    res.violation_summary = v.summary;
     ShrinkRunFn rerun = [&](const ScheduleTrace& forced) {
-      RunResult rr = replay_schedule(opts, forced);
-      note_run(rr);
-      return ShrinkOutcome{rr.violated, rr.executed};
+      ReplayStrategy replay(forced);
+      Verdict rv = run(replay);
+      return ShrinkOutcome{rv.violated, rv.executed};
     };
-    res.shrunk = shrink_trace(r.executed, rerun, opts.shrink_budget);
-    res.repro = make_repro(opts, res.shrunk);
+    res.shrunk = shrink_trace(v.executed, rerun, opts.shrink_budget);
+    res.repro = target.repro(res.shrunk);
     dump_if_requested(res);
   };
 
   if (opts.strategy == StrategyKind::kExhaustive) {
     ExhaustiveStrategy strategy(opts.exhaustive_depth);
     for (std::size_t i = 0; i < budget; ++i) {
-      RunResult r = run_schedule(opts, strategy);
-      note_run(r);
-      if (r.violated) {
-        on_violation(r);
+      Verdict v = run(strategy);
+      if (v.violated) {
+        on_violation(v);
         break;
       }
-      if (!strategy.advance(r.executed)) break;  // space exhausted to depth
+      if (!strategy.advance(v.executed)) break;  // space exhausted to depth
     }
   } else {
     for (std::size_t i = 0; i < budget; ++i) {
       std::unique_ptr<Strategy> strategy = make_fresh_strategy(opts, i);
-      RunResult r = run_schedule(opts, *strategy);
-      note_run(r);
-      if (r.violated) {
-        on_violation(r);
+      Verdict v = run(*strategy);
+      if (v.violated) {
+        on_violation(v);
         break;
       }
       if (opts.strategy == StrategyKind::kFirst) break;  // deterministic: one run says it all
     }
   }
   return res;
+}
+
+CellResult explore_cell(const CellOptions& opts) {
+  std::ostringstream name;
+  name << to_string(opts.policy) << "_" << to_string(opts.strategy) << "_seed" << opts.seed;
+  ExploreTarget target{
+      name.str(),
+      [&opts](Strategy& strategy) {
+        RunResult r = run_schedule(opts, strategy);
+        return Verdict{r.violated, std::move(r.executed), std::move(r.violation_summary)};
+      },
+      [&opts](const ScheduleTrace& trace) { return make_repro(opts, trace); }};
+  return explore_cell(opts, target);
 }
 
 std::vector<CellResult> sweep(const std::vector<CCPolicy>& policies,

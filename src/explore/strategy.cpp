@@ -62,18 +62,6 @@ bool ExhaustiveStrategy::advance(const ScheduleTrace& executed) {
   return false;
 }
 
-std::size_t ExploringWakePolicy::choose(const std::vector<time::RunnableStep>& steps) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(steps.size());
-  for (const time::RunnableStep& s : steps) {
-    keys.push_back((static_cast<std::uint64_t>(s.kind) << 32) |
-                   static_cast<std::uint32_t>(s.source));
-  }
-  const std::size_t idx = std::min(strategy_->choose('c', keys), steps.size() - 1);
-  trace_.record('c', static_cast<std::uint32_t>(idx), static_cast<std::uint32_t>(steps.size()));
-  return idx;
-}
-
 std::size_t ExploringDeliveryHook::choose(const std::vector<std::uint64_t>& keys) {
   const std::size_t idx = std::min(strategy_->choose('n', keys), keys.size() - 1);
   trace_.record('n', static_cast<std::uint32_t>(idx), static_cast<std::uint32_t>(keys.size()));

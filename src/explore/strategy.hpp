@@ -1,10 +1,11 @@
 // Exploration strategies — who decides which runnable step goes next.
 //
 // A Strategy is consulted at every decision point (>= 2 candidates) with
-// the candidates' schedule-stable keys, sorted ascending; it returns an
-// index. Strategies are single-run objects (construct a fresh one per
-// schedule) except ExhaustiveStrategy, which carries DFS state across runs
-// to enumerate the schedule space to a depth bound.
+// the candidates' schedule-stable keys, in the order the seam presents
+// them (index 0 is the natural choice); it returns an index. Strategies
+// are single-run objects (construct a fresh one per schedule) except
+// ExhaustiveStrategy, which carries DFS state across runs to enumerate the
+// schedule space to a depth bound.
 //
 //   FirstStrategy       always picks index 0 — the "natural" schedule
 //                       (submission order); the deterministic baseline.
@@ -33,7 +34,6 @@
 
 #include "explore/trace.hpp"
 #include "net/sim_network.hpp"
-#include "time/clock.hpp"
 #include "util/rng.hpp"
 
 namespace samoa::explore {
@@ -42,8 +42,8 @@ class Strategy {
  public:
   virtual ~Strategy() = default;
 
-  /// Pick an index into `keys` (sorted ascending, size >= 2). Called with
-  /// scheduler locks held: must not block or re-enter the runtime.
+  /// Pick an index into `keys` (size >= 2). Called with scheduler locks
+  /// held: must not block or re-enter the runtime.
   virtual std::size_t choose(char kind, const std::vector<std::uint64_t>& keys) = 0;
 };
 
@@ -110,32 +110,12 @@ class ExhaustiveStrategy final : public Strategy {
   std::size_t index_ = 0;
 };
 
-/// Adapter wiring a Strategy into VirtualClock's WakePolicy seam: each
-/// clock-level choice (which event source fires next) becomes a 'c'
-/// decision in the trace. Candidate keys are (kind, source) — stable
-/// across runs of a deterministic simulation. Install with
-/// VirtualClock::set_wake_policy; `choose` runs under the clock's mutex,
-/// which also serialises trace recording.
-class ExploringWakePolicy final : public time::WakePolicy {
- public:
-  explicit ExploringWakePolicy(Strategy& strategy) : strategy_(&strategy) {}
-
-  std::size_t choose(const std::vector<time::RunnableStep>& steps) override;
-
-  const ScheduleTrace& trace() const { return trace_; }
-
- private:
-  Strategy* strategy_;
-  ScheduleTrace trace_;
-};
-
 /// Adapter wiring a Strategy into SimNetwork's DeliveryHook seam: each
-/// drain step with >= 2 eligible events (due lane heads, due control/fault
-/// events) becomes an 'n' decision in the trace. Candidate keys are
-/// destination site ids (packets) and kControlKeyBase + schedule index
-/// (controls) — stable across runs of a deterministic simulation. Install
-/// with SimNetwork::set_delivery_hook; `choose` runs under the network's
-/// mutex, which also serialises trace recording.
+/// delivery step with >= 2 due lane heads becomes an 'n' decision in the
+/// trace. Candidate keys are destination site ids — stable across runs of
+/// a deterministic simulation. Install with SimNetwork::set_delivery_hook;
+/// `choose` runs under the network's mutex, which also serialises trace
+/// recording.
 class ExploringDeliveryHook final : public net::DeliveryHook {
  public:
   explicit ExploringDeliveryHook(Strategy& strategy) : strategy_(&strategy) {}

@@ -21,7 +21,7 @@ ScheduleTrace ScheduleTrace::decode(const std::string& text) {
   while (pos < text.size()) {
     const std::size_t end = text.find('.', pos);
     const std::string tok = text.substr(pos, end == std::string::npos ? end : end - pos);
-    if (tok.size() < 4 || (tok[0] != 's' && tok[0] != 'c' && tok[0] != 'n')) {
+    if (tok.size() < 4 || (tok[0] != 's' && tok[0] != 'n')) {
       throw std::invalid_argument("ScheduleTrace: bad token '" + tok + "'");
     }
     const std::size_t slash = tok.find('/');

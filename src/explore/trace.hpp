@@ -8,15 +8,14 @@
 //
 // Wire format (one token per decision, '.'-separated):
 //
-//     s2/4.s0/3.c1/2.n1/3
+//     s2/4.s0/3.n1/3
 //
-// kind 's' = a step decision (which computation task runs next), kind 'c'
-// = a clock decision (which VirtualClock event source fires next), kind
-// 'n' = a network decision (which eligible SimNetwork event — due lane
-// head or due control/fault event — fires next); then chosen-index '/'
-// candidate-count. The candidate count is stored so a replayer can detect
-// divergence (a forced schedule that no longer matches the workload)
-// instead of silently exploring something else.
+// kind 's' = a step decision (which computation task runs next), kind 'n'
+// = a network decision (which due SimNetwork lane head is delivered
+// next); then chosen-index '/' candidate-count. The candidate count is
+// stored so a replayer can detect divergence (a forced schedule that no
+// longer matches the workload) instead of silently exploring something
+// else.
 #pragma once
 
 #include <cstdint>

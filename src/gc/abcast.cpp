@@ -91,7 +91,7 @@ void ABcast::maybe_propose(Outbox& out) {
       break;
     }
     batch.push_back(msg);
-    if (batch.size() >= options().abcast_batch) break;
+    if (batch.size() >= kMaxBatch) break;
   }
   if (batch.empty()) return;  // rejoined and nothing self-originated pending
   proposed_.insert(next_instance_);

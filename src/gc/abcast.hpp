@@ -37,6 +37,9 @@ class ABcast : public GcMicroprotocol {
   std::uint64_t next_instance() const { return frontier_.load(std::memory_order_acquire); }
 
  private:
+  /// Max messages ordered per consensus instance.
+  static constexpr std::size_t kMaxBatch = 16;
+
   void maybe_propose(Outbox& out);
   void apply_ready_decisions(Outbox& out);
 

@@ -121,7 +121,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
             }
           }
           // Partial Fisher-Yates: the first k entries become the proxy set.
-          const std::size_t k = std::min(options().swim_indirect_k, proxies.size());
+          const std::size_t k = std::min(kIndirectProbes, proxies.size());
           for (std::size_t i = 0; i < k; ++i) {
             const std::size_t j = i + static_cast<std::size_t>(
                                           rng_.next_below(proxies.size() - i));
@@ -244,15 +244,13 @@ void SwimDetector::enqueue_gossip(SwimUpdate u) {
 
 std::vector<SwimUpdate> SwimDetector::make_updates(std::optional<SiteId> refute_hint) {
   std::vector<SwimUpdate> updates;
-  const std::size_t limit = options().swim_piggyback_limit;
-  if (limit == 0) return updates;
   // Freshest-first: highest remaining budget means most recently learned.
   // stable_sort keeps insertion order among equals, so selection is
   // deterministic and every buffered update eventually gets its turns.
   std::stable_sort(gossip_.begin(), gossip_.end(),
                    [](const Gossip& a, const Gossip& b) { return a.sends_left > b.sends_left; });
   for (auto& g : gossip_) {
-    if (updates.size() >= limit) break;
+    if (updates.size() >= kPiggybackLimit) break;
     updates.push_back(g.update);
     --g.sends_left;
   }
@@ -304,12 +302,11 @@ std::optional<SiteId> SwimDetector::next_probe_target() {
 }
 
 std::uint32_t SwimDetector::gossip_budget() const {
-  if (options().swim_gossip_transmissions != 0) return options().swim_gossip_transmissions;
   return 3 * std::max<std::uint32_t>(1, log2_ceil(std::max<std::uint64_t>(view_.size(), 2)));
 }
 
 Clock::time_point SwimDetector::suspect_deadline(Clock::time_point now) const {
-  return now + options().swim_suspect_periods * options().swim_probe_interval;
+  return now + kSuspectPeriods * options().swim_probe_interval;
 }
 
 bool SwimDetector::is_suspected(SiteId site) {

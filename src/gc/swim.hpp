@@ -9,7 +9,7 @@
 // traffic; the accused refutes by re-announcing itself alive under a
 // higher self-issued incarnation number, which outranks the suspicion
 // wherever the two race. Suspicions that stand un-refuted for
-// swim_suspect_periods harden into confirmed-faulty, which is what feeds
+// kSuspectPeriods harden into confirmed-faulty, which is what feeds
 // the Suspect event into the unchanged consensus/view-change machinery.
 //
 // Dissemination is epidemic: membership updates ride in the spare bytes
@@ -65,6 +65,14 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   std::uint64_t updates_piggybacked() const { return updates_piggybacked_.value(); }
 
  private:
+  /// Proxies asked to probe indirectly before suspecting.
+  static constexpr std::size_t kIndirectProbes = 3;
+  /// Probe periods a suspicion stands before the suspect is confirmed
+  /// faulty (time for an alive refutation to gossip back).
+  static constexpr std::uint32_t kSuspectPeriods = 3;
+  /// Max membership updates piggybacked on one ping/ack/ping-req.
+  static constexpr std::size_t kPiggybackLimit = 8;
+
   struct Member {
     SwimStatus status = SwimStatus::kAlive;
     std::uint64_t incarnation = 0;
@@ -96,13 +104,15 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   // All private helpers assume guard() + snap_mu_ are held.
   void apply_update(const SwimUpdate& u, Clock::time_point now, Outbox& out);
   void enqueue_gossip(SwimUpdate u);
-  /// Drain up to swim_piggyback_limit updates from the gossip buffer
+  /// Drain up to kPiggybackLimit updates from the gossip buffer
   /// (freshest-first), decrementing budgets. `refute_hint`: also tell the
   /// addressee what we currently believe about *it* if that is not Alive,
   /// so a suspected/faulty-but-live peer learns it must refute.
   std::vector<SwimUpdate> make_updates(std::optional<SiteId> refute_hint);
   void suspect_locally(SiteId site, Clock::time_point now, Outbox& out);
   std::optional<SiteId> next_probe_target();
+  /// Times each membership update is piggybacked before it ages out:
+  /// 3 * ceil(log2(view size)), the SWIM paper's lambda*log(n) budget.
   std::uint32_t gossip_budget() const;
   Clock::time_point suspect_deadline(Clock::time_point now) const;
 

@@ -1,6 +1,7 @@
 #include "net/sim_network.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
 
 namespace samoa::net {
@@ -14,8 +15,6 @@ long event_us(Clock::time_point at) {
   return static_cast<long>(
       std::chrono::duration_cast<std::chrono::microseconds>(at.time_since_epoch()).count());
 }
-
-constexpr std::size_t kNoControl = static_cast<std::size_t>(-1);
 }  // namespace
 
 SimNetwork::SimNetwork(LinkOptions defaults, std::uint64_t seed, time::ClockSource* clock)
@@ -72,41 +71,9 @@ Clock::time_point SimNetwork::earliest_deadline() {
   return heads_.empty() ? Clock::time_point::max() : heads_.top().deliver_at;
 }
 
-std::size_t SimNetwork::earliest_control() const {
-  std::size_t best = kNoControl;
-  for (std::size_t i = 0; i < controls_.size(); ++i) {
-    if (best == kNoControl || std::tie(controls_[i].at, controls_[i].seq) <
-                                  std::tie(controls_[best].at, controls_[best].seq)) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-Clock::time_point SimNetwork::next_deadline_locked() {
-  Clock::time_point deadline = earliest_deadline();
-  const std::size_t ci = earliest_control();
-  if (ci != kNoControl && controls_[ci].at < deadline) deadline = controls_[ci].at;
-  return deadline;
-}
-
 void SimNetwork::set_delivery_hook(DeliveryHook* hook) {
   std::unique_lock lock(mu_);
   hook_ = hook;
-}
-
-void SimNetwork::schedule_control(std::chrono::microseconds delay, std::string label,
-                                  std::function<void()> fn) {
-  std::unique_lock lock(mu_);
-  controls_.push_back(ControlEvent{clock_.now() + delay, next_seq_++, next_control_key_++,
-                                   std::move(label), std::move(fn)});
-  lock.unlock();
-  registration_->reschedule();  // with mu_ released, as in send()
-}
-
-void SimNetwork::cancel_controls() {
-  std::unique_lock lock(mu_);
-  controls_.clear();
 }
 
 void SimNetwork::enable_event_log(bool store_lines) {
@@ -125,15 +92,14 @@ std::uint64_t SimNetwork::event_hash() const {
   return event_hash_;
 }
 
-void SimNetwork::note_event(const std::string& line) {
-  if (!log_events_) return;
+void SimNetwork::note_event(std::string_view line) {
   for (const unsigned char c : line) {
     event_hash_ ^= c;
     event_hash_ *= 1099511628211ull;
   }
   event_hash_ ^= static_cast<unsigned char>('\n');
   event_hash_ *= 1099511628211ull;
-  if (log_store_) event_log_.push_back(line);
+  if (log_store_) event_log_.emplace_back(line);
 }
 
 const LinkOptions& SimNetwork::link_for(SiteId from, SiteId to) const {
@@ -263,9 +229,25 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
   const bool lost =
       crashed_.contains(item.packet.to) || sites_[item.packet.to.value()] == nullptr;
   if (log_events_) {
-    note_event(std::to_string(event_us(item.deliver_at)) + (lost ? " x " : " ") +
-               std::to_string(item.packet.from.value()) + ">" +
-               std::to_string(item.packet.to.value()) + " #" + std::to_string(item.seq));
+    // "<deliver_at us>[ x] <from>><to> #<seq>", formatted on the stack:
+    // perfbench keeps the hash-only log on for every delivery.
+    char line[96];
+    std::size_t len = 0;
+    const auto put = [&](std::string_view text) {
+      len += text.copy(line + len, sizeof(line) - len);
+    };
+    const auto put_number = [&](auto value) {
+      len = static_cast<std::size_t>(
+          std::to_chars(line + len, line + sizeof(line), value).ptr - line);
+    };
+    put_number(event_us(item.deliver_at));
+    put(lost ? " x " : " ");
+    put_number(item.packet.from.value());
+    put(">");
+    put_number(item.packet.to.value());
+    put(" #");
+    put_number(item.seq);
+    note_event(std::string_view(line, len));
   }
   if (lost) {
     stats_.dropped.add();
@@ -282,43 +264,18 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
   cv_.notify_all();
 }
 
-void SimNetwork::run_control(std::unique_lock<std::mutex>& lock, std::size_t ix) {
-  ControlEvent ev = std::move(controls_[ix]);
-  controls_.erase(controls_.begin() + static_cast<std::ptrdiff_t>(ix));
-  if (log_events_) {
-    note_event(std::to_string(event_us(ev.at)) + " ! " + ev.label);
-  }
-  lock.unlock();
-  // The callback runs as an event of its own at the scheduled time, with
-  // mu_ released: it may call any SimNetwork mutator.
-  if (ev.fn) ev.fn();
-  lock.lock();
-}
-
 void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now) {
-  // Gather every eligible candidate: due lane heads (one per lane — the
-  // per-destination FIFO within a lane is not a choice) plus due controls.
+  // Every due lane head is a candidate (one per lane: the per-destination
+  // FIFO within a lane is not a choice).
   struct Candidate {
-    std::uint64_t key;
-    bool control;
-    std::size_t ix;  // lane index or controls_ index
-  };
-  struct CandOrder {
     Clock::time_point at;
     std::uint64_t seq;
+    std::size_t lane;
   };
   std::vector<Candidate> cands;
-  std::vector<CandOrder> order;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i].q.empty() && lanes_[i].q.top().deliver_at <= now) {
-      cands.push_back(Candidate{i, false, i});
-      order.push_back(CandOrder{lanes_[i].q.top().deliver_at, lanes_[i].q.top().seq});
-    }
-  }
-  for (std::size_t i = 0; i < controls_.size(); ++i) {
-    if (controls_[i].at <= now) {
-      cands.push_back(Candidate{DeliveryHook::kControlKeyBase + controls_[i].key, true, i});
-      order.push_back(CandOrder{controls_[i].at, controls_[i].seq});
+      cands.push_back(Candidate{lanes_[i].q.top().deliver_at, lanes_[i].q.top().seq, i});
     }
   }
   // The caller established that something is due, so cands is non-empty.
@@ -326,55 +283,35 @@ void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock, Clock::time_p
   if (cands.size() >= 2) {
     // Present candidates in natural (deliver_at, seq) order: index 0 is
     // exactly the default merge choice, so a hook that always picks 0
-    // reproduces the unexplored delivery order, and shrinking a violating
-    // trace toward all-zeros shrinks toward the natural schedule.
-    std::vector<std::size_t> by_time(cands.size());
-    for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
-    std::sort(by_time.begin(), by_time.end(), [&order](std::size_t a, std::size_t b) {
-      return std::tie(order[a].at, order[a].seq) < std::tie(order[b].at, order[b].seq);
+    // reproduces the unexplored delivery order, and shrinking a trace
+    // toward all-zeros shrinks toward the natural schedule.
+    std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
+      return std::tie(a.at, a.seq) < std::tie(b.at, b.seq);
     });
-    std::vector<Candidate> sorted;
-    sorted.reserve(cands.size());
-    for (std::size_t i : by_time) sorted.push_back(cands[i]);
-    cands.swap(sorted);
     std::vector<std::uint64_t> keys;
     keys.reserve(cands.size());
-    for (const Candidate& c : cands) keys.push_back(c.key);
+    for (const Candidate& c : cands) keys.push_back(c.lane);
     pick = std::min(hook_->choose(keys), cands.size() - 1);
   }
-  if (cands[pick].control) {
-    run_control(lock, cands[pick].ix);
-  } else {
-    deliver_from_lane(lock, cands[pick].ix);
-  }
+  deliver_from_lane(lock, cands[pick].lane);
 }
 
 Clock::time_point SimNetwork::next_deadline() {
   std::unique_lock lock(mu_);
-  return next_deadline_locked();
+  return earliest_deadline();
 }
 
 void SimNetwork::fire(Clock::time_point now) {
   std::unique_lock lock(mu_);
-  // Nothing due: a control event was cancelled since the clock read the head.
-  if (next_deadline_locked() > now) return;
+  if (earliest_deadline() > now) return;  // nothing due
   if (hook_ != nullptr) {
-    // Exploration: the hook picks among every eligible event.
+    // Exploration: the hook picks among every due lane head.
     step_explored(lock, now);
     return;
   }
-  // Default order: the strict (deliver_at, seq) merge of lane heads and
-  // control events — byte-identical to the pre-seam delivery order (and
-  // controls only exist when a driver scheduled them).
-  const std::size_t ci = earliest_control();
-  if (ci != kNoControl &&
-      (heads_.empty() || std::tie(controls_[ci].at, controls_[ci].seq) <
-                             std::tie(heads_.top().deliver_at, heads_.top().seq))) {
-    run_control(lock, ci);
-    return;
-  }
-  // next_deadline_locked() pruned, so the top claim matches its lane's
-  // head: pop the claim and deliver from that lane.
+  // Default order: the strict (deliver_at, seq) merge of lane heads.
+  // earliest_deadline() pruned, so the top claim matches its lane's head:
+  // pop the claim and deliver from that lane.
   const HeadRef head = heads_.top();
   heads_.pop();
   deliver_from_lane(lock, head.dest);

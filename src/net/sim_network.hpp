@@ -29,6 +29,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -54,31 +55,26 @@ struct LinkOptions {
 };
 
 /// Decision seam over packet delivery, for schedule exploration. When a
-/// hook is installed, every delivery step where more than one event is
-/// *eligible* — a lane head whose deadline is due, or a due control event
-/// (fault injections routed through schedule_control) — becomes a decision
-/// point: choose() picks which event fires next instead of the default
-/// (deliver_at, seq) merge order. Candidate keys are stable across runs of
-/// a deterministic simulation, which is what makes the decisions
-/// recordable and replayable:
-///   packet candidate   key = destination site id (one per lane head)
-///   control candidate  key = kControlKeyBase + schedule index
-/// Keys are presented in each candidate's natural (deliver_at, seq) order,
-/// so index 0 is exactly the default merge choice: a hook that always
-/// picks 0 reproduces the unexplored delivery order, and shrinking a trace
-/// toward all-zeros shrinks toward the natural schedule. choose() runs
-/// with the network mutex held: it must not block or re-enter the network.
+/// hook is installed, every delivery step where more than one lane head is
+/// due becomes a decision point: choose() picks which packet is delivered
+/// next instead of the default (deliver_at, seq) merge order. A candidate's
+/// key is its destination site id, stable across runs of a deterministic
+/// simulation, which is what makes the decisions recordable and
+/// replayable. Keys are presented in each candidate's natural
+/// (deliver_at, seq) order, so index 0 is exactly the default merge
+/// choice: a hook that always picks 0 reproduces the unexplored delivery
+/// order, and shrinking a trace toward all-zeros shrinks toward the
+/// natural schedule. choose() runs with the network mutex held: it must
+/// not block or re-enter the network.
 ///
 /// Without a hook (the default), delivery order is byte-identical to the
 /// plain merge of the per-destination lanes: exploration is a strict
 /// opt-in, never a behavioural change for seeded production runs.
 class DeliveryHook {
  public:
-  static constexpr std::uint64_t kControlKeyBase = 1ull << 32;
-
   virtual ~DeliveryHook() = default;
 
-  /// Pick an index into `keys` (sorted ascending, size >= 2).
+  /// Pick an index into `keys` (size >= 2).
   virtual std::size_t choose(const std::vector<std::uint64_t>& keys) = 0;
 };
 
@@ -88,8 +84,8 @@ class SimNetwork : private time::EventSource {
 
   explicit SimNetwork(LinkOptions defaults = {}, std::uint64_t seed = 1,
                       time::ClockSource* clock = nullptr);
-  /// Blocks until a running delivery or control callback returned; none
-  /// fires afterwards.
+  /// Blocks until a running delivery callback returned; none fires
+  /// afterwards.
   ~SimNetwork();
 
   SimNetwork(const SimNetwork&) = delete;
@@ -139,26 +135,10 @@ class SimNetwork : private time::EventSource {
   /// every delivery step reads it.
   void set_delivery_hook(DeliveryHook* hook);
 
-  /// Schedule a control event at virtual offset `delay` from now: a fault
-  /// injection (or any scripted step) that should interleave with packet
-  /// delivery as an explorable decision. The callback runs on the clock's
-  /// thread as an event of its own, with the network mutex released — it
-  /// may call any SimNetwork mutator. Without a DeliveryHook control
-  /// events fire in the global (deliver_at, seq) merge order, exactly as
-  /// a TimerService-armed action would; with one, a due control
-  /// event is one more candidate at the decision point, so fault *timing*
-  /// relative to delivery order is explored too. Control events do not
-  /// count as in-flight packets: drain() does not wait for them.
-  void schedule_control(std::chrono::microseconds delay, std::string label,
-                        std::function<void()> fn);
-
-  /// Drop every pending control event (scenario shutdown).
-  void cancel_controls();
-
-  /// Record the packet-level event stream: one line per delivery, late
-  /// drop, and control firing, in execution order. `store_lines` keeps the
-  /// full log (replay byte-comparison); otherwise only the rolling
-  /// event_hash() is maintained (cheap enough for fleet-sized runs).
+  /// Record the packet-level event stream: one line per delivery and late
+  /// drop, in execution order. `store_lines` keeps the full log (replay
+  /// byte-comparison); otherwise only the rolling event_hash() is
+  /// maintained, without allocating (cheap enough for fleet-sized runs).
   void enable_event_log(bool store_lines = true);
   std::vector<std::string> event_log() const;
   /// FNV-1a over the recorded event lines; identical streams hash equal.
@@ -211,35 +191,20 @@ class SimNetwork : private time::EventSource {
     }
   };
 
-  /// A scheduled fault/script step participating in delivery decisions.
-  struct ControlEvent {
-    Clock::time_point at;
-    std::uint64_t seq;  // shares next_seq_ with packets: one merge order
-    std::uint64_t key;  // dense schedule index, stable across replays
-    std::string label;
-    std::function<void()> fn;
-  };
-
-  // time::EventSource: the earliest packet or control event, and firing it.
+  // time::EventSource: the earliest packet, and delivering it.
   Clock::time_point next_deadline() override;
   void fire(Clock::time_point now) override;
 
   const LinkOptions& link_for(SiteId from, SiteId to) const;
-  /// One delivery step under an installed DeliveryHook: gather every
-  /// eligible candidate (lane heads + control events due at `now`), let the
-  /// hook choose when there are >= 2, execute the chosen one. Caller holds
-  /// mu_ and has established that at least one event is due.
+  /// One delivery step under an installed DeliveryHook: gather every lane
+  /// head due at `now`, let the hook choose when there are >= 2, deliver
+  /// the chosen one. Caller holds mu_ and has established that at least one
+  /// packet is due.
   void step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now);
   /// Pop lane `lane_ix`'s head and run the delivery protocol (late-crash
   /// check, callback with mu_ released, stats, claim for the next head).
   void deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix);
-  /// Run controls_[ix] (mu_ released around fn).
-  void run_control(std::unique_lock<std::mutex>& lock, std::size_t ix);
-  /// Index of the earliest pending control by (at, seq); npos when none.
-  std::size_t earliest_control() const;
-  /// Earliest deadline across lanes and controls (max() when idle).
-  Clock::time_point next_deadline_locked();
-  void note_event(const std::string& line);
+  void note_event(std::string_view line);
   /// Enqueue into the destination lane; returns true iff the packet became
   /// the new global earliest (the clock must re-read the head).
   bool push_packet(InFlight item);
@@ -268,10 +233,6 @@ class SimNetwork : private time::EventSource {
   // seeded replays are byte-identical to the unsharded queue's.
   std::vector<Lane> lanes_;  // indexed by destination site
   std::priority_queue<HeadRef, std::vector<HeadRef>, std::greater<>> heads_;
-  // Pending control events. A plain vector scanned linearly: fault plans
-  // hold tens of actions, and the scan only runs when controls exist.
-  std::vector<ControlEvent> controls_;
-  std::uint64_t next_control_key_ = 0;
   DeliveryHook* hook_ = nullptr;
   bool log_events_ = false;
   bool log_store_ = false;

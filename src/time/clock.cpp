@@ -150,20 +150,6 @@ void VirtualClock::unpin() {
   loop_cv_.notify_one();
 }
 
-void VirtualClock::set_wake_policy(WakePolicy* policy) {
-  std::lock_guard g(mu_);
-  wake_policy_ = policy;
-  // The heap is only kept while no policy is installed.
-  heads_ = {};
-  if (policy != nullptr) return;
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    const Slot& slot = slots_[id];
-    if (slot.source != nullptr && slot.armed != Clock::time_point::max()) {
-      heads_.push(Head{slot.armed, static_cast<int>(id)});
-    }
-  }
-}
-
 void VirtualClock::mark_dirty_locked(int source) {
   Slot& slot = slots_[static_cast<std::size_t>(source)];
   if (slot.dirty) return;
@@ -180,13 +166,12 @@ void VirtualClock::refresh_locked() {
     if (head == slot.armed) continue;
     // Older heap entries for this source no longer match `armed`: stale.
     slot.armed = head;
-    if (head != Clock::time_point::max() && wake_policy_ == nullptr) heads_.push(Head{head, id});
+    if (head != Clock::time_point::max()) heads_.push(Head{head, id});
   }
   dirty_.clear();
 }
 
 bool VirtualClock::pick_locked(Head& next) {
-  if (wake_policy_ != nullptr) return pick_with_policy_locked(next);
   while (!heads_.empty()) {
     const Head top = heads_.top();
     heads_.pop();
@@ -197,35 +182,6 @@ bool VirtualClock::pick_locked(Head& next) {
     return true;
   }
   return false;
-}
-
-bool VirtualClock::pick_with_policy_locked(Head& next) {
-  // Tier 1: every head already due; tier 2, only when none is: every armed
-  // head.
-  const Clock::time_point current = now();
-  std::vector<RunnableStep> steps;
-  bool due_tier = false;
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    const Slot& slot = slots_[id];
-    if (slot.source == nullptr || slot.armed == Clock::time_point::max()) continue;
-    const bool due = slot.armed <= current;
-    if (due && !due_tier) {
-      steps.clear();
-      due_tier = true;
-    }
-    if (due != due_tier) continue;
-    steps.push_back({due ? RunnableStep::Kind::kDue : RunnableStep::Kind::kArmed,
-                     static_cast<int>(id), slot.armed});
-  }
-  if (steps.empty()) return false;
-  std::sort(steps.begin(), steps.end(), [](const RunnableStep& a, const RunnableStep& b) {
-    return std::tie(a.due, a.source) < std::tie(b.due, b.source);
-  });
-  const std::size_t pick =
-      steps.size() == 1 ? 0 : std::min(wake_policy_->choose(steps), steps.size() - 1);
-  next = Head{steps[pick].due, steps[pick].source};
-  slots_[static_cast<std::size_t>(next.source)].armed = Clock::time_point::max();
-  return true;
 }
 
 void VirtualClock::run() {
@@ -241,7 +197,7 @@ void VirtualClock::run() {
       return pick_locked(next);
     });
     if (stop_) return;
-    // Monotone: a deadline a policy bypassed fires late, never backwards.
+    // Monotone: a deadline armed against an older now() fires at now().
     if (next.at > now()) now_.store(next.at.time_since_epoch().count(), std::memory_order_release);
     EventSource* source = slots_[static_cast<std::size_t>(next.source)].source;
     firing_ = next.source;

@@ -10,9 +10,9 @@
 //
 //   * VirtualClock — FoundationDB/TigerBeetle-style deterministic
 //     simulation. One loop thread, owned by the clock, fires every event of
-//     every source (SimNetwork's packets and controls, each TimerService's
-//     timers). It keeps the sources' earliest deadlines in one heap ordered
-//     by (deadline, source id), jumps `now()` straight to the head and fires
+//     every source (SimNetwork's packets, each TimerService's timers). It
+//     keeps the sources' earliest deadlines in one heap ordered by
+//     (deadline, source id), jumps `now()` straight to the head and fires
 //     it, so events run one at a time, each to completion (including the
 //     isolated computation it spawned, which a virtual-time Runtime runs
 //     inline on the loop thread) before the next starts. A test run under
@@ -107,38 +107,6 @@ class ClockSource {
   virtual void unpin() {}
 };
 
-/// One event the VirtualClock could fire next. Presented to a WakePolicy
-/// whenever more than one candidate of the same tier is runnable.
-struct RunnableStep {
-  enum class Kind : std::uint8_t {
-    kDue,    // the head is already due (deadline <= now)
-    kArmed,  // the head lies ahead; firing it jumps time to its deadline
-  };
-  Kind kind = Kind::kArmed;
-  int source = 0;
-  Clock::time_point due{};
-};
-
-/// Pluggable choice of which source fires next. The default (no policy
-/// installed) is the deterministic minimum by (deadline, source id); a
-/// policy may pick ANY candidate — schedule exploration uses this to
-/// perturb event order while staying replayable.
-///
-/// Candidates come in two tiers: every source whose head is already due
-/// and, only when none is, every armed head. Contract: `choose` is called
-/// with the clock's mutex held and must not block, re-enter the clock, or
-/// have side effects beyond its own bookkeeping. `steps` is sorted by
-/// (due, source) and has >= 2 entries (singleton choices are not decision
-/// points); the return value indexes into it and is clamped by the caller.
-/// An armed head may be chosen out of deadline order: the clock then jumps
-/// straight to the chosen deadline, and any bypassed earlier deadline is
-/// due at the next step (time never runs backwards).
-class WakePolicy {
- public:
-  virtual ~WakePolicy() = default;
-  virtual std::size_t choose(const std::vector<RunnableStep>& steps) = 0;
-};
-
 /// Process-global wall clock (the default everywhere).
 ClockSource& wall_clock();
 
@@ -168,12 +136,6 @@ class VirtualClock final : public ClockSource {
   void pin() override;
   void unpin() override;
 
-  /// Install (or remove, with nullptr) the step-choice policy. Safe to
-  /// call at any quiescent moment; the policy must outlive its
-  /// installation. Decisions the policy never sees (single candidate)
-  /// stay deterministic by construction.
-  void set_wake_policy(WakePolicy* policy);
-
  private:
   class SourceRegistration;
 
@@ -199,10 +161,9 @@ class VirtualClock final : public ClockSource {
   void mark_dirty_locked(int source);
   /// Re-read the head of every dirty source into the heap.
   void refresh_locked();
-  /// Consume the next event to fire: the heap minimum, or the policy's
-  /// pick. False when nothing is armed.
+  /// Consume the next event to fire: the heap minimum. False when nothing
+  /// is armed.
   bool pick_locked(Head& next);
-  bool pick_with_policy_locked(Head& next);
 
   std::mutex mu_;
   std::condition_variable loop_cv_;   // the loop waits for work or for pins to drop
@@ -213,7 +174,6 @@ class VirtualClock final : public ClockSource {
   std::vector<int> dirty_;
   std::priority_queue<Head, std::vector<Head>, std::greater<>> heads_;
   int firing_ = -1;  // source whose event runs on the loop right now
-  WakePolicy* wake_policy_ = nullptr;
   bool stop_ = false;
   std::thread loop_;
   std::thread::id loop_id_;

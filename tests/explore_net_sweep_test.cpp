@@ -1,137 +1,121 @@
-// Strategy x protocol sweep of the network-schedule explorer — the
-// distributed half of the exploration gate. Within a bounded schedule
-// budget, random-walk and PCT-k exploration of SimNetwork delivery order
-// must expose the unsynchronised view-installation protocol as a
-// virtual-synchrony violation (vs_checker rule 1: the same message
-// delivered in different views on different members), with a shrunk,
-// replayable counterexample — while the default (deliver_at, seq) order
-// never hits it, and the synchronised protocol stays clean over the whole
-// explored matrix, fault-timing decisions included.
+// Strategy sweep of network-schedule exploration of the real GroupNode
+// stack: the recovery fleet (two crash → evict → restart → rejoin cycles
+// under a partition and a loss burst) and the chaos fleet (partition,
+// causal stream, crash), each run with SimNetwork's DeliveryHook choosing
+// among simultaneously due packets. Every explored schedule must pass the
+// fleet oracles — the virtual-synchrony checker over every incarnation,
+// convergence by the horizon, zero failed computations. A reach gate shows
+// that the explored schedules are not all the default one in disguise:
+// both strategies find a schedule that changes the agreed total order,
+// shrink it, and replay it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
-#include <vector>
 
-#include "explore/net_runner.hpp"
 #include "explore/runner.hpp"
 #include "explore/trace.hpp"
 #include "test_support.hpp"
+#include "virtual_fleet.hpp"
 
-namespace samoa::explore {
+namespace samoa::gc::testing {
 namespace {
 
-NetCellOptions gate_cell(NetProtocol protocol, StrategyKind strategy) {
-  NetCellOptions o;
-  o.protocol = protocol;
-  o.strategy = strategy;
-  o.seed = samoa::testing::test_seed(42);
-  o.members = 3;
-  o.relays = 3;
-  o.views = 2;  // one epoch: keeps violating traces (and their shrinks) small
-  o.max_schedules = 40;
-  return o;
+using explore::CellOptions;
+using explore::CellResult;
+using explore::Decision;
+using explore::ScheduleTrace;
+using explore::StrategyKind;
+
+constexpr ExploredFleet kFleets[] = {ExploredFleet::kRecovery, ExploredFleet::kChaos};
+
+std::string label(ExploredFleet fleet, std::uint64_t seed, const char* strategy) {
+  return std::string(to_string(fleet)) + " seed " + std::to_string(seed) + " " + strategy;
 }
 
-TEST(ExploreNetSweep, RandomWalkFlagsUnsyncWithShrunkCounterexample) {
-  const NetCellResult res = explore_net_cell(gate_cell(NetProtocol::kUnsync, StrategyKind::kRandomWalk));
-  ASSERT_TRUE(res.violation_found)
-      << "random walk never violated vs-unsync within " << res.schedules_run
-      << " schedules (seed " << res.options.seed << ")";
-  EXPECT_FALSE(res.violation_summary.empty());
-  EXPECT_LE(res.shrunk.size(), res.first_violation.size());
-  ASSERT_FALSE(res.shrunk.empty()) << "the natural network schedule should not violate";
-  // Regression pin: the counterexample stays small. The violation needs
-  // only a handful of relay-race inversions; the shrinker lands at 3-4
-  // decisions, so 8 is generous without letting quality regress silently.
-  EXPECT_LE(res.shrunk.size(), 8u) << res.shrunk.encode();
-  EXPECT_NE(res.repro.find(res.shrunk.encode()), std::string::npos)
-      << "repro snippet must embed the shrunk trace";
-  // Every explored decision in a net cell is a network decision.
-  EXPECT_GT(res.decisions.n, 0u);
-  EXPECT_EQ(res.decisions.s, 0u);
-  EXPECT_EQ(res.decisions.c, 0u);
-  EXPECT_EQ(res.decisions.total(), res.decisions.n);
-
-  // The shrunk counterexample replays as a standalone repro: same seeded
-  // fleet, forced decisions, violation reproduced, no divergence.
-  const NetRunResult replay = replay_net_schedule(res.options, res.shrunk);
-  EXPECT_FALSE(replay.replay_diverged) << res.shrunk.encode();
-  EXPECT_TRUE(replay.violated) << res.shrunk.encode();
-}
-
-TEST(ExploreNetSweep, ReproSnippetTraceSurvivesTextRoundtrip) {
-  const NetCellResult res = explore_net_cell(gate_cell(NetProtocol::kUnsync, StrategyKind::kRandomWalk));
-  ASSERT_TRUE(res.violation_found);
-  const ScheduleTrace decoded = ScheduleTrace::decode(res.shrunk.encode());
-  const NetRunResult replay = replay_net_schedule(res.options, decoded);
-  EXPECT_TRUE(replay.violated);
-  EXPECT_FALSE(replay.replay_diverged);
-}
-
-TEST(ExploreNetSweep, PctFlagsUnsync) {
-  NetCellOptions o = gate_cell(NetProtocol::kUnsync, StrategyKind::kPct);
-  o.max_schedules = 100;
-  o.pct_k = 3;
-  const NetCellResult res = explore_net_cell(o);
-  EXPECT_TRUE(res.violation_found)
-      << "PCT never violated vs-unsync within " << res.schedules_run << " schedules (seed "
-      << res.options.seed << ")";
-}
-
-TEST(ExploreNetSweep, DefaultDeliveryOrderNeverHitsTheViolation) {
-  // The seeded bug needs a relay-race inversion the (deliver_at, seq)
-  // merge can't produce: the coordinator seeds data before views and FIFO
-  // preserves that through every lane. Several seeds, both fault modes.
-  for (std::uint64_t seed : {1ull, 7ull, 42ull, 1337ull}) {
-    for (bool faults : {false, true}) {
-      NetCellOptions o = gate_cell(NetProtocol::kUnsync, StrategyKind::kFirst);
-      o.seed = seed;
-      o.with_faults = faults;
-      const NetRunResult r = run_net_schedule(o, nullptr);
-      EXPECT_FALSE(r.violated) << "seed " << seed << " faults " << faults << ": "
-                               << r.violation_summary;
-      EXPECT_TRUE(r.executed.empty());
+// The clean sweep: every explored schedule of both fleets passes every
+// oracle, through the shared explorer.
+TEST(ExploreNetSweep, ExploredSchedulesStayClean) {
+  const std::uint64_t base = samoa::testing::test_seed(1);
+  for (const ExploredFleet fleet : kFleets) {
+    for (const StrategyKind strategy : {StrategyKind::kRandomWalk, StrategyKind::kPct}) {
+      for (const std::uint64_t seed : {base, base + 1}) {
+        SCOPED_TRACE(label(fleet, seed, explore::to_string(strategy)));
+        CellOptions opts;
+        opts.strategy = strategy;
+        opts.seed = seed;
+        opts.max_schedules = 8;
+        std::size_t schedules = 0;
+        const CellResult res = explore::explore_cell(
+            opts, fleet_cell(fleet, seed, FleetPredicate::kOracleViolation,
+                             [&schedules](const FleetSchedule& s) {
+                               ++schedules;
+                               std::size_t n = 0;
+                               for (const Decision& d : s.executed.decisions()) {
+                                 n += d.kind == 'n';
+                               }
+                               EXPECT_GT(n, 0u) << "schedule " << schedules;
+                               EXPECT_EQ(n, s.executed.size()) << "schedule " << schedules;
+                             }));
+        EXPECT_FALSE(res.violation_found)
+            << res.name << " failed an oracle:\n"
+            << res.violation_summary << "\nshrunk trace: " << res.shrunk.encode()
+            << "\nrepro:\n"
+            << res.repro;
+        EXPECT_EQ(res.schedules_run, explore::schedule_budget(opts.max_schedules));
+        EXPECT_EQ(schedules, res.schedules_run);
+        EXPECT_GT(res.decisions.n, 0u);
+        EXPECT_EQ(res.decisions.s, 0u);
+      }
     }
   }
 }
 
-TEST(ExploreNetSweep, SyncedProtocolStaysCleanAcrossTheExploredMatrix) {
-  // The other half of the gate: with the synchronisation barrier in
-  // place, every explored interleaving — fault-timing decisions included
-  // — yields a clean vs_checker report, and clean cells exhaust their
-  // whole budget with real 'n' decisions explored.
-  NetCellOptions base = gate_cell(NetProtocol::kSynced, StrategyKind::kRandomWalk);
-  base.max_schedules = 8;
-  for (bool faults : {false, true}) {
-    base.with_faults = faults;
-    const std::vector<NetCellResult> results =
-        net_sweep({NetProtocol::kSynced}, {StrategyKind::kRandomWalk, StrategyKind::kPct},
-                  {samoa::testing::test_seed(42), samoa::testing::test_seed(1337)}, base);
-    ASSERT_EQ(results.size(), 4u);
-    for (const NetCellResult& res : results) {
-      EXPECT_FALSE(res.violation_found)
-          << res.cell_name() << " violated virtual synchrony!\n"
-          << res.violation_summary << "\nshrunk trace: " << res.shrunk.encode() << "\nrepro:\n"
-          << res.repro;
-      EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.cell_name();
-      EXPECT_GT(res.decisions.n, 0u) << res.cell_name() << ": no network decisions explored";
-    }
-  }
-}
+// The reach gate: explored schedules change what the stack agrees on.
+// The fleet seed is pinned, not read from SAMOA_TEST_SEED: at some seeds
+// no order flip shows within a few dozen schedules.
+TEST(ExploreNetSweep, ExplorationFlipsTheAgreedOrder) {
+  constexpr std::uint64_t kSeed = 4;
+#ifdef __GLIBCXX__
+  // Measured shrunk lengths (from 164 and 161 decisions), libstdc++
+  // specific like the golden hashes: the event order depends on it.
+  const std::map<StrategyKind, std::size_t> shrunk_size = {
+      {StrategyKind::kRandomWalk, 6},
+      {StrategyKind::kPct, 3},
+  };
+#endif
+  const FleetSchedule plain = run_fleet_schedule(ExploredFleet::kRecovery, kSeed, nullptr);
+  ASSERT_TRUE(plain.clean) << plain.verdict;
+  for (const StrategyKind strategy : {StrategyKind::kRandomWalk, StrategyKind::kPct}) {
+    SCOPED_TRACE(explore::to_string(strategy));
+    CellOptions opts;
+    opts.strategy = strategy;
+    opts.seed = kSeed;
+    opts.max_schedules = 8;
+    const CellResult res = explore::explore_cell(
+        opts, fleet_cell(ExploredFleet::kRecovery, kSeed, FleetPredicate::kOrderFlip));
+    ASSERT_TRUE(res.violation_found)
+        << "no order flip within " << res.schedules_run << " schedules";
+    EXPECT_LE(res.shrunk.size(), res.first_violation.size());
+    ASSERT_FALSE(res.shrunk.empty()) << "the default schedule cannot flip its own order";
+#ifdef __GLIBCXX__
+    EXPECT_EQ(res.shrunk.size(), shrunk_size.at(strategy)) << res.shrunk.encode();
+#endif
+    EXPECT_NE(res.repro.find(res.shrunk.encode()), std::string::npos)
+        << "repro snippet must embed the shrunk trace";
 
-TEST(ExploreNetSweep, FaultControlsWidenTheDecisionSpace) {
-  // Same cell, faults on vs off: the inert plan's control events are
-  // extra candidates at existing decision points, so the per-run decision
-  // trace gets strictly richer while behaviour stays clean.
-  NetCellOptions o = gate_cell(NetProtocol::kSynced, StrategyKind::kRandomWalk);
-  o.max_schedules = 4;
-  const NetCellResult without = explore_net_cell(o);
-  o.with_faults = true;
-  const NetCellResult with = explore_net_cell(o);
-  EXPECT_FALSE(without.violation_found);
-  EXPECT_FALSE(with.violation_found);
-  EXPECT_GT(with.decisions.n, without.decisions.n);
+    const ScheduleTrace decoded = ScheduleTrace::decode(res.shrunk.encode());
+    EXPECT_EQ(decoded, res.shrunk);
+    const FleetSchedule a = replay_fleet_schedule(ExploredFleet::kRecovery, kSeed, decoded);
+    const FleetSchedule b = replay_fleet_schedule(ExploredFleet::kRecovery, kSeed, decoded);
+    EXPECT_FALSE(a.replay_diverged) << decoded.encode();
+    EXPECT_NE(a.order, plain.order) << decoded.encode();
+    EXPECT_EQ(a.event_hash, b.event_hash);
+    EXPECT_EQ(a.order, b.order);
+    EXPECT_TRUE(a.clean) << a.verdict;
+  }
 }
 
 }  // namespace
-}  // namespace samoa::explore
+}  // namespace samoa::gc::testing

@@ -2,15 +2,11 @@
 // whole tentpole rests on: a (workload seed, decision trace) pair
 // reproduces a run bit-for-bit. Covers the ScheduleTrace wire format, the
 // strategies' mechanics (exhaustive DFS, replay divergence detection), the
-// delta-debugging shrinker against a synthetic oracle, end-to-end replay
-// across every controller policy, and the VirtualClock WakePolicy seam
-// ('c' decisions).
+// delta-debugging shrinker against a synthetic oracle, and end-to-end
+// replay across every controller policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,10 +16,7 @@
 #include "explore/shrink.hpp"
 #include "explore/strategy.hpp"
 #include "explore/trace.hpp"
-#include "net/timer_service.hpp"
 #include "test_support.hpp"
-#include "time/clock.hpp"
-#include "util/sync.hpp"
 
 namespace samoa::explore {
 namespace {
@@ -33,15 +26,17 @@ namespace {
 TEST(ScheduleTrace, EncodeDecodeRoundtrip) {
   ScheduleTrace t;
   t.record('s', 2, 4);
+  t.record('n', 1, 3);
   t.record('s', 0, 3);
-  t.record('c', 1, 2);
-  EXPECT_EQ(t.encode(), "s2/4.s0/3.c1/2");
+  t.record('n', 0, 5);
+  EXPECT_EQ(t.encode(), "s2/4.n1/3.s0/3.n0/5");
   EXPECT_EQ(ScheduleTrace::decode(t.encode()), t);
   EXPECT_TRUE(ScheduleTrace::decode("").empty());
 }
 
 TEST(ScheduleTrace, DecodeRejectsMalformedInput) {
   EXPECT_THROW(ScheduleTrace::decode("x1/2"), std::invalid_argument);   // unknown kind
+  EXPECT_THROW(ScheduleTrace::decode("c1/2"), std::invalid_argument);   // no clock decisions
   EXPECT_THROW(ScheduleTrace::decode("s3/2"), std::invalid_argument);   // chosen >= ncand
   EXPECT_THROW(ScheduleTrace::decode("s0/1"), std::invalid_argument);   // not a decision
   EXPECT_THROW(ScheduleTrace::decode("s1"), std::invalid_argument);     // no count
@@ -192,72 +187,6 @@ TEST(ExploreReplay, FirstStrategyRunsSeriallyAndClean) {
   EXPECT_TRUE(r.executed.empty() ||
               std::all_of(r.executed.decisions().begin(), r.executed.decisions().end(),
                           [](const Decision& d) { return d.chosen == 0; }));
-}
-
-// --- VirtualClock WakePolicy seam ('c' decisions) -------------------------
-
-/// Three timer services, each firing a ladder of one-shot timers (every
-/// rung is scheduled by the previous rung's callback); returns which
-/// service fired, in firing order.
-std::vector<int> run_clock_scenario(time::VirtualClock& clock) {
-  const std::vector<std::vector<int>> ladders = {{5, 12, 9}, {7, 3, 11}, {4, 8, 6}};
-  std::vector<std::unique_ptr<net::TimerService>> services;
-  for (std::size_t i = 0; i < ladders.size(); ++i) {
-    services.push_back(std::make_unique<net::TimerService>(&clock));
-  }
-  std::vector<int> order;  // appended on the clock's loop only
-  WaitGroup rungs;
-  rungs.add(9);
-  std::function<void(std::size_t, std::size_t)> arm = [&](std::size_t idx, std::size_t rung) {
-    services[idx]->schedule(std::chrono::milliseconds(ladders[idx][rung]), [&, idx, rung] {
-      order.push_back(static_cast<int>(idx));
-      if (rung + 1 < ladders[idx].size()) arm(idx, rung + 1);
-      rungs.done();
-    });
-  };
-  {
-    // Pin virtual time until every ladder's first rung is armed, so the
-    // first decision point always sees all three candidates.
-    time::Pin setup(clock);
-    for (std::size_t idx = 0; idx < ladders.size(); ++idx) arm(idx, 0);
-  }
-  rungs.wait();
-  return order;
-}
-
-TEST(ExploreReplay, ClockWakePolicyDecisionsReplay) {
-  const std::uint64_t seed = samoa::testing::test_seed(11);
-
-  ScheduleTrace recorded;
-  std::vector<int> explored_order;
-  {
-    time::VirtualClock clock;
-    RandomWalkStrategy walk(seed);
-    ExploringWakePolicy policy(walk);
-    clock.set_wake_policy(&policy);
-    explored_order = run_clock_scenario(clock);
-    recorded = policy.trace();
-  }
-  ASSERT_EQ(explored_order.size(), 9u);
-
-  // Replay the 'c' decisions: identical wake order, no divergence.
-  {
-    time::VirtualClock clock;
-    ReplayStrategy replay(recorded);
-    ExploringWakePolicy policy(replay);
-    clock.set_wake_policy(&policy);
-    const std::vector<int> replayed_order = run_clock_scenario(clock);
-    EXPECT_EQ(replayed_order, explored_order) << "trace: " << recorded.encode();
-    EXPECT_FALSE(replay.diverged());
-    EXPECT_EQ(policy.trace(), recorded);
-  }
-
-  // Without a policy the clock stays its deterministic min-deadline self.
-  {
-    time::VirtualClock a;
-    time::VirtualClock b;
-    EXPECT_EQ(run_clock_scenario(a), run_clock_scenario(b));
-  }
 }
 
 }  // namespace

@@ -96,20 +96,20 @@ TEST(ExploreSweep, IsolatingPoliciesStayCleanAcrossTheSweep) {
   ASSERT_EQ(results.size(), policies.size());
   for (const CellResult& res : results) {
     EXPECT_FALSE(res.violation_found)
-        << res.cell_name() << " violated isolation!\n"
+        << res.name << " violated isolation!\n"
         << res.violation_summary << "\nshrunk trace: " << res.shrunk.encode() << "\nrepro:\n"
         << res.repro;
     // Clean cells exhaust their whole budget (scaled by the
     // SAMOA_EXPLORE_SCHEDULES multiplier the nightly job sets).
-    EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.cell_name();
-    EXPECT_GT(res.decision_points, 0u) << res.cell_name() << ": no decisions were explored";
-    // Per-kind accounting: controller cells explore step ('s') and clock
-    // ('c') decisions but never network ('n') ones — those only exist when
-    // a DeliveryHook is installed on a SimNetwork, which these in-process
-    // workloads don't use. The kinds must sum to the total.
-    EXPECT_EQ(res.decisions.total(), res.decision_points) << res.cell_name();
-    EXPECT_GT(res.decisions.s, 0u) << res.cell_name();
-    EXPECT_EQ(res.decisions.n, 0u) << res.cell_name();
+    EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.name;
+    EXPECT_GT(res.decision_points, 0u) << res.name << ": no decisions were explored";
+    // Per-kind accounting: controller cells explore step ('s') decisions
+    // but never network ('n') ones — those only exist when a DeliveryHook
+    // is installed on a SimNetwork, which these in-process workloads don't
+    // use. The kinds must sum to the total.
+    EXPECT_EQ(res.decisions.total(), res.decision_points) << res.name;
+    EXPECT_GT(res.decisions.s, 0u) << res.name;
+    EXPECT_EQ(res.decisions.n, 0u) << res.name;
     EXPECT_FALSE(res.decisions.summary().empty());
   }
 }
@@ -136,10 +136,10 @@ TEST(ExploreSweep, AdmissionHeavyWorkloadStaysClean) {
   ASSERT_EQ(results.size(), policies.size());
   for (const CellResult& res : results) {
     EXPECT_FALSE(res.violation_found)
-        << res.cell_name() << " violated isolation under the admission-heavy workload!\n"
+        << res.name << " violated isolation under the admission-heavy workload!\n"
         << res.violation_summary << "\nshrunk trace: " << res.shrunk.encode() << "\nrepro:\n"
         << res.repro;
-    EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.cell_name();
+    EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.name;
   }
 }
 

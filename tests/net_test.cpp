@@ -1,5 +1,6 @@
 // Unit tests for the network substrate: SimNetwork (latency, loss,
-// partitions, crashes, detach) and TimerService.
+// partitions, crashes, detach, the exploration DeliveryHook's key
+// stability) and TimerService.
 //
 // Most cases run on a time::VirtualClock: the clock's loop fires deadlines
 // in virtual time, so the tests are deterministic and burn zero wall-clock
@@ -11,10 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "explore/strategy.hpp"
 #include "net/sim_network.hpp"
 #include "net/timer_service.hpp"
 #include "time/clock.hpp"
@@ -200,6 +204,57 @@ TEST(SimNetwork, UnknownDestinationCountsAsDrop) {
   net.send(a, SiteId{99}, Message::of(1));
   net.drain();
   EXPECT_EQ(net.stats().dropped.value(), 1u);
+}
+
+/// Three sites relay a hop counter around jitter-free links, so each
+/// round's packets to different sites fall due together and the hook
+/// decides their order; `idle_sites` more sites are appended after them.
+struct RelayRun {
+  std::vector<std::string> log;
+  std::uint64_t hash = 0;
+};
+
+RelayRun run_relay_rounds(DeliveryHook& hook, int idle_sites) {
+  constexpr int kSites = 3;
+  VirtualClock clock;
+  SimNetwork net(LinkOptions{.base_latency = 100us}, 7, &clock);
+  net.enable_event_log(/*store_lines=*/true);
+  net.set_delivery_hook(&hook);
+  for (int i = 0; i < kSites; ++i) {
+    net.add_site([&net, i](const Packet& p) {
+      const int hops = p.payload.as<int>();
+      if (hops > 0) net.send(SiteId(i), SiteId((i + 1) % kSites), Message::of(hops - 1));
+    });
+  }
+  for (int i = 0; i < idle_sites; ++i) net.add_site([](const Packet&) {});
+  {
+    Pin setup(clock);
+    for (int from = 0; from < kSites; ++from) {
+      for (int to = 0; to < kSites; ++to) {
+        if (from != to) net.send(SiteId(from), SiteId(to), Message::of(3));
+      }
+    }
+  }
+  net.drain();
+  return RelayRun{net.event_log(), net.event_hash()};
+}
+
+TEST(SimNetwork, ExploredTraceReplaysAfterIdleSitesAreAppended) {
+  // Candidate keys are destination site ids: appending sites adds lanes
+  // without shifting any existing key, so a trace recorded on 3 sites
+  // replays bit-for-bit on 7.
+  explore::RandomWalkStrategy walk(3);
+  explore::ExploringDeliveryHook recorder(walk);
+  const RelayRun recorded = run_relay_rounds(recorder, 0);
+  ASSERT_GE(recorder.trace().size(), 3u) << "the workload must have decision points";
+
+  explore::ReplayStrategy replay(recorder.trace());
+  explore::ExploringDeliveryHook replayer(replay);
+  const RelayRun replayed = run_relay_rounds(replayer, 4);
+  EXPECT_FALSE(replay.diverged()) << recorder.trace().encode();
+  EXPECT_EQ(replayer.trace(), recorder.trace());
+  EXPECT_EQ(replayed.hash, recorded.hash);
+  EXPECT_EQ(replayed.log, recorded.log);
 }
 
 TEST(TimerService, OneShotFires) {

@@ -1,11 +1,13 @@
 // Scripted virtual-time chaos harness for the group-communication fleet.
 //
-// Shared by gc_chaos_test (convergence assertions) and determinism_test
-// (same-seed replay comparison). The whole scenario — traffic bursts, a
-// transient partition, a crash — is scheduled at fixed *virtual* times on
-// a harness TimerService driven by the same time::VirtualClock as the
-// SimNetwork and every node, so a run burns zero real time in sleeps and
-// is a pure function of its seed.
+// Shared by gc_chaos_test (convergence assertions), determinism_test
+// (same-seed replay comparison) and explore_net_replay_test /
+// explore_net_sweep_test (explored delivery orders, through the fleet
+// cells at the end). The whole scenario —
+// traffic bursts, a transient partition, a crash — is scheduled at fixed
+// *virtual* times on a harness TimerService driven by the same
+// time::VirtualClock as the SimNetwork and every node, so a run burns zero
+// real time in sleeps and is a pure function of its seed.
 //
 // Scheduling discipline: every scripted callback performs exactly ONE
 // node API call (one spawned computation). The clock's one loop thread plus
@@ -17,7 +19,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -25,6 +29,8 @@
 
 #include "chaos/chaos_engine.hpp"
 #include "chaos/fault_plan.hpp"
+#include "explore/runner.hpp"
+#include "explore/strategy.hpp"
 #include "gc/group_node.hpp"
 #include "time/clock.hpp"
 #include "util/rng.hpp"
@@ -44,6 +50,8 @@ struct FleetOutcome {
   std::uint64_t net_dropped = 0;
   std::vector<std::uint64_t> gate_waits;  // per site; virtual time runs inline, so zero
   std::vector<std::uint64_t> failed_computations;  // per site, all incarnations; zero
+  std::vector<verify::IncarnationTrace> traces;  // all sites, all incarnations
+  std::uint64_t event_hash = 0;  // SimNetwork event-stream hash (FNV-1a)
 };
 
 /// Version-gate waits per site (current incarnations). Under virtual time
@@ -72,7 +80,9 @@ constexpr int kFleetSites = 5;
 constexpr int kFleetAbcasts = 10;
 constexpr int kFleetCcasts = 6;
 
-inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
+/// `hook`, when set, picks among simultaneously due packets (schedule
+/// exploration); it must outlive the call.
+inline FleetOutcome run_chaos_fleet(std::uint64_t seed, net::DeliveryHook* hook = nullptr) {
   using namespace std::chrono;
 
   time::VirtualClock clock;
@@ -90,6 +100,8 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
                                        .jitter = microseconds(200),
                                        .drop_probability = 0.05},
                       seed, &clock);
+  net.enable_event_log(/*store_lines=*/false);  // rolling hash only
+  net.set_delivery_hook(hook);
   net::TimerService script(&clock);  // harness-owned scenario timers
 
   std::vector<std::unique_ptr<GroupNode>> nodes;
@@ -194,6 +206,10 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
   out.net_dropped = net.stats().dropped.value();
   out.gate_waits = gate_waits_per_site(nodes);
   out.failed_computations = failed_computations_per_site(nodes);
+  for (auto& n : nodes) {
+    for (auto& t : n->vs_traces()) out.traces.push_back(std::move(t));
+  }
+  out.event_hash = net.event_hash();
   return out;
 }
 
@@ -241,7 +257,8 @@ struct RecoveryOutcome {
 constexpr int kRecoverySites = 5;
 constexpr int kRecoveryMessages = 20;  // burst A (8) + burst B (6) + burst C (6)
 
-inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
+/// `hook` as in run_chaos_fleet.
+inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook* hook = nullptr) {
   using namespace std::chrono;
 
   time::VirtualClock clock;
@@ -262,6 +279,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
                                        .drop_probability = 0.02},
                       seed, &clock);
   net.enable_event_log(/*store_lines=*/false);  // rolling hash only
+  net.set_delivery_hook(hook);
   net::TimerService script(&clock);  // harness-owned scenario + chaos timers
   chaos::ChaosEngine engine(net, script);
 
@@ -523,8 +541,8 @@ struct ChurnOutcome {
   std::uint64_t net_sent = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
-  // FNV-1a over SimNetwork's packet-level event stream (deliveries, late
-  // drops, control firings, in execution order): the delivery-order
+  // FNV-1a over SimNetwork's packet-level event stream (deliveries and
+  // late drops, in execution order): the delivery-order
   // fingerprint of the whole run, independent of protocol-level state.
   std::uint64_t event_hash = 0;
   std::vector<std::uint64_t> gate_waits;  // per site
@@ -783,6 +801,145 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   out.gate_waits = gate_waits_per_site(nodes);
   out.failed_computations = failed_computations_per_site(nodes);
   return out;
+}
+
+// --- Explored fleets -------------------------------------------------------
+//
+// The recovery and chaos fleets double as the distributed exploration
+// cells. With an ExploringDeliveryHook on their SimNetwork, every delivery
+// step with two or more due lane heads becomes an 'n' decision, and each
+// schedule is judged by the fleet oracles: check_virtual_synchrony over
+// every incarnation, convergence by the horizon, and zero failed
+// computations. fleet_cell() hands a fleet to the shared exploration
+// explorer (explore::explore_cell).
+
+enum class ExploredFleet { kRecovery, kChaos };
+
+inline const char* to_string(ExploredFleet fleet) {
+  return fleet == ExploredFleet::kRecovery ? "recovery" : "chaos";
+}
+
+/// One schedule of an explored fleet.
+struct FleetSchedule {
+  bool clean = false;   // every oracle held
+  std::string verdict;  // the oracles that failed, when not clean
+  std::vector<std::string> order;  // site 0's agreed delivery order (payloads)
+  std::uint64_t event_hash = 0;
+  explore::ScheduleTrace executed;  // the 'n' decisions taken
+  bool replay_diverged = false;     // replay_fleet_schedule only
+};
+
+/// Run `fleet` at `seed` with `strategy` picking among due packets; nullptr
+/// installs no hook (the default delivery order).
+inline FleetSchedule run_fleet_schedule(ExploredFleet fleet, std::uint64_t seed,
+                                        explore::Strategy* strategy) {
+  std::optional<explore::ExploringDeliveryHook> hook;
+  if (strategy != nullptr) hook.emplace(*strategy);
+  net::DeliveryHook* const h = hook ? &*hook : nullptr;
+
+  FleetSchedule s;
+  bool converged = false;
+  std::vector<verify::IncarnationTrace> traces;
+  std::vector<std::uint64_t> failed;
+  if (fleet == ExploredFleet::kRecovery) {
+    RecoveryOutcome o = run_recovery_fleet(seed, h);
+    converged = o.converged;
+    traces = std::move(o.traces);
+    failed = std::move(o.failed_computations);
+    s.event_hash = o.event_hash;
+  } else {
+    FleetOutcome o = run_chaos_fleet(seed, h);
+    converged = o.converged;
+    traces = std::move(o.traces);
+    failed = std::move(o.failed_computations);
+    s.event_hash = o.event_hash;
+    // The chaos fleet stops once sites 0..3 are complete, which can be
+    // before site 4's scripted crash and before it caught up: the scenario
+    // promises site 4 no liveness, so its last incarnation is judged as
+    // ended at the shutdown. Every other rule still applies to it.
+    for (auto& t : traces) {
+      if (t.site == SiteId(kFleetSites - 1)) t.crashed = true;
+    }
+  }
+
+  std::ostringstream why;
+  if (!converged) why << "not converged by the horizon\n";
+  const verify::VsReport vs = verify::check_virtual_synchrony(traces);
+  if (!vs.ok()) why << vs.describe() << "\n";
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    if (failed[i] != 0) why << "site " << i << ": " << failed[i] << " failed computations\n";
+  }
+  s.verdict = why.str();
+  s.clean = s.verdict.empty();
+  // Site 0 never crashes in either fleet: its first incarnation holds the
+  // whole agreed order.
+  for (const auto& t : traces) {
+    if (t.site != SiteId(0) || t.incarnation != 0) continue;
+    for (const auto& r : t.deliveries) s.order.push_back(r.data);
+  }
+  if (hook) s.executed = hook->trace();
+  return s;
+}
+
+/// Re-run a recorded schedule: decisions forced from `trace`.
+inline FleetSchedule replay_fleet_schedule(ExploredFleet fleet, std::uint64_t seed,
+                                           const explore::ScheduleTrace& trace) {
+  explore::ReplayStrategy replay(trace);
+  FleetSchedule s = run_fleet_schedule(fleet, seed, &replay);
+  s.replay_diverged = replay.diverged();
+  return s;
+}
+
+/// What a fleet cell searches for.
+enum class FleetPredicate {
+  kOracleViolation,  // a schedule some oracle rejects
+  kOrderFlip,        // site 0's agreed order differs from the no-hook run's
+};
+
+/// `fleet` at `seed` as a target of the shared explorer. `seen`, when
+/// set, observes every schedule the explorer runs, shrink replays included.
+inline explore::ExploreTarget fleet_cell(ExploredFleet fleet, std::uint64_t seed,
+                                         FleetPredicate predicate,
+                                         std::function<void(const FleetSchedule&)> seen = {}) {
+  const bool flip = predicate == FleetPredicate::kOrderFlip;
+  std::vector<std::string> baseline;
+  if (flip) baseline = run_fleet_schedule(fleet, seed, nullptr).order;
+
+  explore::ExploreTarget target;
+  target.name = std::string(to_string(fleet)) + (flip ? "_flip" : "") + "_seed" +
+                std::to_string(seed);
+  target.run = [fleet, seed, flip, baseline = std::move(baseline),
+                seen = std::move(seen)](explore::Strategy& strategy) {
+    FleetSchedule s = run_fleet_schedule(fleet, seed, &strategy);
+    if (seen) seen(s);
+    explore::Verdict v;
+    if (flip) {
+      v.violated = s.order != baseline;
+      if (v.violated) v.summary = "site 0's agreed order differs from the default schedule's";
+    } else {
+      v.violated = !s.clean;
+      v.summary = s.verdict;
+    }
+    v.executed = std::move(s.executed);
+    return v;
+  };
+  target.repro = [fleet, seed, flip](const explore::ScheduleTrace& trace) {
+    std::ostringstream out;
+    out << "// Repro: replays the shrunk schedule bit-for-bit.\n"
+        << "using namespace samoa::gc::testing;\n"
+        << "const auto fleet = ExploredFleet::"
+        << (fleet == ExploredFleet::kRecovery ? "kRecovery" : "kChaos") << ";\n"
+        << "const auto r = replay_fleet_schedule(fleet, " << seed
+        << "ULL, samoa::explore::ScheduleTrace::decode(\"" << trace.encode() << "\"));\n"
+        << "ASSERT_FALSE(r.replay_diverged);\n";
+    if (flip) {
+      out << "ASSERT_NE(r.order, run_fleet_schedule(fleet, " << seed << "ULL, nullptr).order);\n";
+    } else {
+      out << "ASSERT_FALSE(r.clean) << r.verdict;\n";
+    }
+    return out.str();
+  };
+  return target;
 }
 
 }  // namespace samoa::gc::testing
