@@ -93,7 +93,15 @@ void ABcast::maybe_propose(Outbox& out) {
     batch.push_back(msg);
     if (batch.size() >= kMaxBatch) break;
   }
-  if (batch.empty()) return;  // rejoined and nothing self-originated pending
+  if (batch.empty()) {
+    // Rejoined, and every pending payload is foreign. Offer an empty batch:
+    // consensus takes it only in a slot whose first round we own (a skip,
+    // as in Mencius), so that slot decides at once instead of waiting a
+    // retry timeout for a proposal we will never make. The slot stays
+    // unmarked, so a payload of our own can still be proposed into it.
+    out.trigger(events_->cs_propose, Message::of(CsPropose{next_instance_, {}}));
+    return;
+  }
   proposed_.insert(next_instance_);
   out.trigger(events_->cs_propose, Message::of(CsPropose{next_instance_, std::move(batch)}));
 }

@@ -58,7 +58,9 @@ class ABcast : public GcMicroprotocol {
   // payloads the group already delivered before its join; a fresh
   // delivered_ids_ cannot recognise them, and proposing one would deliver
   // it here while every peer dedup-skips it — a virtual-synchrony
-  // violation. Peers that held the message legitimately propose it.
+  // violation. Peers that held the message legitimately propose it. With
+  // nothing of its own pending, the incarnation proposes an empty batch,
+  // which consensus turns into a skip of a slot it owns.
   bool rejoined_ = false;
   Counter submitted_;
   Counter delivered_count_;

@@ -1,5 +1,7 @@
 #include "gc/consensus.hpp"
 
+#include <algorithm>
+
 #include "gc/wire.hpp"
 
 namespace samoa::gc {
@@ -15,11 +17,16 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     {
       auto lock = guard();
       const auto& req = m.as<CsPropose>();
+      // An empty batch is a skip (see ABcast::maybe_propose): taken only by
+      // the slot's owner, for its first round, and never retried.
+      const bool skip = req.value.empty();
+      if (skip && (view_.size() == 0 || view_.member_at(req.instance) != self_)) return;
       Instance& inst = instance(req.instance);
       if (inst.decided || inst.have_proposal) return;
       inst.have_proposal = true;
       inst.proposal = req.value;
       inst.last_activity = options().now();
+      if (!skip) open_.insert(req.instance);
       try_coordinate(out, req.instance);
     }
     out.flush(ctx);
@@ -55,9 +62,9 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     {
       auto lock = guard();
       const SiteId suspected = m.as<SiteId>();
-      for (auto& [i, inst] : instances_) {
-        if (inst.decided || !inst.have_proposal) continue;
-        if (view_.size() == 0) continue;
+      if (view_.size() == 0) return;
+      for (const std::uint64_t i : open_) {
+        Instance& inst = instances_.at(i);
         const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
         if (coord == suspected) {
           ++inst.attempt;
@@ -73,33 +80,18 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     {
       auto lock = guard();
       const auto now = options().now();
-      for (auto& [i, inst] : instances_) {
-        if (inst.decided || !inst.have_proposal) continue;
+      // Before the loop below refreshes last_activity: our own retries are
+      // not progress, and a site whose next attempt belongs to someone else
+      // would otherwise wait a whole rotation for a decision it could pull.
+      pull_frontier(out, now);
+      for (const std::uint64_t i : open_) {
+        Instance& inst = instances_.at(i);
         if (now - inst.last_activity < options().cs_retry_timeout) continue;
         // Stuck: either our own round's messages were lost, or a remote
         // coordinator stalled. Advance the attempt and retry.
         ++inst.attempt;
         inst.last_activity = now;
         try_coordinate(out, i);
-      }
-      // Decision pull: the loop above only heals instances we hold a
-      // proposal for. A site that missed a DECIDE *and* has nothing to
-      // propose into the slot (e.g. a rejoined member whose pending
-      // filter withholds foreign payloads) would stall forever, so probe
-      // the frontier instance whenever a later decision proves the group
-      // has moved past it. See set_frontier_source in the header.
-      if (frontier_source_) {
-        const std::uint64_t want = frontier_source_();
-        const auto fit = instances_.find(want);
-        if (fit == instances_.end() || !fit->second.decided) {
-          for (const auto& [i, inst] : instances_) {
-            if (i > want && inst.decided) {
-              decision_pulls_.add();
-              broadcast(out, Wire{CsPrepare{want, 0}});
-              break;
-            }
-          }
-        }
       }
     }
     out.flush(ctx);
@@ -129,12 +121,41 @@ void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
   const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
   if (coord != self_) return;
   inst.my_round = (inst.attempt + 1) * kRoundStride + self_.value() + 1;
-  inst.phase2 = false;
   inst.promises.clear();
   inst.accepted_from.clear();
   inst.last_activity = options().now();
   rounds_started_.add();
+  if (inst.attempt == 0) {
+    // The owner's first round is below every other round of the slot, so
+    // phase 1 has nothing to find: propose our own value right away.
+    inst.chosen = inst.proposal;
+    inst.phase2 = true;
+    broadcast(out, Wire{CsAccept{i, inst.my_round, inst.chosen}});
+    return;
+  }
+  inst.phase2 = false;
   broadcast(out, Wire{CsPrepare{i, inst.my_round}});
+}
+
+void Consensus::pull_frontier(Outbox& out, Clock::time_point now) {
+  // The retry loop only heals instances we hold a proposal for, and only
+  // once an attempt comes round to us. A site that missed a DECIDE *and*
+  // has nothing to propose into the slot (e.g. a rejoined member whose
+  // pending filter withholds foreign payloads) would stall forever, so
+  // probe the frontier instance once the group has visibly moved past it,
+  // or once we accepted a value for it that has sat idle for a retry
+  // timeout. See set_frontier_source.
+  if (!frontier_source_) return;
+  const std::uint64_t want = frontier_source_();
+  const auto it = instances_.find(want);
+  const Instance* inst = it == instances_.end() ? nullptr : &it->second;
+  if (inst != nullptr && inst->decided) return;
+  const bool moved_past = highest_decided_ > want;
+  const bool idle_accept = inst != nullptr && inst->accepted_value &&
+                           now - inst->last_activity >= options().cs_retry_timeout;
+  if (!moved_past && !idle_accept) return;
+  decision_pulls_.add();
+  broadcast(out, Wire{CsPrepare{want, 0}});
 }
 
 void Consensus::handle_prepare(Outbox& out, SiteId from, const CsPrepare& p) {
@@ -202,6 +223,8 @@ void Consensus::handle_decide(Outbox& out, const CsDecide& d) {
   if (inst.decided) return;
   inst.decided = true;
   inst.accepted_value = d.value;
+  open_.erase(d.instance);
+  highest_decided_ = std::max(highest_decided_, d.instance);
   decided_count_.add();
   out.trigger(events_->cs_decided, Message::of(CsDecided{d.instance, d.value}));
 }

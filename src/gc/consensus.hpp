@@ -10,11 +10,19 @@
 //            DECIDE(i, v); every site learns and hands the value up.
 //
 // The coordinator of instance i, attempt a is view.member_at(i + a);
-// rounds are made proposer-unique by round = attempt * kRoundStride +
+// rounds are made proposer-unique by round = (attempt + 1) * kRoundStride +
 // self + 1. Attempts advance when the failure detector suspects the
 // current coordinator or the retry timer finds the instance stuck, giving
 // liveness under crashes and message loss (safety never depends on timing,
 // as in Paxos).
+//
+// Attempt 0 skips phase 1 (as Mencius does for a slot's default leader):
+// its round is the lowest any site can use for the slot, so no acceptor
+// can hold a value phase 1 would have to adopt, and the slot's owner
+// view.member_at(i) sends ACCEPT straight away. This is safe because
+// exactly one site runs attempt 0: ABcast proposes into slot i only after
+// applying every slot below it, view changes included, so every proposer
+// computes member_at(i) from the same view (DESIGN.md, "Consensus").
 #pragma once
 
 #include <functional>
@@ -45,10 +53,12 @@ class Consensus : public GcMicroprotocol {
   std::uint64_t decision_pulls() const { return decision_pulls_.value(); }
 
   // Decision pull (gap repair). The ordering layer above reports the
-  // instance it still waits for; if the retry tick finds that instance
-  // undecided here while a *later* one has already decided, the group
-  // moved past us and our copy of the frontier's DECIDE was lost. The
-  // probe is a PREPARE with round 0 — never a real round, so undecided
+  // instance it still waits for; the retry tick pulls it when it is
+  // undecided here and either a *later* instance has decided (the group
+  // moved past us and our copy of the DECIDE was lost) or we accepted a
+  // value for it and nothing has moved for cs_retry_timeout (the stream's
+  // last DECIDE was lost, so no later decision will ever show the gap).
+  // The probe is a PREPARE with round 0 — never a real round, so undecided
   // acceptors ignore it (0 <= promised), while decided sites answer any
   // prepare with the decision. Wired before the stack spawns; must be
   // safe to call from the retry handler's thread without our guard.
@@ -80,6 +90,7 @@ class Consensus : public GcMicroprotocol {
 
   Instance& instance(std::uint64_t i);
   void try_coordinate(Outbox& out, std::uint64_t i);
+  void pull_frontier(Outbox& out, Clock::time_point now);
   void broadcast(Outbox& out, const Wire& wire);
   void to(Outbox& out, SiteId site, const Wire& wire);
 
@@ -92,7 +103,13 @@ class Consensus : public GcMicroprotocol {
   const GcEvents* events_;
   SiteId self_;
   View view_;
+  // Every instance ever created: decided ones answer lagging coordinators
+  // and decision pulls.
   std::unordered_map<std::uint64_t, Instance> instances_;
+  // Undecided instances holding our proposal, ascending: all that the
+  // retry tick and on_suspect have to scan.
+  std::set<std::uint64_t> open_;
+  std::uint64_t highest_decided_ = 0;
   Counter decided_count_;
   Counter rounds_started_;
   Counter decision_pulls_;

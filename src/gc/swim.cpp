@@ -249,8 +249,9 @@ std::vector<SwimUpdate> SwimDetector::make_updates(std::optional<SiteId> refute_
   // deterministic and every buffered update eventually gets its turns.
   std::stable_sort(gossip_.begin(), gossip_.end(),
                    [](const Gossip& a, const Gossip& b) { return a.sends_left > b.sends_left; });
+  const std::size_t limit = gossip_budget();
   for (auto& g : gossip_) {
-    if (updates.size() >= kPiggybackLimit) break;
+    if (updates.size() >= limit) break;
     updates.push_back(g.update);
     --g.sends_left;
   }

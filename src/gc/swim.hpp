@@ -70,8 +70,6 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   /// Probe periods a suspicion stands before the suspect is confirmed
   /// faulty (time for an alive refutation to gossip back).
   static constexpr std::uint32_t kSuspectPeriods = 3;
-  /// Max membership updates piggybacked on one ping/ack/ping-req.
-  static constexpr std::size_t kPiggybackLimit = 8;
 
   struct Member {
     SwimStatus status = SwimStatus::kAlive;
@@ -104,7 +102,7 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   // All private helpers assume guard() + snap_mu_ are held.
   void apply_update(const SwimUpdate& u, Clock::time_point now, Outbox& out);
   void enqueue_gossip(SwimUpdate u);
-  /// Drain up to kPiggybackLimit updates from the gossip buffer
+  /// Drain up to gossip_budget() updates from the gossip buffer
   /// (freshest-first), decrementing budgets. `refute_hint`: also tell the
   /// addressee what we currently believe about *it* if that is not Alive,
   /// so a suspected/faulty-but-live peer learns it must refute.
@@ -113,6 +111,11 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   std::optional<SiteId> next_probe_target();
   /// Times each membership update is piggybacked before it ages out:
   /// 3 * ceil(log2(view size)), the SWIM paper's lambda*log(n) budget.
+  /// It also caps the updates one ping/ack/ping-req carries: a message
+  /// holds as many updates as one update needs sends, so a burst of B
+  /// rumours leaves a site's buffer in about B messages at any fleet
+  /// size. A smaller cap takes B * budget / cap messages, and a mass
+  /// crash's rumours then starve behind the backlog.
   std::uint32_t gossip_budget() const;
   Clock::time_point suspect_deadline(Clock::time_point now) const;
 

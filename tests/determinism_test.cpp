@@ -201,8 +201,8 @@ TEST(Determinism, RecoveryFleetReplaysIdentically) {
   // the same reason as the churn goldens below.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0x2523a255fc669327ull},
-      {17ull, 0xf6478156cca2fdf9ull},
+      {1ull, 0xa03d182649bab2ddull},
+      {17ull, 0xb92e20d36982ccb4ull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {
@@ -252,8 +252,8 @@ TEST(Determinism, ChurnFleetReplaysIdentically) {
   // replay equality.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0xd017962d316934ecull},
-      {17ull, 0x6f21072a3be5e26cull},
+      {1ull, 0xd3105d91287a3d95ull},
+      {17ull, 0x9e02401d1693d43cull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {

@@ -236,9 +236,10 @@ struct RecoveryOutcome {
   std::vector<std::string> trace_lines;  // one line per incarnation
   std::vector<std::string> view_lines;   // one line per site: installed view ids+members
   std::vector<std::uint64_t> retransmissions;  // per site, summed over incarnations
-  // Retransmissions towards evicted site 4, sampled twice while it stayed
-  // evicted: equal samples = the counter stopped growing after the view
-  // change (the backoff/GC boundedness criterion).
+  // Retransmissions towards evicted site 4, sampled once every survivor
+  // has installed the eviction and again just before site 4 restarts:
+  // equal samples = the counter stopped growing after the view change
+  // (the backoff/GC boundedness criterion).
   std::uint64_t retrans_to_evicted_probe1 = 0;
   std::uint64_t retrans_to_evicted_probe2 = 0;
   std::uint64_t net_recoveries = 0;
@@ -294,6 +295,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
 
   RecoveryOutcome out;
   OneShotEvent done;
+  bool probed_evicted = false;  // first retransmission probe taken
 
   const auto now_us = [&clock] {
     return static_cast<long>(
@@ -357,17 +359,22 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
 
     chaos::FaultPlan plan;
     // Cycle 1: crash site 4 while a partition between 1 and 2 is up, evict
-    // it, probe the (frozen) retransmission counter twice, then restart +
-    // rejoin. The partition outlasts the failure-detector timeout, so 1
-    // and 2 suspect each other and must revoke after the heal.
+    // it, probe the (frozen) retransmission counter twice (the first probe
+    // is the poller below), then restart + rejoin. The partition outlasts
+    // the failure-detector timeout, so 1 and 2 suspect each other and must
+    // revoke after the heal. The plain broadcast at the crash is a send to
+    // the dead site that outlives retransmit_timeout before the eviction is
+    // even requested: node 0 sends it at 5 ms, its retransmit tick at 8 ms
+    // finds it 3 ms old (the timeout) and resends it, and the eviction
+    // starts at 9 ms.
     plan.partition(microseconds(1500), nodes[1]->id(), nodes[2]->id())
         .call(microseconds(5000), "crash node 4", [&nodes] { nodes[4]->crash(); })
-        .call(microseconds(7000), "evict node 4",
+        .call(microseconds(5000), "rbcast to the crashed node 4",
+              [&nodes] { nodes[0]->rbcast("to-crashed"); })
+        .call(microseconds(9000), "evict node 4",
               [&nodes, site4] { nodes[0]->request_leave(site4); })
-        .call(microseconds(24000), "probe retransmissions to evicted node 4",
-              [&out, retrans_to_site4] { out.retrans_to_evicted_probe1 = retrans_to_site4(); })
         .heal(microseconds(26000), nodes[1]->id(), nodes[2]->id())
-        .call(microseconds(32000), "re-probe retransmissions to evicted node 4",
+        .call(microseconds(33500), "re-probe retransmissions to evicted node 4",
               [&out, retrans_to_site4] { out.retrans_to_evicted_probe2 = retrans_to_site4(); })
         .call(microseconds(34000), "restart node 4", [&nodes] { nodes[4]->restart(); })
         .call(microseconds(35000), "rejoin node 4", [&nodes, &out, site4, now_us] {
@@ -397,6 +404,20 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
     }
     engine.arm(plan);
 
+    // First retransmission probe: the first poll at which every survivor
+    // has installed site 4's eviction. From then on no survivor holds a
+    // send to site 4, so the re-probe can only read the same count. A
+    // fixed time cannot promise that: under the partition and the loss a
+    // round that reaches exactly a majority stalls a retry timeout per
+    // lost reply.
+    script.schedule_periodic(microseconds(500), [&] {
+      if (probed_evicted || out.rejoin4_requested_us >= 0) return;
+      for (int i = 0; i < 4; ++i) {
+        if (nodes[i]->membership().view_snapshot().contains(site4)) return;
+      }
+      probed_evicted = true;
+      out.retrans_to_evicted_probe1 = retrans_to_site4();
+    });
     // Recovery-time metric: first totally-ordered delivery at site 4's new
     // incarnation, polled at scenario resolution.
     script.schedule_periodic(microseconds(500), [&] {
