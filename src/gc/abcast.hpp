@@ -1,11 +1,13 @@
 // Atomic broadcast on top of reliable broadcast + consensus.
 //
-// Submitted messages are disseminated with RelCast (so every site
-// eventually buffers the payload) while consensus instances agree, slot by
-// slot, on the batch of message ids delivered next. All sites deliver the
-// same batches in the same slot order, and batches are sorted by message
-// id — total order. Decisions arriving out of slot order are buffered
-// until the gap closes.
+// Submitted messages are sent once through RelCast, whose RelComm copies
+// reach every member until acked or evicted; RelCast does not relay them.
+// Consensus instances agree, slot by slot, on the batch delivered next,
+// and the decided value carries the payloads themselves, so a site learns
+// every ordered payload from the decision even if its copy never came.
+// All sites deliver the same batches in the same slot order, and batches
+// are sorted by message id — total order. Decisions arriving out of slot
+// order are buffered until the gap closes.
 #pragma once
 
 #include <atomic>
@@ -54,10 +56,14 @@ class ABcast : public GcMicroprotocol {
   std::unordered_set<std::uint64_t> proposed_;    // instances we proposed for
   std::map<std::uint64_t, ConsensusValue> decisions_;  // out-of-order buffer
   // Set by on_catchup (rejoin): this incarnation only proposes messages it
-  // originated itself. RelCast rebroadcasts can hand a rejoined site
-  // payloads the group already delivered before its join; a fresh
-  // delivered_ids_ cannot recognise them, and proposing one would deliver
-  // it here while every peer dedup-skips it — a virtual-synchrony
+  // originated itself. An origin's RelComm copy can hand a rejoined site a
+  // payload the group already delivered before its join: a site that
+  // crashes and restarts without being evicted stays in the origin's
+  // view, so the origin keeps retransmitting a copy the old incarnation
+  // never acked, and once the join (View::with of a current member)
+  // installs a view, the fresh RelComm and RelCast accept it as new. A
+  // fresh delivered_ids_ cannot recognise it, and proposing it would
+  // deliver it here while every peer dedup-skips it — a virtual-synchrony
   // violation. Peers that held the message legitimately propose it. With
   // nothing of its own pending, the incarnation proposes an empty batch,
   // which consensus turns into a skip of a slot it owns.

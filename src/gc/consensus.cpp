@@ -140,20 +140,33 @@ void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
 void Consensus::pull_frontier(Outbox& out, Clock::time_point now) {
   // The retry loop only heals instances we hold a proposal for, and only
   // once an attempt comes round to us. A site that missed a DECIDE *and*
-  // has nothing to propose into the slot (e.g. a rejoined member whose
-  // pending filter withholds foreign payloads) would stall forever, so
-  // probe the frontier instance once the group has visibly moved past it,
-  // or once we accepted a value for it that has sat idle for a retry
-  // timeout. See set_frontier_source.
+  // has nothing to propose into the slot (a rejoined member whose pending
+  // filter withholds foreign payloads, or a site the payload never
+  // reached) would stall forever, so probe the frontier instance once the
+  // group has visibly moved past it, once we accepted a value for it that
+  // has sat idle for a retry timeout, or once a peer has reported a
+  // frontier past it for a retry timeout. See set_frontier_source.
   if (!frontier_source_) return;
   const std::uint64_t want = frontier_source_();
   const auto it = instances_.find(want);
   const Instance* inst = it == instances_.end() ? nullptr : &it->second;
   if (inst != nullptr && inst->decided) return;
+  // A site outside its own view (evicted, or restarted and not yet
+  // rejoined) must not learn the group's slots this way: it would deliver
+  // them in a view it is not a member of.
+  const bool peer_past = peer_frontier_source_ && view_.contains(self_) &&
+                         peer_frontier_source_() > want;
+  if (!peer_past) {
+    behind_on_.reset();
+  } else if (behind_on_ != want) {
+    behind_on_ = want;
+    behind_since_ = now;
+  }
   const bool moved_past = highest_decided_ > want;
   const bool idle_accept = inst != nullptr && inst->accepted_value &&
                            now - inst->last_activity >= options().cs_retry_timeout;
-  if (!moved_past && !idle_accept) return;
+  const bool peer_idle = peer_past && now - behind_since_ >= options().cs_retry_timeout;
+  if (!moved_past && !idle_accept && !peer_idle) return;
   decision_pulls_.add();
   broadcast(out, Wire{CsPrepare{want, 0}});
 }

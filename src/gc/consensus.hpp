@@ -54,16 +54,27 @@ class Consensus : public GcMicroprotocol {
 
   // Decision pull (gap repair). The ordering layer above reports the
   // instance it still waits for; the retry tick pulls it when it is
-  // undecided here and either a *later* instance has decided (the group
-  // moved past us and our copy of the DECIDE was lost) or we accepted a
-  // value for it and nothing has moved for cs_retry_timeout (the stream's
-  // last DECIDE was lost, so no later decision will ever show the gap).
+  // undecided here and one of these holds:
+  //   - a *later* instance has decided (the group moved past us and our
+  //     copy of the DECIDE was lost);
+  //   - we accepted a value for it and nothing has moved for
+  //     cs_retry_timeout (the stream's last DECIDE was lost, so no later
+  //     decision will ever show the gap);
+  //   - a peer's detector traffic has reported a frontier past it for
+  //     cs_retry_timeout (we lost the slot's ACCEPT and every DECIDE and
+  //     hold nothing to retry, e.g. because the payload's origin crashed
+  //     before its copy reached us).
   // The probe is a PREPARE with round 0 — never a real round, so undecided
   // acceptors ignore it (0 <= promised), while decided sites answer any
-  // prepare with the decision. Wired before the stack spawns; must be
-  // safe to call from the retry handler's thread without our guard.
+  // prepare with the decision. Both sources are wired before the stack
+  // spawns and must be safe to call from the retry handler's thread
+  // without our guard.
   void set_frontier_source(std::function<std::uint64_t()> source) {
     frontier_source_ = std::move(source);
+  }
+  // The highest frontier a peer reported (Detector::peer_frontier).
+  void set_peer_frontier_source(std::function<std::uint64_t()> source) {
+    peer_frontier_source_ = std::move(source);
   }
 
  private:
@@ -114,6 +125,12 @@ class Consensus : public GcMicroprotocol {
   Counter rounds_started_;
   Counter decision_pulls_;
   std::function<std::uint64_t()> frontier_source_;
+  std::function<std::uint64_t()> peer_frontier_source_;
+  // The instance we waited for when the retry tick first saw a peer's
+  // frontier past it, and when that was: the pull waits cs_retry_timeout
+  // from then, so that a DECIDE merely still in flight is not pulled.
+  std::optional<std::uint64_t> behind_on_;
+  Clock::time_point behind_since_{};
 
   const Handler* propose_ = nullptr;
   const Handler* on_wire_ = nullptr;

@@ -10,6 +10,7 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
   on_heartbeat_ = &register_handler("on_heartbeat", [this](Context&, const Message& m) {
     auto lock = guard();
     const auto& fw = m.as<FromWire>();
+    note_peer_frontier(std::get<FdHeartbeat>(fw.wire).frontier);
     std::unique_lock snap(snap_mu_);
     last_heard_[fw.from] = options().now();
     if (suspected_.erase(fw.from) > 0) {
@@ -23,10 +24,10 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
     {
       auto lock = guard();
       ++epoch_;
+      const FdHeartbeat beat{epoch_, own_frontier()};
       for (SiteId site : view_.members()) {
         if (site == self_) continue;
-        out.trigger(events.transport_send,
-                    Message::of(TransportSend{site, Wire{FdHeartbeat{epoch_}}}));
+        out.trigger(events.transport_send, Message::of(TransportSend{site, Wire{beat}}));
       }
     }
     out.flush(ctx);

@@ -4,7 +4,8 @@
 // whose heartbeats stop arriving (eventually-perfect-style: a suspicion is
 // revoked when a heartbeat arrives again). Suspicions are published with
 // triggerAll on the Suspect event — the consensus microprotocol reacts by
-// rotating the coordinator.
+// rotating the coordinator. Each heartbeat also carries the sender's
+// decided frontier (Detector).
 #pragma once
 
 #include <unordered_map>

@@ -91,8 +91,13 @@ void GroupNode::build_stack() {
   sink_ = &stack_->emplace<DeliverSink>(opts_, events_);
 
   // ABcast's frontier mirror is atomic, so consensus may poll it from the
-  // retry tick without taking ABcast's guard (no lock-order coupling).
-  consensus_->set_frontier_source([ab = abcast_] { return ab->next_instance(); });
+  // retry tick without taking ABcast's guard (no lock-order coupling). The
+  // detector reads it the same way to carry it on its traffic, and
+  // consensus polls the highest frontier a peer reported likewise.
+  const auto frontier = [ab = abcast_] { return ab->next_instance(); };
+  consensus_->set_frontier_source(frontier);
+  detector().set_frontier_source(frontier);
+  consensus_->set_peer_frontier_source([d = &detector()] { return d->peer_frontier(); });
 
   bind_all();
   triggers_ = declare_triggers();

@@ -29,11 +29,15 @@ RelCast::RelCast(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
       const auto& msg = m.as<AppMessage>();
       if (!seen_.insert(msg.id).second) return;  // not a new message
       // Rebroadcast first (all-or-nothing even if the origin crashed),
-      // then deliver locally.
-      for (SiteId site : view_.members()) {
-        out.trigger(events.send_out, Message::of(SendReq{msg, site}));
+      // then deliver locally. An atomic payload is not relayed: consensus
+      // carries every ordered payload to every site in its ACCEPT and
+      // DECIDE values, so a relay would only send it again.
+      if (!msg.atomic) {
+        for (SiteId site : view_.members()) {
+          out.trigger(events.send_out, Message::of(SendReq{msg, site}));
+        }
+        broadcasts_.add();
       }
-      broadcasts_.add();
       out.async_trigger_all(events.deliver_out, Message::of(msg));
     }
     out.flush(ctx);

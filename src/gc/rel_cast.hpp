@@ -6,7 +6,11 @@
 //   handler viewChange (new_view): view = new_view;
 //
 // The recv-side rebroadcast guarantees all-or-nothing delivery within the
-// view even if the original sender crashes mid-broadcast.
+// view even if the original sender crashes mid-broadcast. It covers plain
+// and causal broadcasts only. An atomic payload is delivered up to ABcast
+// but not relayed: consensus values are the payload batches, so ACCEPT and
+// DECIDE bring every ordered payload to every site, and a payload whose
+// origin crashed mid-broadcast is ordered by any survivor holding it.
 #pragma once
 
 #include <unordered_set>

@@ -160,10 +160,15 @@ void RelComm::gc_evicted_peers() {
       ++it;
     }
   }
-  // Dedup sets and sequence counters go too: Membership evicts a crashed
-  // site before it can rejoin, so clearing here guarantees both sides of a
-  // future re-join start from fresh sequence state. retrans_to_ survives
-  // on purpose — it is a statistic, and tests sample it after eviction.
+  // Dedup sets and sequence counters go too, so both sides of a later
+  // rejoin of an evicted site start from fresh sequence state. A site that
+  // crashes and restarts without being evicted, and rejoins through
+  // View::with of a current member, gets no such reset: its peers keep the
+  // old incarnation's seen_ entries while its fresh out_seq_ starts again
+  // at 1, and sequence numbers carry no incarnation epoch, so the peers
+  // would ack and drop its first RcData as duplicates (ROADMAP).
+  // retrans_to_ survives on purpose — it is a statistic, and tests sample
+  // it after eviction.
   for (auto it = seen_.begin(); it != seen_.end();)
     it = evicted(it->first) ? seen_.erase(it) : std::next(it);
   for (auto it = out_seq_.begin(); it != out_seq_.end();)

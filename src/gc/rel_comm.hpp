@@ -17,7 +17,8 @@
 // sequence counters) for peers evicted from the view, so retransmissions
 // to a dead peer stop at the view change instead of running forever, and
 // a later re-join of the same site starts from clean sequence state on
-// both sides.
+// both sides. A site restarted without eviction gets no such reset (see
+// the viewChange handler).
 #pragma once
 
 #include <atomic>

@@ -45,11 +45,13 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
             if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                           std::is_same_v<T, SwimPingReq>) {
               for (const auto& u : msg.updates) apply_update(u, now, out);
+              note_peer_frontier(msg.frontier);
             }
             if constexpr (std::is_same_v<T, SwimPing>) {
               out.trigger(events_.transport_send,
                           Message::of(TransportSend{
-                              fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from)}}}));
+                              fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from),
+                                                    own_frontier()}}}));
               acks_sent_.add();
             } else if constexpr (std::is_same_v<T, SwimPingReq>) {
               // Probe the target on the origin's behalf under our own seq;
@@ -60,7 +62,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                         now + options().swim_probe_interval};
               out.trigger(events_.transport_send,
                           Message::of(TransportSend{
-                              msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target)}}}));
+                              msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target),
+                                                        own_frontier()}}}));
               probes_sent_.add();
             } else if constexpr (std::is_same_v<T, SwimAck>) {
               if (probe_.active && msg.seq == probe_.seq && msg.on_behalf_of == probe_.target) {
@@ -71,7 +74,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                 out.trigger(events_.transport_send,
                             Message::of(TransportSend{
                                 r.origin,
-                                Wire{SwimAck{r.origin_seq, msg.on_behalf_of, make_updates(r.origin)}}}));
+                                Wire{SwimAck{r.origin_seq, msg.on_behalf_of, make_updates(r.origin),
+                                             own_frontier()}}}));
                 acks_relayed_.add();
               }
             }
@@ -130,7 +134,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                         Message::of(TransportSend{
                             proxies[i],
                             Wire{SwimPingReq{probe_.seq, probe_.target,
-                                             make_updates(proxies[i])}}}));
+                                             make_updates(proxies[i]), own_frontier()}}}));
             ping_reqs_sent_.add();
           }
         }
@@ -144,7 +148,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                                next_period_, false, true};
           out.trigger(events_.transport_send,
                       Message::of(TransportSend{
-                          *target, Wire{SwimPing{probe_.seq, make_updates(*target)}}}));
+                          *target, Wire{SwimPing{probe_.seq, make_updates(*target),
+                                                 own_frontier()}}}));
           probes_sent_.add();
         }
       }

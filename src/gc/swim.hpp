@@ -17,7 +17,8 @@
 // before aging out (the paper's lambda*log n budget). No broadcast, no
 // extra messages — detection and dissemination share the same O(n)
 // traffic, which is the whole reason this scales where the heartbeat
-// detector's O(n^2) does not.
+// detector's O(n^2) does not. Every ping, ack and ping-req also carries
+// the sender's decided frontier (Detector).
 #pragma once
 
 #include <optional>

@@ -66,8 +66,11 @@ struct RcAck {
 };
 
 // --- Failure detector (heartbeat) ---
+/// `frontier`, here and on every SWIM message, is the sender's ABcast
+/// frontier: the first consensus slot it has not applied (Detector).
 struct FdHeartbeat {
   std::uint64_t epoch = 0;
+  std::uint64_t frontier = 0;
 };
 
 // --- Failure detector (SWIM) ---
@@ -95,6 +98,7 @@ struct SwimUpdate {
 struct SwimPing {
   std::uint64_t seq = 0;
   std::vector<SwimUpdate> updates;
+  std::uint64_t frontier = 0;
 };
 
 /// Probe acknowledgement. `on_behalf_of` names the site whose liveness
@@ -104,6 +108,7 @@ struct SwimAck {
   std::uint64_t seq = 0;
   SiteId on_behalf_of;
   std::vector<SwimUpdate> updates;
+  std::uint64_t frontier = 0;
 };
 
 /// Indirect-probe request: "ping `target` for me and relay its ack back
@@ -112,6 +117,7 @@ struct SwimPingReq {
   std::uint64_t seq = 0;
   SiteId target;
   std::vector<SwimUpdate> updates;
+  std::uint64_t frontier = 0;
 };
 
 // --- Consensus (single-decree, Paxos-style, one instance per slot) ---

@@ -140,6 +140,7 @@ std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kFdHeartbeat));
           w.put_varint(msg.epoch);
+          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, CsPrepare>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kCsPrepare));
           w.put_varint(msg.instance);
@@ -174,16 +175,19 @@ std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimPing));
           w.put_varint(msg.seq);
           put_swim_updates(w, msg.updates);
+          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, SwimAck>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimAck));
           w.put_varint(msg.seq);
           w.put_varint(msg.on_behalf_of.value());
           put_swim_updates(w, msg.updates);
+          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, SwimPingReq>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimPingReq));
           w.put_varint(msg.seq);
           w.put_varint(msg.target.value());
           put_swim_updates(w, msg.updates);
+          w.put_varint(msg.frontier);
         }
       },
       wire);
@@ -213,6 +217,7 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
     case Tag::kFdHeartbeat: {
       FdHeartbeat m;
       m.epoch = r.get_varint();
+      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -270,6 +275,7 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       SwimPing m;
       m.seq = r.get_varint();
       m.updates = get_swim_updates(r);
+      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -278,6 +284,7 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       m.seq = r.get_varint();
       m.on_behalf_of = SiteId(static_cast<SiteId::value_type>(r.get_varint()));
       m.updates = get_swim_updates(r);
+      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -286,6 +293,7 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       m.seq = r.get_varint();
       m.target = SiteId(static_cast<SiteId::value_type>(r.get_varint()));
       m.updates = get_swim_updates(r);
+      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }

@@ -85,8 +85,9 @@ TEST(WireCodec, RcAckRoundTrip) {
 
 TEST(WireCodec, HeartbeatRoundTrip) {
   expect_roundtrip<FdHeartbeat>(
-      SiteId{0}, FdHeartbeat{123},
-      [](const FdHeartbeat& a, const FdHeartbeat& b) { return a.epoch == b.epoch; });
+      SiteId{0}, FdHeartbeat{123, 4567}, [](const FdHeartbeat& a, const FdHeartbeat& b) {
+        return a.epoch == b.epoch && a.frontier == b.frontier;
+      });
 }
 
 TEST(WireCodec, ConsensusMessagesRoundTrip) {
@@ -140,23 +141,24 @@ TEST(WireCodec, SwimMessagesRoundTrip) {
       SwimUpdate{SwimStatus::kSuspect, SiteId{12}, 0},
       SwimUpdate{SwimStatus::kFaulty, SiteId{900}, 17},
   };
-  expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{41, updates},
+  expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{41, updates, 300},
                              [](const SwimPing& a, const SwimPing& b) {
-                               return a.seq == b.seq && a.updates == b.updates;
+                               return a.seq == b.seq && a.updates == b.updates &&
+                                      a.frontier == b.frontier;
                              });
   expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{42, {}},
                              [](const SwimPing& a, const SwimPing& b) {
                                return a.seq == b.seq && a.updates == b.updates;
                              });
-  expect_roundtrip<SwimAck>(SiteId{9}, SwimAck{41, SiteId{5}, updates},
+  expect_roundtrip<SwimAck>(SiteId{9}, SwimAck{41, SiteId{5}, updates, 301},
                             [](const SwimAck& a, const SwimAck& b) {
                               return a.seq == b.seq && a.on_behalf_of == b.on_behalf_of &&
-                                     a.updates == b.updates;
+                                     a.updates == b.updates && a.frontier == b.frontier;
                             });
-  expect_roundtrip<SwimPingReq>(SiteId{0}, SwimPingReq{77, SiteId{3}, updates},
+  expect_roundtrip<SwimPingReq>(SiteId{0}, SwimPingReq{77, SiteId{3}, updates, 1ull << 40},
                                 [](const SwimPingReq& a, const SwimPingReq& b) {
                                   return a.seq == b.seq && a.target == b.target &&
-                                         a.updates == b.updates;
+                                         a.updates == b.updates && a.frontier == b.frontier;
                                 });
 }
 
@@ -209,7 +211,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
         wire = RcAck{rng.next()};
         break;
       case 2:
-        wire = FdHeartbeat{rng.next()};
+        wire = FdHeartbeat{rng.next(), rng.next()};
         break;
       case 3: {
         ConsensusValue v;

@@ -8,10 +8,20 @@
 // it rests on: a value the owner's first round got chosen survives the
 // owner's crash even when the next coordinator holds another proposal.
 //
-// The last test runs a virtual-time GroupNode fleet and cuts the final
+// The last tests run virtual-time GroupNode fleets. One cuts the final
 // DECIDE of the stream to a rejoined site, which holds no proposal of its
 // own and sees no later decision; only the retry tick's decision pull of
-// an idle accepted value lets it deliver the last message.
+// an idle accepted value lets it deliver the last message. Another cuts a
+// site off the whole last slot, whose payload it never received; only the
+// frontier its peers' heartbeats carry makes it pull the decision. A live
+// site evicted under SWIM hears such frontiers too, and must not pull the
+// slots decided after its eviction. Two more cut
+// a broadcast's origin off from all but one member and crash it: RelCast
+// does not relay an atomic payload, so consensus alone must bring it to
+// every survivor, while a plain broadcast still travels by the relay. The
+// last one hands a site that restarted and rejoined without being evicted
+// a payload the group delivered before its join, which only ABcast's
+// rejoined-proposer filter keeps it from proposing again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -336,79 +346,370 @@ TEST(ConsensusFirstRound, EmptyBatchIsASkipOnlyForTheOwner) {
   }
 }
 
-// --- Rejoin tail gap --------------------------------------------------------
+// --- Virtual-time fleets ------------------------------------------------------
 
-TEST(ConsensusTail, RejoinedSiteLearnsALostFinalDecide) {
-  time::VirtualClock clock;
-  GcOptions opts;
-  opts.clock = &clock;
-  opts.fd_timeout = 20000us;  // the 3 ms cut must not look like a crash
-  // A lossless, jitter-free network: the one DECIDE wave the cut removes
-  // is the only thing ever lost.
-  net::SimNetwork net(net::LinkOptions{.base_latency = 100us}, 1, &clock);
-  net::TimerService script(&clock);
+/// A GroupNode fleet on one virtual clock and a lossless, jitter-free
+/// network, driven by a script of timers. `run` starts every node in one
+/// view, arms the script and returns once the script calls `shut_down`.
+struct VirtualCluster {
+  explicit VirtualCluster(int n, GcOptions opts = {})
+      : net(net::LinkOptions{.base_latency = 100us}, 1, &clock), script(&clock) {
+    opts.clock = &clock;
+    for (int i = 0; i < n; ++i) nodes.push_back(std::make_unique<GroupNode>(net, opts));
+    for (auto& node : nodes) members.push_back(node->id());
+  }
 
-  constexpr int kN = 3;
-  std::vector<std::unique_ptr<GroupNode>> nodes;
-  for (int i = 0; i < kN; ++i) nodes.push_back(std::make_unique<GroupNode>(net, opts));
-  std::vector<SiteId> members;
-  for (auto& n : nodes) members.push_back(n->id());
-  GroupNode& rejoined = *nodes[2];
-  const SiteId rejoined_id = rejoined.id();
+  GroupNode& operator[](std::size_t i) { return *nodes[i]; }
 
-  OneShotEvent done;
-  bool delivered_last = false;
-  std::optional<SiteId> owner;
-  const auto has_last = [](GroupNode& n) {
-    const auto got = n.sink().adelivered();
-    return std::any_of(got.begin(), got.end(),
-                       [](const AppMessage& m) { return m.data == "last"; });
-  };
-  const auto shut_down = [&] {
+  void run(const std::function<void()>& arm_script) {
+    {
+      time::Pin setup(clock);
+      for (auto& n : nodes) n->start(View(1, members));
+      arm_script();
+    }
+    done.wait();
+    net.drain();
+    for (auto& n : nodes) n->drain();
+  }
+
+  void shut_down() {
     for (auto& n : nodes) n->stop_timers();
     script.cancel_all();
     done.set();
-  };
-  {
-    time::Pin setup(clock);
-    for (auto& n : nodes) n->start(View(1, members));
-    script.schedule(1000us, [&] { nodes[0]->abcast("first"); });
-    script.schedule(5000us, [&] { rejoined.crash(); });
-    script.schedule(6000us, [&] { nodes[0]->request_leave(rejoined_id); });
-    script.schedule(20000us, [&] { rejoined.restart(); });
-    script.schedule(21000us, [&] { nodes[0]->request_join(rejoined_id); });
+  }
+
+  std::uint64_t failed_computations() const {
+    std::uint64_t failed = 0;
+    for (const auto& n : nodes) failed += n->total_failed_computations();
+    return failed;
+  }
+
+  verify::VsReport check_virtual_synchrony() const {
+    std::vector<verify::IncarnationTrace> traces;
+    for (const auto& n : nodes) {
+      for (auto& t : n->vs_traces()) traces.push_back(std::move(t));
+    }
+    return verify::check_virtual_synchrony(traces);
+  }
+
+  time::VirtualClock clock;
+  net::SimNetwork net;
+  net::TimerService script;
+  std::vector<std::unique_ptr<GroupNode>> nodes;
+  std::vector<SiteId> members;
+  OneShotEvent done;
+};
+
+std::vector<std::string> payloads(const std::vector<AppMessage>& msgs) {
+  std::vector<std::string> out;
+  for (const AppMessage& m : msgs) out.push_back(m.data);
+  return out;
+}
+
+long count_of(const std::vector<AppMessage>& msgs, const std::string& data) {
+  return std::count_if(msgs.begin(), msgs.end(),
+                       [&](const AppMessage& m) { return m.data == data; });
+}
+
+// --- Rejoin tail gap --------------------------------------------------------
+
+TEST(ConsensusTail, RejoinedSiteLearnsALostFinalDecide) {
+  GcOptions opts;
+  opts.fd_timeout = 20000us;  // the 3 ms cut must not look like a crash
+  // The network is lossless: the one DECIDE wave the cut removes is the
+  // only thing ever lost.
+  VirtualCluster c(3, opts);
+  GroupNode& rejoined = c[2];
+  const SiteId rejoined_id = rejoined.id();
+
+  bool delivered_last = false;
+  std::optional<SiteId> owner;
+  const auto has_last = [](GroupNode& n) { return count_of(n.sink().adelivered(), "last") > 0; };
+  c.run([&] {
+    c.script.schedule(1000us, [&] { c[0].abcast("first"); });
+    c.script.schedule(5000us, [&] { rejoined.crash(); });
+    c.script.schedule(6000us, [&] { c[0].request_leave(rejoined_id); });
+    c.script.schedule(20000us, [&] { rejoined.restart(); });
+    c.script.schedule(21000us, [&] { c[0].request_join(rejoined_id); });
     // The last message of the stream: its slot's owner submits it, so the
     // owner's first-round ACCEPT leaves at once. One microsecond later the
     // owner -> rejoined link is cut for 3 ms: the rejoined site has
     // accepted the value, but every DECIDE copy to it is lost.
-    script.schedule(40000us, [&] {
-      const std::uint64_t slot = nodes[0]->ab().next_instance();
-      owner = nodes[0]->membership().view_snapshot().member_at(slot);
-      nodes[owner->value()]->abcast("last");
+    c.script.schedule(40000us, [&] {
+      const std::uint64_t slot = c[0].ab().next_instance();
+      owner = c[0].membership().view_snapshot().member_at(slot);
+      c[owner->value()].abcast("last");
     });
-    script.schedule(40001us, [&] { net.set_partitioned_oneway(*owner, rejoined_id, true); });
-    script.schedule(43000us, [&] { net.set_partitioned_oneway(*owner, rejoined_id, false); });
-    script.schedule_periodic(1000us, [&] {
-      if (!has_last(*nodes[0]) || !has_last(*nodes[1]) || !has_last(rejoined)) return;
+    c.script.schedule(40001us, [&] { c.net.set_partitioned_oneway(*owner, rejoined_id, true); });
+    c.script.schedule(43000us, [&] { c.net.set_partitioned_oneway(*owner, rejoined_id, false); });
+    c.script.schedule_periodic(1000us, [&] {
+      if (!has_last(c[0]) || !has_last(c[1]) || !has_last(rejoined)) return;
       delivered_last = true;
-      shut_down();
+      c.shut_down();
     });
-    script.schedule(200000us, shut_down);
-  }
-  done.wait();
-  net.drain();
-  for (auto& n : nodes) n->drain();
+    c.script.schedule(200000us, [&] { c.shut_down(); });
+  });
 
   ASSERT_TRUE(owner.has_value());
   ASSERT_NE(*owner, rejoined_id) << "the scenario needs the rejoined site to hold no proposal";
   ASSERT_EQ(rejoined.rejoins_completed(), 1u);
   EXPECT_TRUE(delivered_last) << "the rejoined site never learnt the stream's last decision";
   EXPECT_GT(rejoined.consensus().decision_pulls(), 0u);
-  std::vector<verify::IncarnationTrace> traces;
-  for (auto& n : nodes) {
-    for (auto& t : n->vs_traces()) traces.push_back(std::move(t));
+  const auto report = c.check_virtual_synchrony();
+  EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+// --- A crashed origin's last broadcast ---------------------------------------
+
+struct OrphanRun {
+  bool complete = false;
+  std::vector<std::vector<AppMessage>> adelivered;  // per survivor
+  std::vector<long> plain_copies;                   // "orphan" rdeliveries per survivor
+  std::uint64_t orphan_broadcasts = 0;  // RelCast broadcasts of "orphan", all sites
+  std::uint64_t failed_computations = 0;
+  verify::VsReport vs;
+};
+
+// Four sites; site 3 is the origin. Every survivor abcasts once before and
+// once after. At 10 ms the origin -> 1 and origin -> 2 links are cut one
+// way and the origin broadcasts "orphan" (an abcast, or a plain rbcast),
+// so only site 0 receives it. The origin crashes 0.5 ms later, before its
+// RelComm copies to 1 and 2 can be retransmitted past the cut, and site 1
+// evicts it at 11 ms.
+OrphanRun run_orphaned_broadcast(bool atomic) {
+  constexpr int kSurvivors = 3;
+  VirtualCluster c(kSurvivors + 1);
+  GroupNode& origin = c[kSurvivors];
+  OrphanRun run;
+  const auto finished = [&](GroupNode& n) {
+    const std::size_t app_msgs = 2 * kSurvivors + (atomic ? 1 : 0);
+    return n.sink().adelivered().size() >= app_msgs &&
+           (atomic || count_of(n.sink().rdelivered(), "orphan") > 0);
+  };
+  const auto broadcasts = [&] {
+    std::uint64_t sum = 0;
+    for (auto& n : c.nodes) sum += n->rel_cast().broadcasts();
+    return sum;
+  };
+  c.run([&] {
+    c.script.schedule(1000us, [&] {
+      for (int i = 0; i < kSurvivors; ++i) c[i].abcast("before-" + std::to_string(i));
+    });
+    c.script.schedule(10000us, [&] {
+      run.orphan_broadcasts = broadcasts();
+      c.net.set_partitioned_oneway(origin.id(), c[1].id(), true);
+      c.net.set_partitioned_oneway(origin.id(), c[2].id(), true);
+      if (atomic) {
+        origin.abcast("orphan");
+      } else {
+        origin.rbcast("orphan");
+      }
+    });
+    c.script.schedule(10500us, [&] { origin.crash(); });
+    // Every relay of "orphan" has happened by now (each hop is 0.1 ms),
+    // and no other broadcast has started.
+    c.script.schedule(10999us,
+                      [&] { run.orphan_broadcasts = broadcasts() - run.orphan_broadcasts; });
+    c.script.schedule(11000us, [&] { c[1].request_leave(origin.id()); });
+    c.script.schedule(20000us, [&] {
+      for (int i = 0; i < kSurvivors; ++i) c[i].abcast("after-" + std::to_string(i));
+    });
+    c.script.schedule_periodic(1000us, [&] {
+      for (int i = 0; i < kSurvivors; ++i) {
+        if (!finished(c[i])) return;
+      }
+      run.complete = true;
+      c.shut_down();
+    });
+    c.script.schedule(300000us, [&] { c.shut_down(); });
+  });
+
+  for (int i = 0; i < kSurvivors; ++i) {
+    run.adelivered.push_back(c[i].sink().adelivered());
+    run.plain_copies.push_back(count_of(c[i].sink().rdelivered(), "orphan"));
   }
-  const auto report = verify::check_virtual_synchrony(traces);
+  run.failed_computations = c.failed_computations();
+  run.vs = c.check_virtual_synchrony();
+  return run;
+}
+
+TEST(CrashedOrigin, SurvivorsOrderAnAbcastOnlyOneOfThemHeld) {
+  const OrphanRun run = run_orphaned_broadcast(/*atomic=*/true);
+  ASSERT_TRUE(run.complete) << "a survivor never delivered every message";
+  // The origin's bcast is the only RelCast broadcast: nobody relayed the
+  // payload, so sites 1 and 2 can have learnt it only from consensus.
+  EXPECT_EQ(run.orphan_broadcasts, 1u);
+  const std::vector<std::string> order = payloads(run.adelivered[0]);
+  ASSERT_EQ(std::count(order.begin(), order.end(), "orphan"), 1)
+      << "site 0 must deliver the orphaned abcast exactly once";
+  for (std::size_t i = 1; i < run.adelivered.size(); ++i) {
+    EXPECT_EQ(payloads(run.adelivered[i]), order) << "site " << i << " disagrees on the order";
+  }
+  EXPECT_EQ(run.failed_computations, 0u);
+  EXPECT_TRUE(run.vs.ok()) << run.vs.describe();
+}
+
+TEST(CrashedOrigin, RelayBringsAPlainBroadcastToEverySurvivor) {
+  const OrphanRun run = run_orphaned_broadcast(/*atomic=*/false);
+  ASSERT_TRUE(run.complete) << "a survivor never received the plain broadcast";
+  for (std::size_t i = 0; i < run.plain_copies.size(); ++i) {
+    EXPECT_EQ(run.plain_copies[i], 1) << "site " << i;
+  }
+  // The origin's bcast plus one relay by each site that received it: the
+  // origin itself (loopback) and all three survivors.
+  EXPECT_EQ(run.orphan_broadcasts, 5u);
+  for (std::size_t i = 1; i < run.adelivered.size(); ++i) {
+    EXPECT_EQ(payloads(run.adelivered[i]), payloads(run.adelivered[0])) << "site " << i;
+  }
+  EXPECT_EQ(run.failed_computations, 0u);
+  EXPECT_TRUE(run.vs.ok()) << run.vs.describe();
+}
+
+// --- A lost last slot at a site that never held its payload -------------------
+
+// The chaos-fleet shape in which nothing but detector traffic is left to
+// show a site that it fell behind. The next slot's owner abcasts the
+// stream's last message while its link to one site is cut one way, and
+// crashes 2 ms later without being evicted. The cut site gets no copy of the
+// payload, and it loses the owner's ACCEPT and every DECIDE copy, since
+// the owner coordinates the slot and sends them all. It holds no payload,
+// no proposal and no accepted value for the slot, and no later slot
+// decides. Only the frontier the other survivors' heartbeats carry can
+// tell it to pull the decision.
+TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlot) {
+  constexpr int kN = 4;
+  VirtualCluster c(kN);
+  std::optional<SiteId> owner;
+  std::optional<SiteId> cut;
+  bool complete = false;
+  const auto has_last = [](GroupNode& n) { return count_of(n.sink().adelivered(), "last") > 0; };
+  c.run([&] {
+    c.script.schedule(1000us, [&] {
+      for (auto& n : c.nodes) n->abcast("before-" + std::to_string(n->id().value()));
+    });
+    c.script.schedule(10000us, [&] {
+      const std::uint64_t slot = c[0].ab().next_instance();
+      const View view = c[0].membership().view_snapshot();
+      owner = view.member_at(slot);
+      cut = view.member_at(slot + 1);
+      c.net.set_partitioned_oneway(*owner, *cut, true);
+      c[owner->value()].abcast("last");
+    });
+    c.script.schedule(12000us, [&] { c[owner->value()].crash(); });
+    c.script.schedule_periodic(1000us, [&] {
+      for (auto& n : c.nodes) {
+        if (n->id() != *owner && !has_last(*n)) return;
+      }
+      complete = true;
+      c.shut_down();
+    });
+    c.script.schedule(200000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_TRUE(owner.has_value() && cut.has_value());
+  ASSERT_NE(*owner, *cut);
+  GroupNode& behind = c[cut->value()];
+  EXPECT_TRUE(complete) << "site " << cut->value() << " never learnt the last slot's decision";
+  EXPECT_GT(behind.consensus().decision_pulls(), 0u);
+  std::vector<std::string> order;
+  for (auto& n : c.nodes) {
+    if (n->id() == *owner) continue;
+    const std::vector<std::string> mine = payloads(n->sink().adelivered());
+    EXPECT_EQ(std::count(mine.begin(), mine.end(), "last"), 1) << "site " << n->id().value();
+    if (order.empty()) order = mine;
+    EXPECT_EQ(mine, order) << "site " << n->id().value() << " disagrees on the order";
+  }
+  EXPECT_EQ(c.failed_computations(), 0u);
+  const auto report = c.check_virtual_synchrony();
+  EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+// A live site that the group evicts keeps probing its former peers under
+// SWIM, and their acks carry frontiers past its own. It must not pull the
+// slots decided after its eviction: it would deliver messages of views it
+// is not a member of.
+TEST(ConsensusTail, EvictedLiveSiteDoesNotPullLaterSlots) {
+  GcOptions opts;
+  opts.detector_impl = DetectorImpl::kSwim;
+  VirtualCluster c(4, opts);
+  GroupNode& evicted = c[3];
+  const SiteId evicted_id = evicted.id();
+  std::size_t delivered_at_eviction = 0;
+  std::uint64_t pulls_at_eviction = 0;
+  c.run([&] {
+    c.script.schedule(1000us, [&] { c[0].abcast("before"); });
+    c.script.schedule(5000us, [&] { c[0].request_leave(evicted_id); });
+    c.script.schedule(10000us, [&] {
+      delivered_at_eviction = evicted.sink().adelivered().size();
+      pulls_at_eviction = evicted.consensus().decision_pulls();
+      for (int i = 0; i < 3; ++i) c[i].abcast("after-" + std::to_string(i));
+    });
+    // Several retry timeouts after the group decided the later slots.
+    c.script.schedule(60000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_FALSE(evicted.membership().view_snapshot().contains(evicted_id));
+  ASSERT_EQ(delivered_at_eviction, 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(c[i].sink().adelivered().size(), 4u) << "site " << i;
+  }
+  EXPECT_GT(evicted.detector().peer_frontier(), evicted.ab().next_instance())
+      << "the evicted site never heard a frontier past its own";
+  EXPECT_EQ(evicted.consensus().decision_pulls(), pulls_at_eviction);
+  EXPECT_EQ(evicted.sink().adelivered().size(), delivered_at_eviction);
+  EXPECT_EQ(c.failed_computations(), 0u);
+  // No vs check: its no-lost-delivery rule expects every live incarnation
+  // to drain the whole order, which a live site evicted for good never does.
+}
+
+// --- The rejoined-proposer filter's one remaining path ------------------------
+
+// Site 3 crashes and restarts without being evicted, so it stays in the
+// origin's view and the origin keeps retransmitting its unacked copy of
+// "pre", which the group delivered meanwhile. The origin -> 3 link is cut
+// until the rejoin (View::with of a current member) has installed a view at
+// site 3, so the restarted stack cannot ack and discard the copy first; the
+// retransmission after the heal is accepted as new. Without the filter site
+// 3 proposes "pre" again and delivers it at a second position.
+TEST(RejoinedProposer, UnevictedRestartDoesNotProposeAPreCrashCopy) {
+  constexpr int kN = 4;
+  VirtualCluster c(kN);
+  GroupNode& origin = c[0];
+  GroupNode& restarted = c[kN - 1];
+  bool installed_before_heal = false;
+  std::uint64_t retransmissions_at_heal = 0;
+  c.run([&] {
+    c.script.schedule(10000us, [&] {
+      c.net.set_partitioned_oneway(origin.id(), restarted.id(), true);
+      origin.abcast("pre");
+    });
+    c.script.schedule(10500us, [&] { restarted.crash(); });
+    c.script.schedule(12000us, [&] { restarted.restart(); });
+    c.script.schedule(13000us, [&] { c[1].request_join(restarted.id()); });
+    c.script.schedule(16000us, [&] {
+      installed_before_heal = restarted.membership().view_snapshot().contains(origin.id());
+      retransmissions_at_heal = origin.rel_comm().retransmissions_to(restarted.id());
+      c.net.set_partitioned_oneway(origin.id(), restarted.id(), false);
+    });
+    // Later traffic, so that slots the rejoined site owns come round.
+    for (int k = 0; k < 4; ++k) {
+      c.script.schedule(std::chrono::microseconds(30000 + 2000 * k), [&, k] {
+        for (auto& n : c.nodes) n->abcast("post-" + std::to_string(k));
+      });
+    }
+    c.script.schedule(100000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_EQ(restarted.rejoins_completed(), 1u);
+  ASSERT_TRUE(installed_before_heal) << "the rejoin must install a view before the copy arrives";
+  EXPECT_GT(origin.rel_comm().retransmissions_to(restarted.id()), retransmissions_at_heal)
+      << "the origin never retransmitted its pre-crash copy after the heal";
+  EXPECT_EQ(count_of(origin.sink().adelivered(), "pre"), 1);
+  EXPECT_EQ(count_of(restarted.sink().adelivered(), "pre"), 0)
+      << "pre-join history delivered again";
+  EXPECT_EQ(restarted.sink().adelivered().size(), static_cast<std::size_t>(4 * kN));
+  EXPECT_EQ(c.failed_computations(), 0u);
+  const auto report = c.check_virtual_synchrony();
   EXPECT_TRUE(report.ok()) << report.describe();
 }
 

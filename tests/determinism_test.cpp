@@ -201,8 +201,8 @@ TEST(Determinism, RecoveryFleetReplaysIdentically) {
   // the same reason as the churn goldens below.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0xa03d182649bab2ddull},
-      {17ull, 0xb92e20d36982ccb4ull},
+      {1ull, 0xc0d98a3b5993db59ull},
+      {17ull, 0x089b54efbf18b9cfull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {
@@ -252,8 +252,8 @@ TEST(Determinism, ChurnFleetReplaysIdentically) {
   // replay equality.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0xd3105d91287a3d95ull},
-      {17ull, 0x9e02401d1693d43cull},
+      {1ull, 0xffebaa8d5e7989b1ull},
+      {17ull, 0xb7cc80ad5c7628cfull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {

@@ -73,16 +73,18 @@ TEST(ExploreNetSweep, ExploredSchedulesStayClean) {
 }
 
 // The reach gate: explored schedules change what the stack agrees on.
-// The fleet seed is pinned, not read from SAMOA_TEST_SEED: at some seeds
-// no order flip shows within a few dozen schedules.
+// The fleet seed is pinned, not read from SAMOA_TEST_SEED: at most seeds
+// no order flip shows within the budget. Atomic payloads travel once, so
+// few packets are ever due together; of seeds 1-8 only 2 and 7 flip under
+// both strategies (EXPERIMENTS E-EXPLORE-NET).
 TEST(ExploreNetSweep, ExplorationFlipsTheAgreedOrder) {
-  constexpr std::uint64_t kSeed = 4;
+  constexpr std::uint64_t kSeed = 2;
 #ifdef __GLIBCXX__
-  // Measured shrunk lengths (from 156 and 169 decisions), libstdc++
+  // Measured shrunk lengths (from 34 and 35 decisions), libstdc++
   // specific like the golden hashes: the event order depends on it.
   const std::map<StrategyKind, std::size_t> shrunk_size = {
-      {StrategyKind::kRandomWalk, 6},
-      {StrategyKind::kPct, 3},
+      {StrategyKind::kRandomWalk, 1},
+      {StrategyKind::kPct, 1},
   };
 #endif
   const FleetSchedule plain = run_fleet_schedule(ExploredFleet::kRecovery, kSeed, nullptr);

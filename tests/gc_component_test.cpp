@@ -1,7 +1,7 @@
 // Component-level tests of the group-communication microprotocols on
 // small clusters: RelComm dedup/acks/retransmit give-up, RelCast
-// rebroadcast semantics, ABcast batching, consensus under coordinator
-// crash, and Outbox ordering.
+// rebroadcast semantics (plain traffic is relayed, atomic is not), ABcast
+// batching, consensus under coordinator crash, and Outbox ordering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -95,6 +95,20 @@ TEST(RelCastComponent, EveryMemberRebroadcastsOnce) {
   std::uint64_t broadcasts = 0;
   for (auto& n : p.nodes) broadcasts += n->rel_cast().broadcasts();
   EXPECT_EQ(broadcasts, 4u);
+
+  // An atomic payload is not relayed: consensus carries it to every site,
+  // so the origin's bcast is the only broadcast.
+  p.nodes[0]->abcast("ordered");
+  ASSERT_TRUE(wait_until([&] {
+    for (auto& n : p.nodes) {
+      if (n->sink().adelivered().size() != 1) return false;
+    }
+    return true;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::uint64_t atomic_broadcasts = 0;
+  for (auto& n : p.nodes) atomic_broadcasts += n->rel_cast().broadcasts();
+  EXPECT_EQ(atomic_broadcasts - broadcasts, 1u);
 }
 
 TEST(ABcastComponent, BatchesRespectMsgIdOrder) {
