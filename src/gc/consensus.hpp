@@ -60,7 +60,7 @@ class Consensus : public GcMicroprotocol {
   //   - we accepted a value for it and nothing has moved for
   //     cs_retry_timeout (the stream's last DECIDE was lost, so no later
   //     decision will ever show the gap);
-  //   - a peer's detector traffic has reported a frontier past it for
+  //   - a peer's packet has reported a frontier past it for
   //     cs_retry_timeout (we lost the slot's ACCEPT and every DECIDE and
   //     hold nothing to retry, e.g. because the payload's origin crashed
   //     before its copy reached us).
@@ -72,7 +72,8 @@ class Consensus : public GcMicroprotocol {
   void set_frontier_source(std::function<std::uint64_t()> source) {
     frontier_source_ = std::move(source);
   }
-  // The highest frontier a peer reported (Detector::peer_frontier).
+  // The highest frontier a peer's packet header reported
+  // (Transport::peer_frontier).
   void set_peer_frontier_source(std::function<std::uint64_t()> source) {
     peer_frontier_source_ = std::move(source);
   }

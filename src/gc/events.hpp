@@ -53,10 +53,11 @@ struct ADelivery {
 };
 
 struct GcEvents {
-  // External (network / timers / API):
+  // External (network / timers / API). A heartbeat packet has no event:
+  // GroupNode::on_packet records what every packet tells (its sender is
+  // alive, and its sender's frontier) without spawning a computation.
   EventType rc_data{"net.RcData"};
   EventType rc_ack{"net.RcAck"};
-  EventType fd_heartbeat{"net.FdHeartbeat"};
   EventType swim_wire{"net.Swim"};
   EventType cs_wire{"net.Consensus"};
   EventType view_install{"net.ViewInstall"};

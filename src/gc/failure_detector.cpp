@@ -5,30 +5,29 @@
 namespace samoa::gc {
 
 FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, SiteId self,
-                                 View initial_view)
-    : GcMicroprotocol("fd", opts), self_(self), view_(std::move(initial_view)) {
-  on_heartbeat_ = &register_handler("on_heartbeat", [this](Context&, const Message& m) {
-    auto lock = guard();
-    const auto& fw = m.as<FromWire>();
-    note_peer_frontier(std::get<FdHeartbeat>(fw.wire).frontier);
-    std::unique_lock snap(snap_mu_);
-    last_heard_[fw.from] = options().now();
-    if (suspected_.erase(fw.from) > 0) {
-      revocations_.add();  // eventually-perfect: revoke on new evidence
-    }
-  });
-
+                                 View initial_view, const Transport& transport)
+    : GcMicroprotocol("fd", opts),
+      self_(self),
+      view_(std::move(initial_view)),
+      transport_(transport) {
   send_heartbeats_ = &register_handler("send_heartbeats",
                                        [this, &events](Context& ctx, const Message&) {
     Outbox out;
     {
       auto lock = guard();
-      ++epoch_;
-      const FdHeartbeat beat{epoch_, own_frontier()};
+      const auto now = options().now();
+      const FdHeartbeat beat{++epoch_};
       for (SiteId site : view_.members()) {
         if (site == self_) continue;
+        // Whatever we sent the peer since the previous tick told it what
+        // a heartbeat would.
+        if (transport_.last_sent_to(site) > last_tick_) {
+          skipped_.add();
+          continue;
+        }
         out.trigger(events.transport_send, Message::of(TransportSend{site, Wire{beat}}));
       }
+      last_tick_ = now;
     }
     out.flush(ctx);
   });
@@ -73,7 +72,8 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
     // last_heard_ and suspects it instantly. And a fresh joiner with no
     // record would ride on check's lazy seeding — one full fd_timeout of
     // instant-suspicion exposure if a check never ran between the install
-    // and its first heartbeat. Prune and seed eagerly here instead.
+    // and its first packet (heard_from refreshes existing records only).
+    // Prune and seed eagerly here instead.
     for (auto it = last_heard_.begin(); it != last_heard_.end();) {
       it = view_.contains(it->first) ? std::next(it) : last_heard_.erase(it);
     }
@@ -82,6 +82,17 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
       last_heard_.try_emplace(site, now);
     }
   });
+}
+
+void FailureDetector::heard_from(SiteId site) {
+  const auto now = options().now();
+  std::unique_lock snap(snap_mu_);
+  const auto it = last_heard_.find(site);
+  if (it == last_heard_.end()) return;
+  it->second = now;
+  if (suspected_.erase(site) > 0) {
+    revocations_.add();  // eventually-perfect: revoke on new evidence
+  }
 }
 
 bool FailureDetector::is_suspected(SiteId site) {

@@ -10,7 +10,8 @@ namespace samoa::gc {
 
 /// Which failure detector feeds the suspect/view-change machinery.
 enum class DetectorImpl {
-  kHeartbeat,  // all-to-all heartbeats, O(n^2) messages per interval
+  kHeartbeat,  // any packet proves liveness; heartbeats only on otherwise idle
+               // links, so O(n^2) messages per interval when the group is idle
   kSwim,       // SWIM gossip: randomized probes + piggybacked dissemination, O(n)
 };
 

@@ -82,7 +82,7 @@ void GroupNode::build_stack() {
   if (opts_.detector_impl == DetectorImpl::kSwim) {
     swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
   } else {
-    fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
+    fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty, *transport_);
   }
   consensus_ = &stack_->emplace<Consensus>(opts_, events_, self_, empty);
   abcast_ = &stack_->emplace<ABcast>(opts_, events_, self_, empty);
@@ -91,22 +91,22 @@ void GroupNode::build_stack() {
   sink_ = &stack_->emplace<DeliverSink>(opts_, events_);
 
   // ABcast's frontier mirror is atomic, so consensus may poll it from the
-  // retry tick without taking ABcast's guard (no lock-order coupling). The
-  // detector reads it the same way to carry it on its traffic, and
-  // consensus polls the highest frontier a peer reported likewise.
+  // retry tick without taking ABcast's guard (no lock-order coupling).
+  // Transport reads it the same way to stamp it on every packet, and
+  // consensus polls the highest frontier a peer's packet reported likewise.
   const auto frontier = [ab = abcast_] { return ab->next_instance(); };
   consensus_->set_frontier_source(frontier);
-  detector().set_frontier_source(frontier);
-  consensus_->set_peer_frontier_source([d = &detector()] { return d->peer_frontier(); });
+  transport_->set_frontier_source(frontier);
+  consensus_->set_peer_frontier_source([t = transport_] { return t->peer_frontier(); });
 
   bind_all();
   triggers_ = declare_triggers();
   const EventType* roots[] = {
-      &events_.rc_data,         &events_.rc_ack,         &events_.fd_heartbeat,
-      &events_.swim_wire,       &events_.cs_wire,        &events_.view_install,
-      &events_.retransmit_tick, &events_.heartbeat_tick, &events_.fd_check_tick,
-      &events_.swim_tick,       &events_.cs_retry_tick,  &events_.api_abcast,
-      &events_.api_rbcast,      &events_.api_ccast,      &events_.api_joinleave,
+      &events_.rc_data,        &events_.rc_ack,          &events_.swim_wire,
+      &events_.cs_wire,        &events_.view_install,    &events_.retransmit_tick,
+      &events_.heartbeat_tick, &events_.fd_check_tick,   &events_.swim_tick,
+      &events_.cs_retry_tick,  &events_.api_abcast,      &events_.api_rbcast,
+      &events_.api_ccast,      &events_.api_joinleave,
   };
   declarations_ = std::vector<RootDeclaration>(std::size(roots));
   for (std::size_t i = 0; i < std::size(roots); ++i) declarations_[i].root = roots[i];
@@ -129,7 +129,6 @@ void GroupNode::bind_all() {
   stack_->bind(events_.rc_data, *relcomm_->recv_data_handler());
   stack_->bind(events_.rc_ack, *relcomm_->recv_ack_handler());
   if (fd_ != nullptr) {
-    stack_->bind(events_.fd_heartbeat, *fd_->on_heartbeat_handler());
     stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
     stack_->bind(events_.fd_check_tick, *fd_->check_handler());
   }
@@ -182,8 +181,7 @@ TriggerDeclarations GroupNode::declare_triggers() const {
   // Inference follows these over the bindings, so a missing entry makes
   // the declaration too narrow and the undeclared call throws
   // IsolationError (counted in Runtime::Stats::failed). Handlers not
-  // listed are leaves: Transport::send, every viewChange,
-  // FailureDetector::on_heartbeat and the sink.
+  // listed are leaves: Transport::send, every viewChange and the sink.
   const GcEvents& ev = events_;
   TriggerDeclarations d;
   d.declare(*relcomm_->send_handler(), ev.transport_send)
@@ -255,7 +253,12 @@ void GroupNode::on_packet(const net::Packet& packet) {
   const FromWire fw =
       opts_.serialize_wire
           ? net::decode_wire(packet.payload.as<std::vector<std::uint8_t>>())
-          : FromWire{packet.from, packet.payload.as<Wire>()};
+          : packet.payload.as<FromWire>();
+  // Every packet's header tells its sender's frontier, and its arrival
+  // that the sender is alive. Both are recorded here, outside any
+  // computation, so no event's declaration widens.
+  transport_->note_peer_frontier(fw.frontier);
+  if (fd_ != nullptr) fd_->heard_from(fw.from);
   const Wire& wire = fw.wire;
   std::visit(
       [&](const auto& body) {
@@ -265,7 +268,7 @@ void GroupNode::on_packet(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, RcAck>) {
           spawn(events_.rc_ack, Message::of(fw));
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-          spawn(events_.fd_heartbeat, Message::of(fw));
+          // Its arrival, recorded above, is all it tells: no computation.
         } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                              std::is_same_v<T, SwimPingReq>) {
           spawn(events_.swim_wire, Message::of(fw));

@@ -4,7 +4,9 @@
 // detector, Consensus, ABcast, CausalCast, Membership, a delivery sink),
 // its Runtime with the chosen concurrency-control policy, and a
 // TimerService; registers with the SimNetwork and turns every network
-// packet and timer tick into an `isolated` computation.
+// packet and timer tick into an `isolated` computation. A heartbeat is
+// the exception: every packet's arrival and header are recorded outside
+// the computations (on_packet), and that is all a heartbeat tells.
 //
 // Declarations are inferred, not hand-written (paper Section 4: M "could
 // be inferred statically"): one TriggerDeclarations table lists the events

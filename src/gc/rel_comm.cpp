@@ -164,9 +164,9 @@ void RelComm::gc_evicted_peers() {
   // rejoin of an evicted site start from fresh sequence state. A site that
   // crashes and restarts without being evicted, and rejoins through
   // View::with of a current member, gets no such reset: its peers keep the
-  // old incarnation's seen_ entries while its fresh out_seq_ starts again
-  // at 1, and sequence numbers carry no incarnation epoch, so the peers
-  // would ack and drop its first RcData as duplicates (ROADMAP).
+  // old incarnation's seen_ entries. Its fresh out_seq_ starts in its own
+  // incarnation's range (dispatch_send), so the old entries cannot
+  // swallow its new RcData.
   // retrans_to_ survives on purpose — it is a statistic, and tests sample
   // it after eviction.
   for (auto it = seen_.begin(); it != seen_.end();)
@@ -178,7 +178,11 @@ void RelComm::gc_evicted_peers() {
 }
 
 void RelComm::dispatch_send(Outbox& out, const AppMessage& m, SiteId target) {
-  const std::uint64_t seq = ++out_seq_[target];
+  // Each incarnation numbers its sends from its own range, so a peer that
+  // still holds the previous incarnation's dedup set cannot mistake them
+  // for duplicates.
+  const std::uint64_t seq =
+      ++out_seq_.try_emplace(target, options().id_epoch << 32).first->second;
   Pending p{RcData{seq, m}, target, options().now(), options().retransmit_timeout};
   unacked_.emplace(std::make_pair(target, seq), p);
   unacked_count_.fetch_add(1, std::memory_order_relaxed);

@@ -17,8 +17,10 @@
 // sequence counters) for peers evicted from the view, so retransmissions
 // to a dead peer stop at the view change instead of running forever, and
 // a later re-join of the same site starts from clean sequence state on
-// both sides. A site restarted without eviction gets no such reset (see
-// the viewChange handler).
+// both sides. A site restarted without eviction gets no such reset; its
+// sequence numbers start in its incarnation's own range instead (the
+// epoch in the upper 32 bits), so peers that kept the old incarnation's
+// dedup sets still accept them.
 #pragma once
 
 #include <atomic>

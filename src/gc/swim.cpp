@@ -45,13 +45,11 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
             if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                           std::is_same_v<T, SwimPingReq>) {
               for (const auto& u : msg.updates) apply_update(u, now, out);
-              note_peer_frontier(msg.frontier);
             }
             if constexpr (std::is_same_v<T, SwimPing>) {
               out.trigger(events_.transport_send,
                           Message::of(TransportSend{
-                              fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from),
-                                                    own_frontier()}}}));
+                              fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from)}}}));
               acks_sent_.add();
             } else if constexpr (std::is_same_v<T, SwimPingReq>) {
               // Probe the target on the origin's behalf under our own seq;
@@ -62,8 +60,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                         now + options().swim_probe_interval};
               out.trigger(events_.transport_send,
                           Message::of(TransportSend{
-                              msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target),
-                                                        own_frontier()}}}));
+                              msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target)}}}));
               probes_sent_.add();
             } else if constexpr (std::is_same_v<T, SwimAck>) {
               if (probe_.active && msg.seq == probe_.seq && msg.on_behalf_of == probe_.target) {
@@ -74,8 +71,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                 out.trigger(events_.transport_send,
                             Message::of(TransportSend{
                                 r.origin,
-                                Wire{SwimAck{r.origin_seq, msg.on_behalf_of, make_updates(r.origin),
-                                             own_frontier()}}}));
+                                Wire{SwimAck{r.origin_seq, msg.on_behalf_of,
+                                             make_updates(r.origin)}}}));
                 acks_relayed_.add();
               }
             }
@@ -134,7 +131,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                         Message::of(TransportSend{
                             proxies[i],
                             Wire{SwimPingReq{probe_.seq, probe_.target,
-                                             make_updates(proxies[i]), own_frontier()}}}));
+                                             make_updates(proxies[i])}}}));
             ping_reqs_sent_.add();
           }
         }
@@ -148,8 +145,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
                                next_period_, false, true};
           out.trigger(events_.transport_send,
                       Message::of(TransportSend{
-                          *target, Wire{SwimPing{probe_.seq, make_updates(*target),
-                                                 own_frontier()}}}));
+                          *target, Wire{SwimPing{probe_.seq, make_updates(*target)}}}));
           probes_sent_.add();
         }
       }

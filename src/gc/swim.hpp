@@ -17,8 +17,7 @@
 // before aging out (the paper's lambda*log n budget). No broadcast, no
 // extra messages — detection and dissemination share the same O(n)
 // traffic, which is the whole reason this scales where the heartbeat
-// detector's O(n^2) does not. Every ping, ack and ping-req also carries
-// the sender's decided frontier (Detector).
+// detector's O(n^2) does not.
 #pragma once
 
 #include <optional>

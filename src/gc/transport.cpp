@@ -9,12 +9,31 @@ Transport::Transport(const GcOptions& opts, const GcEvents&, net::SimNetwork& ne
     auto lock = guard();
     const auto& req = m.as<TransportSend>();
     sent_.add();
+    if (!std::holds_alternative<FdHeartbeat>(req.wire)) {
+      std::unique_lock mirror(last_sent_mu_);
+      last_sent_[req.to] = options().now();
+    }
+    const std::uint64_t frontier = frontier_source_ ? frontier_source_() : 0;
     if (options().serialize_wire) {
-      net_.send(self_, req.to, Message::of(net::encode_wire(self_, req.wire)));
+      net_.send(self_, req.to, Message::of(net::encode_wire(self_, frontier, req.wire)));
     } else {
-      net_.send(self_, req.to, Message::of(req.wire));
+      net_.send(self_, req.to, Message::of(FromWire{self_, req.wire, frontier}));
     }
   });
+}
+
+Clock::time_point Transport::last_sent_to(SiteId peer) const {
+  std::unique_lock mirror(last_sent_mu_);
+  const auto it = last_sent_.find(peer);
+  return it == last_sent_.end() ? Clock::time_point{} : it->second;
+}
+
+void Transport::note_peer_frontier(std::uint64_t frontier) {
+  std::uint64_t seen = peer_frontier_.load(std::memory_order_relaxed);
+  while (frontier > seen &&
+         !peer_frontier_.compare_exchange_weak(seen, frontier, std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace samoa::gc

@@ -66,11 +66,10 @@ struct RcAck {
 };
 
 // --- Failure detector (heartbeat) ---
-/// `frontier`, here and on every SWIM message, is the sender's ABcast
-/// frontier: the first consensus slot it has not applied (Detector).
+/// Sent only to a peer that got no other packet from us since the
+/// previous heartbeat tick: any packet proves its sender alive.
 struct FdHeartbeat {
   std::uint64_t epoch = 0;
-  std::uint64_t frontier = 0;
 };
 
 // --- Failure detector (SWIM) ---
@@ -98,7 +97,6 @@ struct SwimUpdate {
 struct SwimPing {
   std::uint64_t seq = 0;
   std::vector<SwimUpdate> updates;
-  std::uint64_t frontier = 0;
 };
 
 /// Probe acknowledgement. `on_behalf_of` names the site whose liveness
@@ -108,7 +106,6 @@ struct SwimAck {
   std::uint64_t seq = 0;
   SiteId on_behalf_of;
   std::vector<SwimUpdate> updates;
-  std::uint64_t frontier = 0;
 };
 
 /// Indirect-probe request: "ping `target` for me and relay its ack back
@@ -117,7 +114,6 @@ struct SwimPingReq {
   std::uint64_t seq = 0;
   SiteId target;
   std::vector<SwimUpdate> updates;
-  std::uint64_t frontier = 0;
 };
 
 // --- Consensus (single-decree, Paxos-style, one instance per slot) ---
@@ -168,10 +164,15 @@ using Wire = std::variant<RcData, RcAck, FdHeartbeat, CsPrepare, CsPromise, CsAc
 /// Human-readable wire kind, for diagnostics and drop logs.
 const char* wire_kind(const Wire& wire);
 
-/// Wire messages handed to handlers carry their sender alongside the body.
+/// One packet: its header and its body. Wire messages handed to handlers
+/// carry the header alongside the body. Transport stamps every packet's
+/// header with the sender and the sender's ABcast frontier (the first
+/// consensus slot it has not applied), and GroupNode::on_packet records
+/// the frontier before any handler runs (Transport::peer_frontier).
 struct FromWire {
   SiteId from;
   Wire wire;
+  std::uint64_t frontier = 0;
 };
 
 }  // namespace samoa::gc

@@ -123,10 +123,11 @@ std::string ByteReader::get_string() {
   return s;
 }
 
-std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
+std::vector<std::uint8_t> encode_wire(SiteId from, std::uint64_t frontier, const gc::Wire& wire) {
   using namespace samoa::gc;
   ByteWriter w;
   w.put_varint(from.value());
+  w.put_varint(frontier);
   std::visit(
       [&](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -140,7 +141,6 @@ std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kFdHeartbeat));
           w.put_varint(msg.epoch);
-          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, CsPrepare>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kCsPrepare));
           w.put_varint(msg.instance);
@@ -175,19 +175,16 @@ std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimPing));
           w.put_varint(msg.seq);
           put_swim_updates(w, msg.updates);
-          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, SwimAck>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimAck));
           w.put_varint(msg.seq);
           w.put_varint(msg.on_behalf_of.value());
           put_swim_updates(w, msg.updates);
-          w.put_varint(msg.frontier);
         } else if constexpr (std::is_same_v<T, SwimPingReq>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimPingReq));
           w.put_varint(msg.seq);
           w.put_varint(msg.target.value());
           put_swim_updates(w, msg.updates);
-          w.put_varint(msg.frontier);
         }
       },
       wire);
@@ -199,6 +196,7 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
   FromWire fw;
   fw.from = SiteId(static_cast<SiteId::value_type>(r.get_varint()));
+  fw.frontier = r.get_varint();
   const auto tag = static_cast<Tag>(r.get_u8());
   switch (tag) {
     case Tag::kRcData: {
@@ -217,7 +215,6 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
     case Tag::kFdHeartbeat: {
       FdHeartbeat m;
       m.epoch = r.get_varint();
-      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -275,7 +272,6 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       SwimPing m;
       m.seq = r.get_varint();
       m.updates = get_swim_updates(r);
-      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -284,7 +280,6 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       m.seq = r.get_varint();
       m.on_behalf_of = SiteId(static_cast<SiteId::value_type>(r.get_varint()));
       m.updates = get_swim_updates(r);
-      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }
@@ -293,7 +288,6 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
       m.seq = r.get_varint();
       m.target = SiteId(static_cast<SiteId::value_type>(r.get_varint()));
       m.updates = get_swim_updates(r);
-      m.frontier = r.get_varint();
       fw.wire = m;
       break;
     }

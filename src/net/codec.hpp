@@ -11,8 +11,10 @@
 // UDP transport would.
 //
 // Encoding: LEB128-style varints for integers, length-prefixed strings,
-// one tag byte per Wire alternative. Decoding is bounds-checked and throws
-// CodecError on truncated or malformed input (never UB).
+// one tag byte per Wire alternative. A packet is its header (the sender's
+// site id and ABcast frontier, see gc::FromWire), the tag and the body.
+// Decoding is bounds-checked and throws CodecError on truncated or
+// malformed input (never UB).
 #pragma once
 
 #include <cstdint>
@@ -62,10 +64,11 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Marshal a Wire message (with its sender) to bytes and back. The decode
-/// of any encode is identity (round-trip property-tested); decode of
-/// arbitrary bytes either succeeds or throws CodecError.
-std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire);
+/// Marshal a Wire message (with its header: sender and frontier) to bytes
+/// and back. The decode of any encode is identity (round-trip
+/// property-tested); decode of arbitrary bytes either succeeds or throws
+/// CodecError.
+std::vector<std::uint8_t> encode_wire(SiteId from, std::uint64_t frontier, const gc::Wire& wire);
 gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace samoa::net

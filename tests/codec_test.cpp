@@ -1,6 +1,6 @@
 // Tests for the binary wire codec: primitive round-trips, full Wire
-// round-trips for every alternative, malformed-input rejection, and a
-// randomized round-trip sweep.
+// round-trips for every alternative, the packet header, malformed-input
+// rejection, and a randomized round-trip sweep.
 #include <gtest/gtest.h>
 
 #include "net/codec.hpp"
@@ -64,11 +64,36 @@ TEST(ByteCodec, OverlongVarintThrows) {
 
 template <typename T>
 void expect_roundtrip(SiteId from, const T& msg, bool (*eq)(const T&, const T&)) {
-  const auto bytes = encode_wire(from, Wire{msg});
+  const auto bytes = encode_wire(from, 0, Wire{msg});
   const auto fw = decode_wire(bytes);
   EXPECT_EQ(fw.from, from);
+  EXPECT_EQ(fw.frontier, 0u);
   ASSERT_TRUE(std::holds_alternative<T>(fw.wire));
   EXPECT_TRUE(eq(std::get<T>(fw.wire), msg));
+}
+
+TEST(WireCodec, HeaderFrontierRoundTrip) {
+  // Every packet carries its sender's frontier, whatever its body.
+  for (const std::uint64_t frontier : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{300},
+                                       std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    for (const Wire& wire : {Wire{RcAck{7}}, Wire{FdHeartbeat{3}}, Wire{CsDecide{9, {}}}}) {
+      const auto fw = decode_wire(encode_wire(SiteId{6}, frontier, wire));
+      EXPECT_EQ(fw.from, SiteId{6});
+      EXPECT_EQ(fw.frontier, frontier);
+      EXPECT_EQ(fw.wire.index(), wire.index());
+    }
+  }
+}
+
+TEST(WireCodec, HeaderTruncatedInsideTheFrontierThrows) {
+  // from (1 byte), then a 6-byte frontier varint: every prefix of 1 to 6
+  // bytes ends before the frontier is complete.
+  const auto full = encode_wire(SiteId{1}, std::uint64_t{1} << 40, Wire{RcAck{7}});
+  ASSERT_EQ(full.size(), 1u + 6u + 2u);
+  for (std::size_t cut = 1; cut <= 6; ++cut) {
+    const std::vector<std::uint8_t> prefix(full.begin(), full.begin() + cut);
+    EXPECT_THROW(decode_wire(prefix), CodecError) << "prefix length " << cut;
+  }
 }
 
 TEST(WireCodec, RcDataRoundTrip) {
@@ -84,10 +109,10 @@ TEST(WireCodec, RcAckRoundTrip) {
 }
 
 TEST(WireCodec, HeartbeatRoundTrip) {
-  expect_roundtrip<FdHeartbeat>(
-      SiteId{0}, FdHeartbeat{123, 4567}, [](const FdHeartbeat& a, const FdHeartbeat& b) {
-        return a.epoch == b.epoch && a.frontier == b.frontier;
-      });
+  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{123},
+                                [](const FdHeartbeat& a, const FdHeartbeat& b) {
+                                  return a.epoch == b.epoch;
+                                });
 }
 
 TEST(WireCodec, ConsensusMessagesRoundTrip) {
@@ -141,55 +166,56 @@ TEST(WireCodec, SwimMessagesRoundTrip) {
       SwimUpdate{SwimStatus::kSuspect, SiteId{12}, 0},
       SwimUpdate{SwimStatus::kFaulty, SiteId{900}, 17},
   };
-  expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{41, updates, 300},
+  expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{41, updates},
                              [](const SwimPing& a, const SwimPing& b) {
-                               return a.seq == b.seq && a.updates == b.updates &&
-                                      a.frontier == b.frontier;
+                               return a.seq == b.seq && a.updates == b.updates;
                              });
   expect_roundtrip<SwimPing>(SiteId{2}, SwimPing{42, {}},
                              [](const SwimPing& a, const SwimPing& b) {
                                return a.seq == b.seq && a.updates == b.updates;
                              });
-  expect_roundtrip<SwimAck>(SiteId{9}, SwimAck{41, SiteId{5}, updates, 301},
+  expect_roundtrip<SwimAck>(SiteId{9}, SwimAck{41, SiteId{5}, updates},
                             [](const SwimAck& a, const SwimAck& b) {
                               return a.seq == b.seq && a.on_behalf_of == b.on_behalf_of &&
-                                     a.updates == b.updates && a.frontier == b.frontier;
+                                     a.updates == b.updates;
                             });
-  expect_roundtrip<SwimPingReq>(SiteId{0}, SwimPingReq{77, SiteId{3}, updates, 1ull << 40},
+  expect_roundtrip<SwimPingReq>(SiteId{0}, SwimPingReq{77, SiteId{3}, updates},
                                 [](const SwimPingReq& a, const SwimPingReq& b) {
                                   return a.seq == b.seq && a.target == b.target &&
-                                         a.updates == b.updates && a.frontier == b.frontier;
+                                         a.updates == b.updates;
                                 });
 }
 
 TEST(WireCodec, SwimBadStatusByteThrows) {
   // Corrupt the status byte of the first piggybacked update: only 0..2
   // decode; anything else must throw, not silently map to a state.
-  auto bytes = encode_wire(SiteId{1}, Wire{SwimPing{1, {SwimUpdate{SwimStatus::kAlive,
-                                                                   SiteId{2}, 0}}}});
-  // Layout: from varint, tag u8, seq varint, count varint, status u8, ...
-  // For these small values every varint is one byte, so status is bytes[4].
-  ASSERT_GT(bytes.size(), 4u);
-  bytes[4] = 9;
+  auto bytes = encode_wire(SiteId{1}, 0,
+                           Wire{SwimPing{1, {SwimUpdate{SwimStatus::kAlive, SiteId{2}, 0}}}});
+  // Layout: from varint, frontier varint, tag u8, seq varint, count
+  // varint, status u8, ... For these small values every varint is one
+  // byte, so status is bytes[5].
+  ASSERT_GT(bytes.size(), 5u);
+  bytes[5] = 9;
   EXPECT_THROW(decode_wire(bytes), CodecError);
 }
 
 TEST(WireCodec, UnknownTagThrows) {
   ByteWriter w;
   w.put_varint(0);  // from
+  w.put_varint(0);  // frontier
   w.put_u8(200);    // bogus tag
   EXPECT_THROW(decode_wire(w.take()), CodecError);
 }
 
 TEST(WireCodec, TrailingBytesThrow) {
-  auto bytes = encode_wire(SiteId{1}, Wire{RcAck{7}});
+  auto bytes = encode_wire(SiteId{1}, 0, Wire{RcAck{7}});
   bytes.push_back(0xFF);
   EXPECT_THROW(decode_wire(bytes), CodecError);
 }
 
 TEST(WireCodec, TruncatedWireThrows) {
   const auto full = encode_wire(
-      SiteId{1}, Wire{RcData{42, AppMessage{77, "some payload data", true}}});
+      SiteId{1}, 5, Wire{RcData{42, AppMessage{77, "some payload data", true}}});
   // Every strict prefix must throw, never crash or mis-decode silently.
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> prefix(full.begin(), full.begin() + cut);
@@ -211,7 +237,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
         wire = RcAck{rng.next()};
         break;
       case 2:
-        wire = FdHeartbeat{rng.next(), rng.next()};
+        wire = FdHeartbeat{rng.next()};
         break;
       case 3: {
         ConsensusValue v;
@@ -235,9 +261,11 @@ TEST(WireCodec, RandomizedRoundTrips) {
         break;
       }
     }
-    const auto bytes = encode_wire(from, wire);
+    const std::uint64_t frontier = rng.next();
+    const auto bytes = encode_wire(from, frontier, wire);
     const auto fw = decode_wire(bytes);
     EXPECT_EQ(fw.from, from);
+    EXPECT_EQ(fw.frontier, frontier);
     EXPECT_EQ(fw.wire.index(), wire.index());
     EXPECT_STREQ(wire_kind(fw.wire), wire_kind(wire));
   }

@@ -13,15 +13,20 @@
 // own and sees no later decision; only the retry tick's decision pull of
 // an idle accepted value lets it deliver the last message. Another cuts a
 // site off the whole last slot, whose payload it never received; only the
-// frontier its peers' heartbeats carry makes it pull the decision. A live
-// site evicted under SWIM hears such frontiers too, and must not pull the
-// slots decided after its eviction. Two more cut
+// frontier in the header of its peers' later packets makes it pull the
+// decision, under either failure detector. A live site evicted under SWIM
+// hears such frontiers too, and must not pull the slots decided after its
+// eviction. Two more cut
 // a broadcast's origin off from all but one member and crash it: RelCast
 // does not relay an atomic payload, so consensus alone must bring it to
-// every survivor, while a plain broadcast still travels by the relay. The
-// last one hands a site that restarted and rejoined without being evicted
+// every survivor, while a plain broadcast still travels by the relay.
+// Another hands a site that restarted and rejoined without being evicted
 // a payload the group delivered before its join, which only ABcast's
-// rejoined-proposer filter keeps it from proposing again.
+// rejoined-proposer filter keeps it from proposing again, and one more
+// checks that such a site's new RelComm sends are not taken for its old
+// ones. The last ones pin the heartbeat detector's liveness rule: any
+// packet proves its sender alive, so a heartbeat goes only to a peer that
+// got nothing else since the previous tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -567,18 +572,21 @@ TEST(CrashedOrigin, RelayBringsAPlainBroadcastToEverySurvivor) {
 
 // --- A lost last slot at a site that never held its payload -------------------
 
-// The chaos-fleet shape in which nothing but detector traffic is left to
+// The chaos-fleet shape in which only later packets' headers are left to
 // show a site that it fell behind. The next slot's owner abcasts the
 // stream's last message while its link to one site is cut one way, and
 // crashes 2 ms later without being evicted. The cut site gets no copy of the
 // payload, and it loses the owner's ACCEPT and every DECIDE copy, since
 // the owner coordinates the slot and sends them all. It holds no payload,
 // no proposal and no accepted value for the slot, and no later slot
-// decides. Only the frontier the other survivors' heartbeats carry can
-// tell it to pull the decision.
-TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlot) {
+// decides. Only the frontier in the header of the other survivors'
+// packets (heartbeats, SWIM probes, anything) can tell it to pull the
+// decision.
+void expect_lost_last_slot_learnt(DetectorImpl detector) {
   constexpr int kN = 4;
-  VirtualCluster c(kN);
+  GcOptions opts;
+  opts.detector_impl = detector;
+  VirtualCluster c(kN, opts);
   std::optional<SiteId> owner;
   std::optional<SiteId> cut;
   bool complete = false;
@@ -624,8 +632,16 @@ TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlot) {
   EXPECT_TRUE(report.ok()) << report.describe();
 }
 
+TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlot) {
+  expect_lost_last_slot_learnt(DetectorImpl::kHeartbeat);
+}
+
+TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlotUnderSwim) {
+  expect_lost_last_slot_learnt(DetectorImpl::kSwim);
+}
+
 // A live site that the group evicts keeps probing its former peers under
-// SWIM, and their acks carry frontiers past its own. It must not pull the
+// SWIM, and their acks' headers carry frontiers past its own. It must not pull the
 // slots decided after its eviction: it would deliver messages of views it
 // is not a member of.
 TEST(ConsensusTail, EvictedLiveSiteDoesNotPullLaterSlots) {
@@ -653,7 +669,7 @@ TEST(ConsensusTail, EvictedLiveSiteDoesNotPullLaterSlots) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(c[i].sink().adelivered().size(), 4u) << "site " << i;
   }
-  EXPECT_GT(evicted.detector().peer_frontier(), evicted.ab().next_instance())
+  EXPECT_GT(evicted.transport().peer_frontier(), evicted.ab().next_instance())
       << "the evicted site never heard a frontier past its own";
   EXPECT_EQ(evicted.consensus().decision_pulls(), pulls_at_eviction);
   EXPECT_EQ(evicted.sink().adelivered().size(), delivered_at_eviction);
@@ -711,6 +727,162 @@ TEST(RejoinedProposer, UnevictedRestartDoesNotProposeAPreCrashCopy) {
   EXPECT_EQ(c.failed_computations(), 0u);
   const auto report = c.check_virtual_synchrony();
   EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+// --- RelComm across an unevicted restart --------------------------------------
+
+// Site 3 rbcasts, crashes, restarts without being evicted and is rejoined
+// through View::with of a current member, so its peers keep the dedup sets
+// of its first incarnation. Its next rbcast must still reach every member
+// exactly once: each incarnation numbers its RelComm sends from a range of
+// its own.
+TEST(RelCommRestart, UnevictedRestartedSiteIsNotTakenForItsOldIncarnation) {
+  constexpr int kN = 4;
+  VirtualCluster c(kN);
+  GroupNode& restarted = c[kN - 1];
+  c.run([&] {
+    c.script.schedule(1000us, [&] { restarted.rbcast("first"); });
+    c.script.schedule(5000us, [&] { restarted.crash(); });
+    c.script.schedule(6000us, [&] { restarted.restart(); });
+    c.script.schedule(7000us, [&] { c[1].request_join(restarted.id()); });
+    c.script.schedule(15000us, [&] { restarted.rbcast("second"); });
+    c.script.schedule(60000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_EQ(restarted.rejoins_completed(), 1u);
+  for (auto& n : c.nodes) {
+    EXPECT_EQ(count_of(n->sink().rdelivered(), "second"), 1) << "site " << n->id().value();
+  }
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// --- Liveness on every packet -------------------------------------------------
+
+/// Add to `c`'s view a raw peer site, not a GroupNode: it sends only what
+/// the test makes it send, and counts the heartbeats that reach it.
+SiteId add_raw_peer(VirtualCluster& c, std::atomic<int>& heartbeats) {
+  const SiteId peer = c.net.add_site([&heartbeats](const net::Packet& p) {
+    if (std::holds_alternative<FdHeartbeat>(p.payload.as<FromWire>().wire)) ++heartbeats;
+  });
+  c.members.push_back(peer);
+  return peer;
+}
+
+/// A packet from raw peer `from` to `node`.
+void send_raw(VirtualCluster& c, SiteId from, GroupNode& node, Wire wire) {
+  c.net.send(from, node.id(), Message::of(FromWire{from, std::move(wire)}));
+}
+
+// Until 20 ms the busy peer sends the node a PREPARE for an unused
+// instance every millisecond, and the node answers the busy peer alone
+// with a PROMISE 0.1 ms later. The idle peer sends nothing and is sent
+// nothing but heartbeats. The node's heartbeat ticks run every 2 ms.
+TEST(PacketLiveness, HeartbeatsGoOnlyToPeersThatHeardNothingElse) {
+  GcOptions opts;
+  opts.fd_timeout = 1000000us;  // the raw peers send no heartbeats back
+  VirtualCluster c(1, opts);
+  GroupNode& node = c[0];
+  std::atomic<int> busy_beats{0};
+  std::atomic<int> idle_beats{0};
+  const SiteId busy = add_raw_peer(c, busy_beats);
+  add_raw_peer(c, idle_beats);
+  c.run([&] {
+    for (int k = 1; k <= 20; ++k) {
+      c.script.schedule(std::chrono::microseconds(1000 * k), [&, k] {
+        send_raw(c, busy, node, Wire{CsPrepare{1000u + static_cast<std::uint64_t>(k), 1}});
+      });
+    }
+    c.script.schedule(41000us, [&] { c.shut_down(); });
+  });
+
+  // Ticks at 2, 4, ..., 40 ms. The idle peer gets a heartbeat at every one.
+  // The last PROMISE left at 20.1 ms, after the tick at 20 ms, so the
+  // ticks up to 22 ms skip the busy peer and the nine from 24 ms on do not.
+  EXPECT_EQ(idle_beats.load(), 20);
+  EXPECT_EQ(busy_beats.load(), 9);
+  EXPECT_EQ(node.fd().heartbeats_skipped(), 11u);
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// The raw peer sends nothing but one RcAck, at 9 ms. The node's checks run
+// every fd_timeout (4 ms), against a record seeded at the view install.
+TEST(PacketLiveness, AnyPacketRefreshesLivenessAndRevokesASuspicion) {
+  GcOptions opts;
+  opts.fd_timeout = 4000us;
+  VirtualCluster c(1, opts);
+  GroupNode& node = c[0];
+  std::atomic<int> beats{0};
+  const SiteId peer = add_raw_peer(c, beats);
+  std::vector<bool> suspected;  // sampled at 8.5, 9.5, 12.5 and 16.5 ms
+  const auto sample = [&] { suspected.push_back(node.fd().is_suspected(peer)); };
+  c.run([&] {
+    c.script.schedule(8500us, sample);
+    c.script.schedule(9000us, [&] { send_raw(c, peer, node, Wire{RcAck{7}}); });
+    c.script.schedule(9500us, sample);
+    c.script.schedule(12500us, sample);
+    c.script.schedule(16500us, [&] {
+      sample();
+      c.shut_down();
+    });
+  });
+
+  // The check at 8 ms finds the peer silent since the install and suspects
+  // it. The RcAck, arriving at 9.1 ms, revokes that at once, and the check
+  // at 12 ms finds the peer heard from 2.9 ms before. The check at 16 ms
+  // suspects it again. Suspected or not, the idle peer got a heartbeat at
+  // each of the eight ticks.
+  EXPECT_EQ(suspected, (std::vector<bool>{true, false, false, true}));
+  EXPECT_EQ(node.fd().suspicion_revocations(), 1u);
+  EXPECT_EQ(node.fd().suspicions(), 2u);
+  EXPECT_EQ(beats.load(), 8);
+}
+
+// Three sites keep abcasting after the fourth crashes, unevicted, at
+// 10 ms. They keep sending to it, so they send it no heartbeats, but
+// nothing arrives from it. Each must suspect it within fd_timeout of its
+// last packet's arrival plus one check period (the check runs every
+// fd_timeout).
+TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
+  GcOptions opts;
+  opts.heartbeat_interval = 2000us;
+  opts.fd_timeout = 4000us;
+  VirtualCluster c(4, opts);
+  GroupNode& crashed = c[3];
+  const auto now_us = [&c] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(c.clock.now().time_since_epoch())
+        .count();
+  };
+  long long crashed_at = -1;
+  std::vector<long long> suspected_at(3, -1);
+  std::vector<bool> suspected_before(3, false);
+  c.run([&] {
+    for (int k = 0; k < 60; ++k) {
+      c.script.schedule(std::chrono::microseconds(500 + 500 * k),
+                        [&c, k] { c[k % 3].abcast("m" + std::to_string(k)); });
+    }
+    c.script.schedule(10000us, [&] {
+      for (int i = 0; i < 3; ++i) suspected_before[i] = c[i].fd().is_suspected(crashed.id());
+      crashed_at = now_us();
+      crashed.crash();
+    });
+    c.script.schedule_periodic(100us, [&] {
+      if (crashed_at < 0) return;
+      for (int i = 0; i < 3; ++i) {
+        if (suspected_at[i] < 0 && c[i].fd().is_suspected(crashed.id())) suspected_at[i] = now_us();
+      }
+    });
+    c.script.schedule(40000us, [&] { c.shut_down(); });
+  });
+
+  // Link latency, then the timeout and one check period, then the poll.
+  const long long bound = 100 + 2 * opts.fd_timeout.count() + 100;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(suspected_before[i]) << "site " << i;
+    ASSERT_GE(suspected_at[i], 0) << "site " << i << " never suspected the crashed site";
+    EXPECT_LE(suspected_at[i] - crashed_at, bound) << "site " << i;
+    EXPECT_FALSE(c[i].fd().is_suspected(c[(i + 1) % 3].id())) << "site " << i;
+  }
+  EXPECT_EQ(c.failed_computations(), 0u);
 }
 
 }  // namespace

@@ -75,15 +75,15 @@ TEST(ExploreNetSweep, ExploredSchedulesStayClean) {
 // The reach gate: explored schedules change what the stack agrees on.
 // The fleet seed is pinned, not read from SAMOA_TEST_SEED: at most seeds
 // no order flip shows within the budget. Atomic payloads travel once, so
-// few packets are ever due together; of seeds 1-8 only 2 and 7 flip under
-// both strategies (EXPERIMENTS E-EXPLORE-NET).
+// few packets are ever due together; of seeds 1-8 only 2 and 8 flip under
+// both strategies (EXPERIMENTS E-EXPLORE-NET, E-HB).
 TEST(ExploreNetSweep, ExplorationFlipsTheAgreedOrder) {
   constexpr std::uint64_t kSeed = 2;
 #ifdef __GLIBCXX__
-  // Measured shrunk lengths (from 34 and 35 decisions), libstdc++
+  // Measured shrunk lengths (from 11 and 21 decisions), libstdc++
   // specific like the golden hashes: the event order depends on it.
   const std::map<StrategyKind, std::size_t> shrunk_size = {
-      {StrategyKind::kRandomWalk, 1},
+      {StrategyKind::kRandomWalk, 9},
       {StrategyKind::kPct, 1},
   };
 #endif

@@ -67,6 +67,18 @@ TEST(GcDeclaration, HeartbeatStackHoldsNoSwimDetector) {
                                       "abcast", "causal", "membership", "app"}));
 }
 
+TEST(GcDeclaration, HeartbeatDetectorTakesNoPacket) {
+  // A heartbeat packet spawns no computation: GroupNode::on_packet records
+  // every packet's liveness and frontier itself. So the detector binds no
+  // network event and no root declares it for a received heartbeat; it
+  // handles its two ticks and view changes only.
+  net::SimNetwork net;
+  GroupNode node(net, with(DetectorImpl::kHeartbeat));
+  Names handlers;
+  for (const auto& h : node.fd().handlers()) handlers.insert(h->name());
+  EXPECT_EQ(handlers, (Names{"send_heartbeats", "check", "viewChange"}));
+}
+
 TEST(GcDeclaration, UnbuiltImplementationAccessorsThrow) {
   net::SimNetwork net;
   GroupNode swim_node(net, with(DetectorImpl::kSwim));
@@ -95,7 +107,6 @@ TEST(GcDeclaration, SwimConsensusMembersPerRootEvent) {
   expect_declarations(
       node, {{&ev.rc_data, data},
              {&ev.rc_ack, {"relcomm", "transport"}},
-             {&ev.fd_heartbeat, {}},
              {&ev.swim_wire, {"swim", "transport", "consensus"}},
              {&ev.cs_wire, cs},
              {&ev.view_install, install},
@@ -123,7 +134,6 @@ TEST(GcDeclaration, HeartbeatConsensusMembersPerRootEvent) {
   expect_declarations(
       node, {{&ev.rc_data, data},
              {&ev.rc_ack, {"relcomm", "transport"}},
-             {&ev.fd_heartbeat, {"fd"}},
              {&ev.swim_wire, {}},
              {&ev.cs_wire, cs},
              {&ev.view_install, install},
