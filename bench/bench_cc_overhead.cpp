@@ -84,31 +84,6 @@ BENCHMARK(BM_SpawnEmpty)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 4, 16, 64}})
     ->Unit(benchmark::kMicrosecond);
 
-/// Batched admission: one spawn_isolated_batch call admitting `batch`
-/// single-mp computations (one claim_range fetch_add per distinct gate,
-/// one pool lock for the whole burst). Throughput is per member, directly
-/// comparable to the |M| = 1 BM_SpawnEmpty cells.
-void BM_SpawnBatchSingleMp(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  Env env(4);
-  Runtime rt(env.stack, RuntimeOptions{.policy = CCPolicy::kVCABasic});
-  for (auto _ : state) {
-    std::vector<Runtime::SpawnRequest> reqs;
-    reqs.reserve(batch);
-    for (int b = 0; b < batch; ++b) {
-      reqs.push_back({Isolation::basic({env.mps[b % env.mps.size()]}), [](Context&) {}});
-    }
-    auto hs = rt.spawn_isolated_batch(std::move(reqs));
-    for (auto& h : hs) h.wait();
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-  const CCStats& cc = rt.controller().stats();
-  state.counters["admit_fast"] = static_cast<double>(cc.admit_fast.value());
-  state.counters["admit_slow"] = static_cast<double>(cc.admit_slow.value());
-  state.SetLabel("VCAbasic batch");
-}
-BENCHMARK(BM_SpawnBatchSingleMp)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
-
 /// Concurrent admissions from T benchmark threads, each spawning on its
 /// own microprotocol (no conflicts). With the sharded lock-free admission
 /// this scales with threads; with a controller-global admission mutex it

@@ -74,9 +74,8 @@ class TinyMp : public Microprotocol {
 /// disjoint: the admission path itself is the only shared state). With
 /// the sharded lock-free admission the per-gate tickets never contend
 /// across threads; a controller-global admission lock would serialize
-/// exactly this loop. `batch` > 1 amortises submission through
-/// spawn_isolated_batch in groups of that size.
-double admissions_per_second(CCPolicy policy, int threads, int per_thread, int batch) {
+/// exactly this loop.
+double admissions_per_second(CCPolicy policy, int threads, int per_thread) {
   Stack stack;
   std::vector<TinyMp*> mps;
   std::vector<EventType> evs;
@@ -92,17 +91,8 @@ double admissions_per_second(CCPolicy policy, int threads, int per_thread, int b
   std::vector<std::thread> spawners;
   for (int t = 0; t < threads; ++t) {
     spawners.emplace_back([&, t] {
-      for (int i = 0; i < per_thread; i += batch) {
-        if (batch == 1) {
-          rt.spawn_isolated(Isolation::basic({mps[t]}), [](Context&) {}).wait();
-        } else {
-          std::vector<Runtime::SpawnRequest> reqs;
-          reqs.reserve(batch);
-          for (int b = 0; b < batch; ++b) {
-            reqs.push_back({Isolation::basic({mps[t]}), [](Context&) {}});
-          }
-          for (auto& h : rt.spawn_isolated_batch(std::move(reqs))) h.wait();
-        }
+      for (int i = 0; i < per_thread; ++i) {
+        rt.spawn_isolated(Isolation::basic({mps[t]}), [](Context&) {}).wait();
       }
     });
   }
@@ -152,19 +142,17 @@ int main() {
   constexpr int kPerThread = 2000;
   std::printf("\nE-ADMIT: admissions/sec, %d trivial computations per spawner thread\n",
               kPerThread);
-  Table adm({"threads", "serial", "VCAbasic", "VCAbasic batch32", "VCAbasic/serial"});
+  Table adm({"threads", "serial", "VCAbasic", "VCAbasic/serial"});
   for (int t : {1, 2, 4, 8}) {
-    const double serial = admissions_per_second(CCPolicy::kSerial, t, kPerThread, 1);
-    const double basic = admissions_per_second(CCPolicy::kVCABasic, t, kPerThread, 1);
-    const double batched = admissions_per_second(CCPolicy::kVCABasic, t, kPerThread, 32);
+    const double serial = admissions_per_second(CCPolicy::kSerial, t, kPerThread);
+    const double basic = admissions_per_second(CCPolicy::kVCABasic, t, kPerThread);
     adm.add_row({std::to_string(t), Table::fmt(serial / 1000.0, 1) + "k/s",
-                 Table::fmt(basic / 1000.0, 1) + "k/s", Table::fmt(batched / 1000.0, 1) + "k/s",
-                 Table::fmt(basic / serial, 2) + "x"});
+                 Table::fmt(basic / 1000.0, 1) + "k/s", Table::fmt(basic / serial, 2) + "x"});
   }
   adm.print("Admission throughput vs spawner threads (disjoint declarations)");
   std::printf(
       "\nExpected shape: VCAbasic throughput grows with threads (sharded\n"
-      "lock-free tickets; no shared admission lock), batching amortises\n"
-      "submission further, and the VCAbasic/serial gap widens with cores.\n");
+      "lock-free tickets; no shared admission lock), and the VCAbasic/serial\n"
+      "gap widens with cores.\n");
   return 0;
 }

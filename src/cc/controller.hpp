@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/isolation.hpp"
 #include "core/microprotocol.hpp"
@@ -34,11 +33,10 @@ namespace samoa {
 /// integers here would be a data race (and a TSan report).
 struct CCStats {
   Counter admissions;
-  Counter admissions_batched;  // of which: admitted via admit_batch bursts
-  Counter admit_fast;          // single-mp admissions (lock-free ticket)
-  Counter admit_slow;          // multi-mp admissions (lock-ordered path)
-  Counter gate_waits;          // before_execute calls that actually blocked
-  Histogram gate_wait_time;    // duration of blocking waits
+  Counter admit_fast;        // single-mp admissions (lock-free ticket)
+  Counter admit_slow;        // multi-mp admissions (lock-ordered path)
+  Counter gate_waits;        // before_execute calls that actually blocked
+  Histogram gate_wait_time;  // duration of blocking waits
 
   // Nothing writes these, so they always read 0. They remain only because
   // perfbench/ reads them for its core.exec_* metrics.
@@ -91,14 +89,6 @@ class ComputationCC {
   virtual bool allows_async() const { return true; }
 };
 
-/// One element of a batch admission: the computation id plus its (sealed,
-/// route-resolved) isolation declaration. The spec pointer must outlive the
-/// admit_batch call.
-struct AdmitRequest {
-  ComputationId k;
-  const Isolation* spec = nullptr;
-};
-
 class ConcurrencyController {
  public:
   virtual ~ConcurrencyController() = default;
@@ -107,23 +97,6 @@ class ConcurrencyController {
   /// other admissions. Throws ConfigError if the declaration kind is
   /// incompatible with this controller.
   virtual std::unique_ptr<ComputationCC> admit(ComputationId k, const Isolation& spec) = 0;
-
-  /// Admit a burst of computations in one gate transaction (Step 1 applied
-  /// to the whole batch). Result i corresponds to request i, and the
-  /// versions claimed respect batch order on every shared microprotocol —
-  /// the batch is indistinguishable from admitting its members one by one
-  /// in order, which is what the linearizability property test pins.
-  ///
-  /// The default runs the members through admit() sequentially; versioning
-  /// controllers override it to claim consecutive version ranges with one
-  /// fetch_add per gate.
-  virtual std::vector<std::unique_ptr<ComputationCC>> admit_batch(
-      const std::vector<AdmitRequest>& reqs) {
-    std::vector<std::unique_ptr<ComputationCC>> out;
-    out.reserve(reqs.size());
-    for (const AdmitRequest& r : reqs) out.push_back(admit(r.k, *r.spec));
-    return out;
-  }
 
   virtual const char* name() const = 0;
 

@@ -1,69 +1,29 @@
 #include "cc/serial.hpp"
 
-#include "diag/wait_registry.hpp"
-
 namespace samoa {
 
 class SerialComputationCC : public ComputationCC {
  public:
-  SerialComputationCC(SerialController& ctrl, std::uint64_t ticket, ComputationId id)
-      : ctrl_(ctrl), ticket_(ticket), id_(id) {}
+  SerialComputationCC(VersionGate& turn, CCStats& stats, std::uint64_t pv)
+      : turn_(turn), stats_(stats), pv_(pv) {}
 
-  void on_start() override {
-    std::unique_lock lock(ctrl_.mu_);
-    if (ctrl_.now_serving_ != ticket_) {
-      ctrl_.stats_.gate_waits.add();
-      const auto start = Clock::now();
-      std::condition_variable cv;
-      ctrl_.waiters_.emplace(ticket_,
-                             SerialController::TurnWaiter{&cv, diag::current_computation(), false});
-      {
-        diag::ScopedWait wait(diag::WaitKind::kSerialTurn, &ctrl_, "serial", ticket_, ticket_ + 1,
-                              ctrl_.now_serving_);
-        cv.wait(lock, [&] { return ctrl_.now_serving_ == ticket_; });
-      }
-      ctrl_.waiters_.erase(ticket_);
-      ctrl_.stats_.gate_wait_time.record(
-          std::chrono::duration_cast<Nanos>(Clock::now() - start));
-    }
-  }
+  void on_start() override { turn_.wait_exact(pv_ - 1, stats_, "serial"); }
 
   void on_issue(HandlerId, const Handler&) override {}
   void before_execute(const Handler&) override {}
   void after_execute(const Handler&) override {}
 
-  void on_complete() override {
-    std::unique_lock lock(ctrl_.mu_);
-    ++ctrl_.now_serving_;
-    // now_serving_ reached ticket_ + 1: this ticket's hold is over.
-    diag::WaitRegistry::instance().note_release(&ctrl_, ticket_);
-    diag::WaitRegistry::instance().note_progress();
-    // Wake only the next ticket (if it is already parked; if not, it will
-    // see now_serving_ when it reaches on_start).
-    const auto it = ctrl_.waiters_.find(ctrl_.now_serving_);
-    if (it != ctrl_.waiters_.end()) {
-      it->second.cv->notify_one();
-      if (!it->second.counted) {
-        it->second.counted = true;
-        diag::WaitRegistry::instance().note_wakeup_delivered(it->second.comp);
-      }
-    }
-  }
+  void on_complete() override { turn_.set_lv(pv_); }
 
  private:
-  SerialController& ctrl_;
-  std::uint64_t ticket_;
-  ComputationId id_;
+  VersionGate& turn_;
+  CCStats& stats_;
+  std::uint64_t pv_;
 };
 
-SerialController::~SerialController() { diag::WaitRegistry::instance().forget_subject(this); }
-
-std::unique_ptr<ComputationCC> SerialController::admit(ComputationId id, const Isolation&) {
+std::unique_ptr<ComputationCC> SerialController::admit(ComputationId k, const Isolation&) {
   stats_.admissions.add();
-  std::unique_lock lock(mu_);
-  const std::uint64_t ticket = next_ticket_++;
-  diag::WaitRegistry::instance().note_admission(this, "serial", ticket, id.value());
-  return std::make_unique<SerialComputationCC>(*this, ticket, id);
+  return std::make_unique<SerialComputationCC>(turn_, stats_, turn_.admit(1, k.value()));
 }
 
 }  // namespace samoa

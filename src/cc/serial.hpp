@@ -7,47 +7,25 @@
 // blocks (an Appia channel enqueues external events); the computation's
 // root task waits for its turn instead.
 //
-// Each parked ticket waits on its own condition variable, registered
-// under its ticket number, so advancing the turnstile wakes exactly the
-// next ticket — not every parked computation (the same targeted-wakeup
-// discipline as VersionGate; a shared broadcast cv makes each turn cost
-// O(backlog) wakeups and livelocks under a convoy).
+// That is version counting on one counter: every computation admits on
+// the single VersionGate `turn_` whatever it declares, waits in on_start
+// until the gate publishes its predecessor's version, and publishes its
+// own in on_complete. The gate supplies the targeted wakeups, the
+// wakeup accounting and the holder records of blocked-state dumps.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
-#include <unordered_map>
-
 #include "cc/controller.hpp"
+#include "cc/version_gate.hpp"
 
 namespace samoa {
 
 class SerialController : public ConcurrencyController {
  public:
-  ~SerialController() override;
-
   std::unique_ptr<ComputationCC> admit(ComputationId k, const Isolation& spec) override;
   const char* name() const override { return "serial"; }
 
  private:
-  friend class SerialComputationCC;
-
-  /// One parked ticket: its cv plus the waiting computation (wakeup
-  /// accounting for the schedule explorer — `counted` guards the single
-  /// delivery report per park). Stack-allocated by the waiting thread.
-  struct TurnWaiter {
-    std::condition_variable* cv = nullptr;
-    std::uint64_t comp = 0;
-    bool counted = false;
-  };
-
-  std::mutex mu_;
-  std::uint64_t next_ticket_ = 0;
-  std::uint64_t now_serving_ = 0;
-  /// ticket -> that ticket's parked waiter (tickets are unique, so at most
-  /// one waiter per key).
-  std::unordered_map<std::uint64_t, TurnWaiter> waiters_;
+  VersionGate turn_;
 };
 
 }  // namespace samoa

@@ -111,8 +111,6 @@ class TSOComputationCC : public ComputationCC {
   MicroprotocolId death_mp_;  // claim that triggered the last wait-die loss
 };
 
-TSOController::~TSOController() { diag::WaitRegistry::instance().forget_subject(this); }
-
 void TSOController::release_claim_locked(Claim& claim) {
   if (!claim.waiters.empty()) {
     // Hand off to the youngest parked waiter. Everyone left is older than

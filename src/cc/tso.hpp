@@ -17,9 +17,9 @@
 //    version order.
 //
 // Wakeups are targeted, not broadcast — the same discipline as
-// VersionGate and the serial turnstile. Each parked computation waits on
-// its own condition variable; a release *hands the claim off* to exactly
-// one waiter — the youngest (largest timestamp) — and notifies only it.
+// VersionGate. Each parked computation waits on its own condition
+// variable; a release *hands the claim off* to exactly one waiter — the
+// youngest (largest timestamp) — and notifies only it.
 // That choice is what makes one wakeup per release sufficient: every
 // remaining waiter is older than the new holder (it was older than the
 // grantee while both were parked), so its wait-die decision — wait, don't
@@ -64,8 +64,6 @@ namespace samoa {
 
 class TSOController : public ConcurrencyController {
  public:
-  ~TSOController() override;
-
   std::unique_ptr<ComputationCC> admit(ComputationId k, const Isolation& spec) override;
   const char* name() const override { return "TSO"; }
 

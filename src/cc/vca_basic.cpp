@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/errors.hpp"
 
@@ -72,55 +71,6 @@ std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const 
     for (GateClaim& c : claims) c.pv = c.gate->admit(1, k.value());
   }
   return std::make_unique<VCABasicComputationCC>(stats_, k, std::move(claims));
-}
-
-std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
-    const std::vector<AdmitRequest>& reqs) {
-  stats_.admissions.add(reqs.size());
-  stats_.admissions_batched.add(reqs.size());
-  std::vector<std::unique_ptr<ComputationCC>> out;
-  out.reserve(reqs.size());
-
-  bool all_single = true;
-  for (const AdmitRequest& r : reqs) all_single &= (r.spec->members().size() == 1);
-
-  if (all_single) {
-    // One fetch_add per distinct gate claims a consecutive version range;
-    // sub-versions are handed out in batch order, so on every gate the
-    // batch is indistinguishable from admitting its members one by one.
-    stats_.admit_fast.add(reqs.size());
-    std::unordered_map<MicroprotocolId, std::uint64_t> counts;
-    for (const AdmitRequest& r : reqs) ++counts[r.spec->members().front()];
-    std::unordered_map<MicroprotocolId, std::uint64_t> next;
-    for (const auto& [mp, n] : counts) {
-      next.emplace(mp, gates_.gate(mp).claim_range(n) - n + 1);
-    }
-    for (const AdmitRequest& r : reqs) {
-      const MicroprotocolId mp = r.spec->members().front();
-      VersionGate& gate = gates_.gate(mp);
-      const std::uint64_t pv_k = next.at(mp)++;
-      gate.note_holder(pv_k, r.k.value());
-      std::vector<GateClaim> claims{{mp, &gate, pv_k}};
-      out.push_back(std::make_unique<VCABasicComputationCC>(stats_, r.k, std::move(claims)));
-    }
-    return out;
-  }
-
-  // Mixed batch: one lock-ordered transaction over the union of all member
-  // gates makes the whole burst a single indivisible admission step.
-  stats_.admit_slow.add(reqs.size());
-  std::vector<MicroprotocolId> union_mps;
-  for (const AdmitRequest& r : reqs) {
-    union_mps.insert(union_mps.end(), r.spec->members().begin(), r.spec->members().end());
-  }
-  const std::vector<GateClaim> union_claims = resolve_claims(gates_, union_mps);
-  OrderedAdmission locks(union_claims);
-  for (const AdmitRequest& r : reqs) {
-    std::vector<GateClaim> claims = resolve_claims(gates_, r.spec->members());
-    for (GateClaim& c : claims) c.pv = c.gate->admit(1, r.k.value());
-    out.push_back(std::make_unique<VCABasicComputationCC>(stats_, r.k, std::move(claims)));
-  }
-  return out;
 }
 
 }  // namespace samoa

@@ -16,8 +16,7 @@
 // construction — there is only one counter involved); a multi-microprotocol
 // declaration takes the member gates' admission mutexes in mp-id order
 // (OrderedAdmission) so any two admissions sharing gates serialize and
-// observe identical version order everywhere. admit_batch() compresses a
-// burst of single-mp admissions into one fetch_add per distinct gate.
+// observe identical version order everywhere.
 //
 // A computation's private versions are one array of GateClaim (mp, gate,
 // pv) sorted by mp id: the gates are resolved once at admission, so the
@@ -33,8 +32,6 @@ namespace samoa {
 class VCABasicController : public ConcurrencyController {
  public:
   std::unique_ptr<ComputationCC> admit(ComputationId k, const Isolation& spec) override;
-  std::vector<std::unique_ptr<ComputationCC>> admit_batch(
-      const std::vector<AdmitRequest>& reqs) override;
   const char* name() const override { return "VCAbasic"; }
 
  private:

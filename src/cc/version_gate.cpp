@@ -7,9 +7,8 @@
 namespace samoa {
 
 VersionGate::VersionGate() {
-  // Self-tracking subject: blocked-state dumps pull holders from the ring
-  // via the HolderSource interface instead of the registry's own maps, so
-  // admissions never take the registry's global mutex.
+  // Blocked-state dumps pull holders from the ring via the HolderSource
+  // interface, so admissions never take the registry's global mutex.
   diag::WaitRegistry::instance().attach_source(this, this);
 }
 
@@ -17,21 +16,16 @@ VersionGate::~VersionGate() { diag::WaitRegistry::instance().forget_subject(this
 
 std::uint64_t VersionGate::admit(std::uint64_t delta, std::uint64_t comp) {
   const std::uint64_t pv = cell_.gv.fetch_add(delta, std::memory_order_acq_rel) + delta;
-  if (comp != 0) note_holder(pv, comp);
+  if (comp != 0) {
+    // Best-effort diagnostic record: a backlog deeper than the ring reuses
+    // slots, and a dump racing the pair of stores may see a torn entry.
+    // Both only blur a thread dump; the version counters themselves are
+    // exact.
+    HolderSlot& slot = holders_[pv % kHolderRing];
+    slot.comp.store(comp, std::memory_order_relaxed);
+    slot.version.store(pv, std::memory_order_release);
+  }
   return pv;
-}
-
-std::uint64_t VersionGate::claim_range(std::uint64_t total) {
-  return cell_.gv.fetch_add(total, std::memory_order_acq_rel) + total;
-}
-
-void VersionGate::note_holder(std::uint64_t pv, std::uint64_t comp) {
-  // Best-effort diagnostic record: a backlog deeper than the ring reuses
-  // slots, and a dump racing the pair of stores may see a torn entry. Both
-  // only blur a thread dump; the version counters themselves are exact.
-  HolderSlot& slot = holders_[pv % kHolderRing];
-  slot.comp.store(comp, std::memory_order_relaxed);
-  slot.version.store(pv, std::memory_order_release);
 }
 
 void VersionGate::wait_exact(std::uint64_t pv_minus_1, CCStats& stats, const char* who) {

@@ -84,21 +84,10 @@ class VersionGate : public diag::HolderSource {
   /// need no lock for a single-microprotocol admission; multi-microprotocol
   /// admissions hold the admission_mutex() of every member gate in mp-id
   /// order (see OrderedAdmission) so the version order between any two
-  /// computations is identical on every shared microprotocol. `comp` is
-  /// recorded (lock-free) as the holder that will publish `pv`, for
-  /// blocked-state dumps.
+  /// computations is identical on every shared microprotocol. A nonzero
+  /// `comp` is recorded (lock-free) as the holder that will publish `pv`,
+  /// for blocked-state dumps.
   std::uint64_t admit(std::uint64_t delta, std::uint64_t comp = 0);
-
-  /// Batch half of Step 1: reserve `total` versions in one fetch_add and
-  /// return the top of the claimed range (= the new gv). The caller hands
-  /// out sub-ranges in batch order and reports each computation's pv via
-  /// note_holder().
-  std::uint64_t claim_range(std::uint64_t total);
-
-  /// Record that `comp` owns (will publish) version `pv` — the lock-free
-  /// holder note behind blocked-state dumps. admit() calls this itself;
-  /// batch admission calls it per assigned sub-range.
-  void note_holder(std::uint64_t pv, std::uint64_t comp);
 
   /// Rule 2 of VCAbasic/VCAroute: block until lv == pv - 1. `who` names
   /// the gated microprotocol in blocked-state dumps. Lock-free when the

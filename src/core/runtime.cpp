@@ -97,7 +97,7 @@ std::function<void()> Runtime::root_task(std::shared_ptr<Computation> comp,
       Context ctx(comp, HandlerId{});
       try {
         comp->cc().on_start();
-        // on_start may have parked (serial turnstile) and lost the
+        // on_start may have parked (serial turn) and lost the
         // exploration token; re-acquire it with no locks held before
         // running observable work.
         if (hook != nullptr) hook->resync(comp->id());
@@ -184,67 +184,6 @@ ComputationHandle Runtime::spawn_isolated(const Isolation& spec,
     throw;
   }
   return ComputationHandle(comp);
-}
-
-std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRequest> reqs) {
-  std::vector<ComputationHandle> handles;
-  if (reqs.empty()) return handles;
-  if (!stack_.sealed()) stack_.seal();
-  for (SpawnRequest& r : reqs) {
-    if (r.spec.kind() == Isolation::Kind::Route) r.spec.resolve_route(stack_);
-  }
-
-  // Step 1 for the whole burst: ids in request order, then one controller
-  // batch admission — versions claimed respect request order on every
-  // shared microprotocol, exactly as if spawn_isolated ran sequentially.
-  std::vector<AdmitRequest> admits;
-  admits.reserve(reqs.size());
-  for (const SpawnRequest& r : reqs) admits.push_back({comp_ids_.next(), &r.spec});
-  auto ccs = controller_->admit_batch(admits);
-
-  std::vector<std::shared_ptr<Computation>> comps;
-  comps.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    auto comp = std::make_shared<Computation>(*this, admits[i].k, std::move(ccs[i]));
-    if (opts_.policy == CCPolicy::kTSO) comp->enable_undo();
-    comps.push_back(std::move(comp));
-  }
-  {
-    std::unique_lock lock(inflight_mu_);
-    for (const auto& comp : comps) inflight_.emplace(comp->id(), comp);
-  }
-  // Same pin/unpin discipline as spawn_isolated, one pin per computation;
-  // on a submission failure every not-yet-completed member is rolled out.
-  if (opts_.clock != nullptr) {
-    for (std::size_t i = 0; i < comps.size(); ++i) opts_.clock->pin();
-  }
-  try {
-    stats_.spawned.add(comps.size());
-    std::vector<ElasticThreadPool::Task> tasks;
-    tasks.reserve(comps.size());
-    for (std::size_t i = 0; i < comps.size(); ++i) {
-      auto& comp = comps[i];
-      if (trace_) trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
-      comp->task_started();  // the root expression counts as one task
-      const std::uint64_t ticket =
-          opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
-      tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
-    }
-    if (inline_) {
-      for (auto& task : tasks) t_inline.roots.push_back(std::move(task.fn));
-      t_inline.drain();
-    } else {
-      pool_.submit_batch(std::move(tasks));
-    }
-  } catch (...) {
-    for (const auto& comp : comps) {
-      if (remove_inflight(comp->id()) && opts_.clock != nullptr) opts_.clock->unpin();
-    }
-    throw;
-  }
-  handles.reserve(comps.size());
-  for (auto& comp : comps) handles.emplace_back(std::move(comp));
-  return handles;
 }
 
 void Runtime::record_computation_done(ComputationId id) {

@@ -66,21 +66,6 @@ class Runtime {
   /// needs), so a declaration derived once can serve every spawn.
   ComputationHandle spawn_isolated(const Isolation& spec, std::function<void(Context&)> root);
 
-  /// One element of a batched spawn: the same (spec, root) pair
-  /// spawn_isolated takes.
-  struct SpawnRequest {
-    Isolation spec;
-    std::function<void(Context&)> root;
-  };
-
-  /// Spawn a burst of computations as one admission transaction: the
-  /// controller admits the whole batch (one version-range claim per gate
-  /// for compatible single-mp bursts — see admit_batch), and the pool
-  /// enqueues every root task under a single lock acquisition. Semantics
-  /// are identical to calling spawn_isolated for each request in order;
-  /// handle i corresponds to request i.
-  std::vector<ComputationHandle> spawn_isolated_batch(std::vector<SpawnRequest> reqs);
-
   /// Block until every computation spawned so far completed.
   void drain();
 
@@ -129,8 +114,8 @@ class Runtime {
   /// removed it — the winner owns the computation's virtual-time unpin.
   bool remove_inflight(ComputationId id);
 
-  /// Build the pool task that runs `root` as `comp`'s root expression
-  /// (including the TSO restart loop); shared by single and batched spawn.
+  /// Build the task that runs `root` as `comp`'s root expression
+  /// (including the TSO restart loop).
   std::function<void()> root_task(std::shared_ptr<Computation> comp,
                                   std::function<void(Context&)> root, std::uint64_t ticket);
 
@@ -146,7 +131,9 @@ class Runtime {
   std::unique_ptr<TraceRecorder> trace_;
   ElasticThreadPool pool_;
 
-  IdAllocator<ComputationTag> comp_ids_;
+  /// Starts at 1: diagnostics read computation id 0 as "no computation"
+  /// (an untagged pool task, a wait outside any computation).
+  IdAllocator<ComputationTag> comp_ids_{1};
   Stats stats_;
 
   mutable std::mutex inflight_mu_;

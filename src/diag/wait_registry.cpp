@@ -1,6 +1,7 @@
 #include "diag/wait_registry.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -14,8 +15,6 @@ const char* to_string(WaitKind kind) {
       return "gate-exact";
     case WaitKind::kGateWindow:
       return "gate-window";
-    case WaitKind::kSerialTurn:
-      return "serial-turn";
     case WaitKind::kClaim:
       return "claim";
     case WaitKind::kClaimAbort:
@@ -33,23 +32,6 @@ const char* to_string(WaitKind kind) {
 WaitRegistry& WaitRegistry::instance() {
   static WaitRegistry* reg = new WaitRegistry();  // leaked: outlives all users
   return *reg;
-}
-
-void WaitRegistry::note_admission(const void* subject, const char* name, std::uint64_t version,
-                                  std::uint64_t comp) {
-  std::unique_lock lock(mu_);
-  auto& s = subjects_[subject];
-  if (s.name.empty() && name != nullptr) s.name = name;
-  s.holders.emplace(version, comp);
-}
-
-void WaitRegistry::note_release(const void* subject, std::uint64_t version) {
-  std::unique_lock lock(mu_);
-  auto it = subjects_.find(subject);
-  if (it == subjects_.end()) return;
-  auto& s = it->second;
-  s.last_published = std::max(s.last_published, version);
-  s.holders.erase(s.holders.begin(), s.holders.upper_bound(version));
 }
 
 void WaitRegistry::forget_subject(const void* subject) {
@@ -77,8 +59,8 @@ std::uint64_t WaitRegistry::add_wait(WaitRecord rec) {
   rec.id = next_wait_id_++;
   const auto id = rec.id;
   if (!rec.subject_name.empty() && rec.subject != nullptr) {
-    // Admissions only know microprotocol ids; the first waiter that knows
-    // the human name backfills it for dumps.
+    // Gates do not know the name of what they gate; the first waiter that
+    // knows it backfills it for dumps.
     auto it = subjects_.find(rec.subject);
     if (it != subjects_.end() && it->second.name.empty()) it->second.name = rec.subject_name;
   }
@@ -116,16 +98,10 @@ Dump WaitRegistry::snapshot() const {
       Dump::SubjectState ss;
       ss.subject = subject;
       ss.name = s.name;
-      if (s.source != nullptr) {
-        // Self-tracking subject (version gate): pull a lock-free snapshot.
-        // Sources never call back into the registry, so querying them under
-        // mu_ is safe.
-        ss.last_published = s.source->last_published();
-        ss.holders = s.source->outstanding_holders();
-      } else {
-        ss.last_published = s.last_published;
-        for (const auto& [ver, comp] : s.holders) ss.holders.push_back({ver, comp});
-      }
+      // Pull a lock-free snapshot from the gate. Sources never call back
+      // into the registry, so querying them under mu_ is safe.
+      ss.last_published = s.source->last_published();
+      ss.holders = s.source->outstanding_holders();
       d.subjects.push_back(std::move(ss));
     }
     // Pool snapshots nest the pool mutex under the registry mutex (the
@@ -146,23 +122,16 @@ Dump WaitRegistry::snapshot() const {
     if (sit == subject_index.end()) continue;
     const Dump::SubjectState* s = sit->second;
     // Every outstanding holder at or below the version the waiter needs
-    // must publish before the wait can end; each is a real blocker.
-    // kSerialTurn waits for now_serving == ticket, so strictly-older
-    // tickets block; gate waits need lv to reach awaiting_lo, so holders
-    // up to and including awaiting_lo block. Only the *nearest* few are
-    // materialised as edges: with thousands of queued waiters a full
-    // cross-product is quadratic, and a cycle through a farther holder
-    // still shows up transitively via that holder's own wait record.
-    const bool inclusive = w.kind != WaitKind::kSerialTurn;
+    // must publish before the wait can end; each is a real blocker. A gate
+    // wait needs lv to reach awaiting_lo, so holders up to and including
+    // awaiting_lo block. Only the *nearest* few are materialised as edges:
+    // with thousands of queued waiters a full cross-product is quadratic,
+    // and a cycle through a farther holder still shows up transitively via
+    // that holder's own wait record.
     constexpr std::size_t kMaxHoldersPerWait = 8;
     auto past_end = std::upper_bound(
         s->holders.begin(), s->holders.end(), w.awaiting_lo,
         [](std::uint64_t lo, const HolderEntry& h) { return lo < h.version; });
-    if (!inclusive) {
-      while (past_end != s->holders.begin() && std::prev(past_end)->version == w.awaiting_lo) {
-        --past_end;
-      }
-    }
     auto first = past_end;
     for (std::size_t n = 0; first != s->holders.begin() && n < kMaxHoldersPerWait; ++n) --first;
     for (auto hit = first; hit != past_end; ++hit) {
@@ -174,8 +143,7 @@ Dump WaitRegistry::snapshot() const {
       e.to_comp = h.comp;
       std::ostringstream os;
       os << "comp " << w.comp << " " << to_string(w.kind) << " on " << s->name << " needs v"
-         << w.awaiting_lo << (inclusive ? "" : " served") << "; v" << h.version << " held by comp "
-         << h.comp;
+         << w.awaiting_lo << "; v" << h.version << " held by comp " << h.comp;
       e.label = os.str();
       d.edges.push_back(std::move(e));
     }

@@ -4,19 +4,20 @@
 // version publish" (paper Sections 5-6). This registry is how we *check*
 // that claim at runtime instead of assuming it: every blocking point in
 // the runtime registers a typed wait record before parking (version-gate
-// waits, the serial controller's turnstile, runtime drains, completion
-// waits), and controllers record which computation will publish each
-// version, so a stalled process can produce a thread dump with wait-for
-// edges and name the cycle that wedged it.
+// waits, TSO claims, runtime drains, completion waits), and every version
+// gate records which computation will publish each version, so a stalled
+// process can produce a thread dump with wait-for edges and name the
+// cycle that wedged it.
 //
 // Registration is always on — it only touches the slow path (a thread
 // about to park) — and doubles as the thread pool's park notification:
 // ScopedWait tells the worker's ElasticThreadPool that this thread no
 // longer consumes a runnable slot, which is what makes the pool's
 // deadlock-freedom argument hold under a thread cap (see
-// util/thread_pool.hpp). Holder tracking (admission -> version maps used
-// for wait-for edges) is also cheap and always on: one map insert per
-// (computation, microprotocol) admission.
+// util/thread_pool.hpp). Holder tracking (which computation will publish
+// which version, for wait-for edges) is also always on: each gate keeps it
+// lock-free in its own ring and hands it over only when a dump is taken
+// (HolderSource).
 //
 // Lock order: a caller may hold its own gate/controller mutex when
 // touching the registry; the registry may take a pool's mutex (snapshot,
@@ -27,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -41,9 +41,9 @@ class ElasticThreadPool;
 namespace samoa::diag {
 
 enum class WaitKind {
-  kGateExact,   // VersionGate::wait_exact (VCAbasic/route/rw Rule 2, Step 3)
+  kGateExact,   // VersionGate::wait_exact (VCAbasic/route/rw Rule 2, Step 3;
+                // the serial controller's turn)
   kGateWindow,  // VersionGate::wait_window (VCAbound Rule 2/3)
-  kSerialTurn,  // serial controller turnstile (on_start)
   kClaim,       // TSO claim wait (wait-die: older computation parks)
   kClaimAbort,  // TSO post-abort wait for the killer claim to clear
   kDrain,       // Runtime::drain waiting for inflight_ to empty
@@ -78,8 +78,8 @@ class WaitObserver {
 
 /// One parked thread. `subject` identifies what it waits on (a gate or
 /// controller address); `awaiting_lo`/`awaiting_hi` the version window it
-/// needs ([lo, hi), hi == lo + 1 for exact waits; for kSerialTurn the
-/// ticket); `observed` the subject's version when the thread parked.
+/// needs ([lo, hi), hi == lo + 1 for exact waits); `observed` the
+/// subject's version when the thread parked.
 struct WaitRecord {
   std::uint64_t id = 0;
   WaitKind kind = WaitKind::kExternal;
@@ -101,13 +101,12 @@ struct HolderEntry {
 };
 
 /// A subject that tracks its own holders lock-free and hands the registry a
-/// snapshot on demand, instead of funnelling every admission through
-/// note_admission()'s global mutex. Version gates implement this: with a
-/// lock-free admission fast path, one registry-mutex acquisition per
-/// admission would serialise exactly the path the sharded ticket scheme
-/// de-serialises. Both methods are called only from snapshot() (cold path)
-/// and must be safe against concurrent admissions/publishes on the subject;
-/// best-effort staleness is fine — dumps are diagnostics, not oracles.
+/// snapshot on demand. Version gates implement this: with a lock-free
+/// admission fast path, one registry-mutex acquisition per admission would
+/// serialise exactly the path the sharded ticket scheme de-serialises.
+/// Both methods are called only from snapshot() (cold path) and must be
+/// safe against concurrent admissions/publishes on the subject; best-effort
+/// staleness is fine — dumps are diagnostics, not oracles.
 class HolderSource {
  public:
   virtual ~HolderSource() = default;
@@ -170,21 +169,12 @@ class WaitRegistry {
   std::uint64_t progress_epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   // --- holder tracking (wait-for edges) ---
-  /// Computation `comp` was admitted at `version` of `subject`: it is the
-  /// one that will publish `version` (gate lv / serial now_serving reaches
-  /// `version` when it completes).
-  void note_admission(const void* subject, const char* name, std::uint64_t version,
-                      std::uint64_t comp);
-  /// `subject` published up to `version`: all holders <= version are done.
-  void note_release(const void* subject, std::uint64_t version);
+  /// Register `subject`: snapshot() reads its holders and published
+  /// version from `src`. Called once at subject construction (cold);
+  /// detach via forget_subject.
+  void attach_source(const void* subject, const HolderSource* src);
   /// Forget a subject entirely (its owner is being destroyed).
   void forget_subject(const void* subject);
-
-  /// Register `subject` as self-tracking: snapshot() reads holders and the
-  /// published version from `src` instead of the registry's own maps, and
-  /// the subject never calls note_admission/note_release. Called once at
-  /// subject construction (cold); detach via forget_subject.
-  void attach_source(const void* subject, const HolderSource* src);
 
   // --- pools ---
   void register_pool(samoa::ElasticThreadPool* pool);
@@ -211,10 +201,10 @@ class WaitRegistry {
   void clear_observer() { observer_.store(nullptr, std::memory_order_release); }
   WaitObserver* observer() const { return observer_.load(std::memory_order_acquire); }
 
-  /// Wake paths (VersionGate, serial turnstile, TSO claims) report each
-  /// wakeup they hand to a parked computation, at most once per park (the
-  /// caller guards with a per-waiter flag). Called under the subject's
-  /// mutex; forwards to the observer if one is installed.
+  /// Wake paths (VersionGate, TSO claims) report each wakeup they hand to
+  /// a parked computation, at most once per park (the caller guards with a
+  /// per-waiter flag). Called under the subject's mutex; forwards to the
+  /// observer if one is installed.
   void note_wakeup_delivered(std::uint64_t comp) {
     if (WaitObserver* obs = observer()) obs->on_wakeup_delivered(comp);
   }
@@ -225,11 +215,7 @@ class WaitRegistry {
 
  private:
   struct Subject {
-    std::string name;
-    std::uint64_t last_published = 0;
-    std::map<std::uint64_t, std::uint64_t> holders;  // version -> comp
-    /// Non-null for self-tracking subjects (version gates): snapshot()
-    /// queries the source and ignores the maps above.
+    std::string name;  // backfilled by the first waiter that knows it
     const HolderSource* source = nullptr;
   };
 

@@ -12,13 +12,13 @@
 // task start, task finish, Context::yield_point, the step point before
 // each handler's gate, and — crucially — every controller park/unpark,
 // observed through diag::WaitObserver. A task that parks in a version
-// gate / serial turnstile / TSO claim releases the token while blocked;
-// the publish that wakes it is reported by the controller wake paths
-// (note_wakeup_delivered), and the scheduler defers its next decision
-// until every delivered wakeup has been consumed (the woken thread
-// re-entered the runnable set). Without that barrier the runnable set at
-// a decision point would depend on OS thread timing and replays would
-// diverge.
+// gate (the serial controller's turn included) or a TSO claim releases
+// the token while blocked; the publish that wakes it is reported by the
+// controller wake paths (note_wakeup_delivered), and the scheduler defers
+// its next decision until every delivered wakeup has been consumed (the
+// woken thread re-entered the runnable set). Without that barrier the
+// runnable set at a decision point would depend on OS thread timing and
+// replays would diverge.
 //
 // Task identity: tasks are named by their submission ticket — submissions
 // happen on token-holding threads (or under pause()), so ticket order is

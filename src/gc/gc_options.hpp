@@ -55,11 +55,6 @@ struct GcOptions {
   std::chrono::microseconds cs_retry_interval{5000};
   std::chrono::microseconds cs_retry_timeout{8000};
 
-  /// Flow control (paper Section 5 lists "message flow control" as part of
-  /// the J-SAMOA implementation): max unacknowledged messages per peer in
-  /// RelComm; further sends are queued until acks free credits. 0 = off.
-  std::size_t flow_window = 32;
-
   /// Seed for protocol-level randomness (currently the retransmission
   /// jitter). Each microprotocol derives its stream from (rng_seed, site),
   /// so a fleet sharing one options template still gets distinct streams.
@@ -71,10 +66,6 @@ struct GcOptions {
   /// previous incarnation already used — peers would silently drop the new
   /// message as a duplicate.
   std::uint64_t id_epoch = 0;
-
-  /// Least-upper-bound used for every microprotocol when policy is
-  /// VCAbound (generous over-declaration is legal; too small throws).
-  std::uint32_t vca_bound = 256;
 
   /// Marshal every wire message to its binary network format (net/codec)
   /// before it enters the simulated network, and unmarshal on delivery —

@@ -226,7 +226,7 @@ const Isolation& GroupNode::declaration(const EventType& root) const {
       }
       std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
       for (MicroprotocolId mp : members.members()) {
-        bounds.emplace_back(stack_->find(mp), opts_.vca_bound);
+        bounds.emplace_back(stack_->find(mp), kVcaBound);
       }
       d.declaration = Isolation::bound(std::move(bounds));
     });

@@ -91,6 +91,10 @@ class DeliverSink : public GcMicroprotocol {
 
 class GroupNode {
  public:
+  /// Least-upper-bound declared for every microprotocol when the policy is
+  /// VCAbound (generous over-declaration is legal; too small throws).
+  static constexpr std::uint32_t kVcaBound = 256;
+
   /// Registers a site with `net`; the node's id is allocated there.
   GroupNode(net::SimNetwork& net, GcOptions opts);
   ~GroupNode();

@@ -21,8 +21,7 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
         discarded_out_of_view_.add();
         return;
       }
-      const std::size_t window = options().flow_window;
-      if (window > 0 && in_flight_[req.target] >= window) {
+      if (in_flight_[req.target] >= kFlowWindow) {
         // Flow control: out of credits for this peer — queue until acks
         // free a slot (drained in recv_ack).
         backlog_[req.target].push_back(req.m);
@@ -64,9 +63,8 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
         --in_flight_[fw.from];
         // Credits freed: drain the flow-control backlog for this peer.
         auto bit = backlog_.find(fw.from);
-        const std::size_t window = options().flow_window;
         while (bit != backlog_.end() && !bit->second.empty() &&
-               (window == 0 || in_flight_[fw.from] < window)) {
+               in_flight_[fw.from] < kFlowWindow) {
           dispatch_send(out, bit->second.front(), fw.from);
           bit->second.pop_front();
         }

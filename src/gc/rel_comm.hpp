@@ -39,6 +39,11 @@ namespace samoa::gc {
 
 class RelComm : public GcMicroprotocol {
  public:
+  /// Flow control (paper Section 5 lists "message flow control" as part of
+  /// the J-SAMOA implementation): max unacknowledged messages per peer;
+  /// further sends are queued until acks free credits.
+  static constexpr std::size_t kFlowWindow = 32;
+
   RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, View initial_view);
 
   const Handler* send_handler() const { return send_; }

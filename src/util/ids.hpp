@@ -49,14 +49,16 @@ using HandlerId = Id<HandlerTag>;
 using ComputationId = Id<ComputationTag>;
 using SiteId = Id<SiteTag>;
 
-/// Process-wide id allocator; one instance per Tag.
+/// Monotone id allocator handing out `first`, `first + 1`, ...
 template <typename Tag>
 class IdAllocator {
  public:
+  explicit IdAllocator(typename Id<Tag>::value_type first = 0) : counter_(first) {}
+
   Id<Tag> next() { return Id<Tag>(counter_.fetch_add(1, std::memory_order_relaxed)); }
 
  private:
-  std::atomic<typename Id<Tag>::value_type> counter_{0};
+  std::atomic<typename Id<Tag>::value_type> counter_;
 };
 
 std::ostream& operator<<(std::ostream& os, EventTypeId id);

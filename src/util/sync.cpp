@@ -1,7 +1,6 @@
 #include "util/sync.hpp"
 
 #include <atomic>
-#include <stdexcept>
 
 #include "diag/wait_registry.hpp"
 
@@ -15,36 +14,6 @@
 // parks through OneShotEvent stays a single record.
 
 namespace samoa {
-
-void WaitGroup::add(std::size_t n) {
-  std::unique_lock lock(mu_);
-  count_ += n;
-}
-
-void WaitGroup::done() {
-  std::unique_lock lock(mu_);
-  if (count_ == 0) throw std::logic_error("WaitGroup::done without matching add");
-  if (--count_ == 0) cv_.notify_all();
-}
-
-void WaitGroup::wait() {
-  std::unique_lock lock(mu_);
-  if (count_ == 0) return;
-  diag::ScopedWait wait(diag::WaitKind::kExternal, this, "wait-group", 0, 0, count_);
-  cv_.wait(lock, [this] { return count_ == 0; });
-}
-
-bool WaitGroup::wait_for(std::chrono::milliseconds timeout) {
-  std::unique_lock lock(mu_);
-  if (count_ == 0) return true;
-  diag::ScopedWait wait(diag::WaitKind::kExternal, this, "wait-group", 0, 0, count_);
-  return cv_.wait_for(lock, timeout, [this] { return count_ == 0; });
-}
-
-std::size_t WaitGroup::pending() const {
-  std::unique_lock lock(mu_);
-  return count_;
-}
 
 void OneShotEvent::set() {
   std::unique_lock lock(mu_);

@@ -6,28 +6,9 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <mutex>
 
 namespace samoa {
-
-/// Go-style wait group: tracks outstanding work items. `wait` blocks until
-/// the count returns to zero. Used by computations to detect completion of
-/// all their (possibly nested) asynchronous handler executions.
-class WaitGroup {
- public:
-  void add(std::size_t n = 1);
-  void done();
-  void wait();
-  /// Returns false on timeout.
-  bool wait_for(std::chrono::milliseconds timeout);
-  std::size_t pending() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t count_ = 0;
-};
 
 /// One-shot event: starts unset, `set` releases all current & future waiters.
 class OneShotEvent {

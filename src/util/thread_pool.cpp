@@ -72,19 +72,6 @@ void ElasticThreadPool::submit(std::function<void()> task, std::uint64_t tag) {
   cv_.notify_one();
 }
 
-void ElasticThreadPool::submit_batch(std::vector<Task> batch) {
-  if (batch.empty()) return;
-  std::unique_lock lock(mu_);
-  if (shutdown_) throw std::runtime_error("ElasticThreadPool: submit after shutdown");
-  for (Task& t : batch) tasks_.push_back(std::move(t));
-  reap_retired_locked();
-  ensure_capacity_locked();
-  // One broadcast instead of batch-size notify_one calls: every idle
-  // worker re-checks the queue, and ensure_capacity_locked already grew
-  // the pool for any overflow.
-  cv_.notify_all();
-}
-
 void ElasticThreadPool::note_worker_parked() {
   std::unique_lock lock(mu_);
   ++parked_;

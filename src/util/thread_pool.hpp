@@ -74,17 +74,6 @@ class ElasticThreadPool {
   /// untagged). Throws std::runtime_error after shutdown began.
   void submit(std::function<void()> task, std::uint64_t tag = 0);
 
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t tag = 0;
-  };
-
-  /// Enqueue a burst of tasks under one lock acquisition (one capacity
-  /// check, one broadcast) instead of per-task mutex traffic — the pool
-  /// half of batched admission. Tasks run with the same guarantees as
-  /// submit(); either the whole batch is enqueued or (after shutdown) none.
-  void submit_batch(std::vector<Task> batch);
-
   /// Stop accepting tasks, run the backlog to completion, join all workers.
   void shutdown();
 
@@ -109,6 +98,11 @@ class ElasticThreadPool {
   diag::PoolState diag_state() const;
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    std::uint64_t tag = 0;
+  };
+
   void worker_loop();
   void spawn_worker_locked();
   void reap_retired_locked();

@@ -3,14 +3,14 @@
 //
 // Three layers are hammered concurrently:
 //   1. the raw gate protocol: threads admit / park / publish on shared
-//      VersionGates, including claim_range bursts, and the gates must end
-//      at exactly the number of admitted versions;
+//      VersionGates, and the gates must end at exactly the number of
+//      admitted versions;
 //   2. the controller scoreboard: a single-mp-only workload driven through
 //      a real Runtime from many spawner threads must never touch the
 //      lock-ordered slow path (admit_slow == 0 is the acceptance criterion
 //      for "no-conflict admits take no locks");
-//   3. mixed single/multi-mp batches racing each other, which exercises
-//      the OrderedAdmission transaction against concurrent lock-free
+//   3. multi-mp admissions racing single-mp ones, which exercises the
+//      OrderedAdmission transaction against concurrent lock-free
 //      fetch_adds on the same gates.
 //
 // A fail-fast deadlock watchdog converts any lost wakeup or admission
@@ -63,8 +63,6 @@ diag::WatchdogOptions watchdog_options(const char* name) {
 // Raw gate protocol under contention: every admitted version is published
 // by its owner after waiting for its predecessor (the VCAbasic discipline),
 // so admissions, parks and publishes from all threads interleave freely.
-// claim_range bursts are mixed in; their sub-versions are published
-// stepwise, exactly as batch-admitted computations complete one by one.
 TEST(AdmissionStress, GateAdmitParkPublishRace) {
   diag::DeadlockWatchdog dog(watchdog_options("gate-admit-stress"));
   constexpr int kThreads = 8;
@@ -83,22 +81,10 @@ TEST(AdmissionStress, GateAdmitParkPublishRace) {
         const int g = static_cast<int>(rng.next_below(kGates));
         VersionGate& gate = gates.gate(MicroprotocolId{static_cast<std::uint32_t>(g)});
         const std::uint64_t comp = static_cast<std::uint64_t>(t) * 1000000 + i + 1;
-        if (rng.chance(0.25)) {
-          // Burst claim: versions [first, last] all owned by this thread.
-          const std::uint64_t n = 1 + rng.next_below(4);
-          const std::uint64_t last = gate.claim_range(n);
-          admitted_per_gate[g].fetch_add(n, std::memory_order_relaxed);
-          for (std::uint64_t v = last - n + 1; v <= last; ++v) {
-            gate.note_holder(v, comp);
-            gate.wait_exact(v - 1, stats, "stress-burst");
-            gate.set_lv(v);
-          }
-        } else {
-          const std::uint64_t pv = gate.admit(1, comp);
-          admitted_per_gate[g].fetch_add(1, std::memory_order_relaxed);
-          gate.wait_exact(pv - 1, stats, "stress-admit");
-          gate.set_lv(pv);
-        }
+        const std::uint64_t pv = gate.admit(1, comp);
+        admitted_per_gate[g].fetch_add(1, std::memory_order_relaxed);
+        gate.wait_exact(pv - 1, stats, "stress-admit");
+        gate.set_lv(pv);
       }
     });
   }
@@ -113,17 +99,16 @@ TEST(AdmissionStress, GateAdmitParkPublishRace) {
 }
 
 // Controller scoreboard: a workload of exclusively single-mp computations,
-// spawned concurrently from several threads (mixing spawn_isolated and
-// spawn_isolated_batch), must be admitted entirely on the lock-free ticket
-// path. admit_slow == 0 here is the repo's acceptance criterion for the
-// admission fast path; a regression that sneaks a lock-ordered admission
-// into the no-conflict case trips this exact counter.
+// spawned concurrently from several threads, must be admitted entirely on
+// the lock-free ticket path. admit_slow == 0 here is the repo's acceptance
+// criterion for the admission fast path; a regression that sneaks a
+// lock-ordered admission into the no-conflict case trips this exact
+// counter.
 TEST(AdmissionStress, SingleMpWorkloadNeverTakesSlowPath) {
   diag::DeadlockWatchdog dog(watchdog_options("single-mp-admission-stress"));
   constexpr int kSpawners = 4;
   constexpr int kMps = 4;
   const int per_thread = 400 / kScale;
-  const int batch = 8;
 
   Stack stack;
   std::vector<ProbeMp*> mps;
@@ -144,19 +129,8 @@ TEST(AdmissionStress, SingleMpWorkloadNeverTakesSlowPath) {
       std::vector<ComputationHandle> hs;
       for (int i = 0; i < per_thread; ++i) {
         const int m = static_cast<int>(rng.next_below(kMps));
-        auto root = [&evs, m](Context& ctx) { ctx.trigger(evs[m]); };
-        if (rng.chance(0.5)) {
-          std::vector<Runtime::SpawnRequest> reqs;
-          for (int b = 0; b < batch; ++b) {
-            const int bm = static_cast<int>(rng.next_below(kMps));
-            reqs.push_back({Isolation::basic({mps[bm]}),
-                            [&evs, bm](Context& ctx) { ctx.trigger(evs[bm]); }});
-          }
-          i += batch - 1;
-          for (auto& h : rt.spawn_isolated_batch(std::move(reqs))) hs.push_back(std::move(h));
-        } else {
-          hs.push_back(rt.spawn_isolated(Isolation::basic({mps[m]}), root));
-        }
+        hs.push_back(rt.spawn_isolated(Isolation::basic({mps[m]}),
+                                       [&evs, m](Context& ctx) { ctx.trigger(evs[m]); }));
       }
       for (auto& h : hs) h.wait();
     });
@@ -168,21 +142,20 @@ TEST(AdmissionStress, SingleMpWorkloadNeverTakesSlowPath) {
   EXPECT_EQ(stats.admit_slow.value(), 0u)
       << "single-mp-only workload touched the lock-ordered admission path";
   EXPECT_EQ(stats.admit_fast.value(), stats.admissions.value());
-  EXPECT_GT(stats.admissions_batched.value(), 0u);
   int total_calls = 0;
   for (auto* mp : mps) total_calls += mp->calls.load();
   EXPECT_EQ(static_cast<std::uint64_t>(total_calls), stats.admissions.value());
 }
 
-// Mixed fast/slow race: multi-mp batches (lock-ordered transactions over
-// gate unions) run against a flood of lock-free single-mp admissions on
+// Mixed fast/slow race: multi-mp admissions (lock-ordered transactions
+// over their member gates) run against lock-free single-mp admissions on
 // the same gates. The atomic-admission invariant must hold throughout —
 // the isolation oracle over the recorded trace is the judge.
-TEST(AdmissionStress, MixedBatchesKeepAtomicAdmission) {
+TEST(AdmissionStress, MultiMpAdmissionsStayAtomicAgainstSingleMpOnes) {
   diag::DeadlockWatchdog dog(watchdog_options("mixed-admission-stress"));
   constexpr int kSpawners = 4;
   constexpr int kMps = 3;
-  const int rounds = 60 / kScale;
+  const int per_thread = 180 / kScale;
 
   Stack stack;
   std::vector<ProbeMp*> mps;
@@ -202,22 +175,17 @@ TEST(AdmissionStress, MixedBatchesKeepAtomicAdmission) {
     spawners.emplace_back([&, t] {
       Rng rng(testing::test_seed(902) + static_cast<std::uint64_t>(t));
       std::vector<ComputationHandle> hs;
-      for (int i = 0; i < rounds; ++i) {
-        std::vector<Runtime::SpawnRequest> reqs;
-        const int batch = 1 + static_cast<int>(rng.next_below(5));
-        for (int b = 0; b < batch; ++b) {
-          std::vector<int> picks;
-          for (int m = 0; m < kMps; ++m) {
-            if (rng.chance(0.4)) picks.push_back(m);
-          }
-          if (picks.empty()) picks.push_back(static_cast<int>(rng.next_below(kMps)));
-          std::vector<const Microprotocol*> members;
-          for (int m : picks) members.push_back(mps[m]);
-          reqs.push_back({Isolation::basic(members), [&evs, picks](Context& ctx) {
-                            for (int m : picks) ctx.trigger(evs[m]);
-                          }});
+      for (int i = 0; i < per_thread; ++i) {
+        std::vector<int> picks;
+        for (int m = 0; m < kMps; ++m) {
+          if (rng.chance(0.4)) picks.push_back(m);
         }
-        for (auto& h : rt.spawn_isolated_batch(std::move(reqs))) hs.push_back(std::move(h));
+        if (picks.empty()) picks.push_back(static_cast<int>(rng.next_below(kMps)));
+        std::vector<const Microprotocol*> members;
+        for (int m : picks) members.push_back(mps[m]);
+        hs.push_back(rt.spawn_isolated(Isolation::basic(members), [&evs, picks](Context& ctx) {
+          for (int m : picks) ctx.trigger(evs[m]);
+        }));
       }
       for (auto& h : hs) h.wait();
     });
@@ -233,6 +201,8 @@ TEST(AdmissionStress, MixedBatchesKeepAtomicAdmission) {
   EXPECT_TRUE(report.isolated) << report.summary();
   EXPECT_GT(rt.controller().stats().admit_slow.value(), 0u)
       << "fixture bug: no multi-mp admissions were generated";
+  EXPECT_GT(rt.controller().stats().admit_fast.value(), 0u)
+      << "fixture bug: no single-mp admissions were generated";
 }
 
 }  // namespace

@@ -150,14 +150,6 @@ TEST(VersionGate, SlowPublishTakenWhenWaiterParked) {
   EXPECT_EQ(gate.slow_publishes(), 1u);
 }
 
-TEST(VersionGate, ClaimRangeReservesConsecutiveVersions) {
-  VersionGate gate;
-  // A batch of 4 single-mp admissions claims [1, 4] with one fetch_add.
-  EXPECT_EQ(gate.claim_range(4), 4u);
-  // The next admission continues where the range ended.
-  EXPECT_EQ(gate.admit(1), 5u);
-}
-
 TEST(VersionGate, CancelWhileParkedUnwindsWithException) {
   VersionGate gate;
   CCStats stats;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "cc/controller.hpp"
@@ -14,6 +15,7 @@
 #include "diag/wait_registry.hpp"
 #include "diag/watchdog.hpp"
 #include "net/timer_service.hpp"
+#include "test_support.hpp"
 #include "time/clock.hpp"
 #include "util/sync.hpp"
 
@@ -22,6 +24,7 @@ namespace {
 
 using namespace std::chrono_literals;
 using diag::WaitRegistry;
+using testing::BlockingMp;
 
 TEST(WaitRegistry, RecordsAndRemovesWaits) {
   auto& reg = WaitRegistry::instance();
@@ -41,13 +44,14 @@ TEST(WaitRegistry, RecordsAndRemovesWaits) {
 
 TEST(WaitRegistry, TracksHoldersUntilRelease) {
   auto& reg = WaitRegistry::instance();
-  int subject_tag = 0;  // any unique address works as a subject
-  reg.note_admission(&subject_tag, "holders-mp", 1, 101);
-  reg.note_admission(&subject_tag, "holders-mp", 2, 102);
+  auto gate = std::make_unique<VersionGate>();
+  const void* subject = gate.get();
+  gate->admit(1, 101);
+  gate->admit(1, 102);
 
   auto holders_of = [&](const diag::Dump& d) -> std::vector<diag::HolderEntry> {
     for (const auto& s : d.subjects) {
-      if (s.subject == &subject_tag) return s.holders;
+      if (s.subject == subject) return s.holders;
     }
     return {};
   };
@@ -56,14 +60,79 @@ TEST(WaitRegistry, TracksHoldersUntilRelease) {
   EXPECT_EQ(held[0].version, 1u);
   EXPECT_EQ(held[0].comp, 101u);
 
-  reg.note_release(&subject_tag, 1);  // v1 published: only v2 outstanding
+  gate->set_lv(1);  // v1 published: only v2 outstanding
   held = holders_of(reg.snapshot());
   ASSERT_EQ(held.size(), 1u);
   EXPECT_EQ(held[0].version, 2u);
   EXPECT_EQ(held[0].comp, 102u);
 
-  reg.forget_subject(&subject_tag);
+  gate->set_lv(2);
   EXPECT_TRUE(holders_of(reg.snapshot()).empty());
+
+  gate.reset();  // a destroyed gate leaves the registry
+  for (const auto& s : reg.snapshot().subjects) EXPECT_NE(s.subject, subject);
+}
+
+/// Polls until computation `comp` is parked and returns the dump that
+/// shows it (or the last dump, after 10 s).
+diag::Dump dump_once_parked(std::uint64_t comp) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  for (;;) {
+    diag::Dump dump = WaitRegistry::instance().snapshot();
+    for (const auto& w : dump.waits) {
+      if (w.comp == comp) return dump;
+    }
+    if (std::chrono::steady_clock::now() > deadline) return dump;
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
+bool has_edge(const diag::Dump& dump, std::uint64_t from, std::uint64_t to) {
+  for (const auto& e : dump.edges) {
+    if (e.from_comp == from && e.to_comp == to) return true;
+  }
+  return false;
+}
+
+// A runtime's first computation holds versions like any other: a second
+// computation parked behind it must get a wait-for edge to it.
+TEST(WaitRegistry, FirstComputationIsAHolder) {
+  Stack stack;
+  auto& mp = stack.emplace<BlockingMp>("first-holder");
+  EventType ev("Block");
+  stack.bind(ev, *mp.handler);
+  Runtime rt(stack, RuntimeOptions{.policy = CCPolicy::kVCABasic});
+  auto first =
+      rt.spawn_isolated(Isolation::basic({&mp}), [&](Context& ctx) { ctx.trigger(ev); });
+  mp.started.wait();
+  // Calls nothing, so it parks at Step 3 until the first publishes v1.
+  auto second = rt.spawn_isolated(Isolation::basic({&mp}), [](Context&) {});
+  const diag::Dump dump = dump_once_parked(second.id().value());
+  EXPECT_TRUE(has_edge(dump, second.id().value(), first.id().value())) << dump.to_text();
+  mp.release.set();
+  first.wait();
+  second.wait();
+}
+
+// The serial baseline's turn is a version gate: a computation waiting for
+// its turn points at the one that is running.
+TEST(WaitRegistry, SerialTurnWaitPointsAtTheRunningComputation) {
+  Stack stack;
+  auto& a = stack.emplace<BlockingMp>("serial-a");
+  auto& b = stack.emplace<testing::ProbeMp>("serial-b");
+  EventType ev("Block");
+  stack.bind(ev, *a.handler);
+  Runtime rt(stack, RuntimeOptions{.policy = CCPolicy::kSerial});
+  auto running =
+      rt.spawn_isolated(Isolation::basic({&a}), [&](Context& ctx) { ctx.trigger(ev); });
+  a.started.wait();
+  // Disjoint declaration: only the serial turn keeps it waiting.
+  auto parked = rt.spawn_isolated(Isolation::basic({&b}), [](Context&) {});
+  const diag::Dump dump = dump_once_parked(parked.id().value());
+  EXPECT_TRUE(has_edge(dump, parked.id().value(), running.id().value())) << dump.to_text();
+  a.release.set();
+  running.wait();
+  parked.wait();
 }
 
 TEST(WaitRegistry, ProgressEpochAdvancesOnGatePublish) {

@@ -158,7 +158,7 @@ TEST(GcDeclaration, VCABoundDeclaresTheSameMembersWithTheConfiguredBound) {
   EXPECT_EQ(decl.kind(), Isolation::Kind::Bound);
   EXPECT_EQ(declared_names(node, node.events().rc_data),
             (Names{"transport", "relcomm", "relcast", "abcast", "consensus", "causal", "app"}));
-  for (MicroprotocolId mp : decl.members()) EXPECT_EQ(decl.bounds().at(mp), opts.vca_bound);
+  for (MicroprotocolId mp : decl.members()) EXPECT_EQ(decl.bounds().at(mp), GroupNode::kVcaBound);
 }
 
 TEST(GcDeclaration, RestartDerivesTheNewIncarnationsDeclarations) {

@@ -123,21 +123,6 @@ TEST(InlineDispatch, AsyncHandlersRunInIssueOrder) {
   EXPECT_EQ(mp.log, (std::vector<int>{0, 1, 2, 10, 11, 12}));
 }
 
-TEST(InlineDispatch, BatchSpawnRunsEveryMemberInRequestOrder) {
-  time::VirtualClock clock;
-  Stack stack;
-  auto& mp = stack.emplace<ProbeMp>("p");
-  Runtime rt(stack, virtual_opts(clock));
-  std::vector<int> order;
-  std::vector<Runtime::SpawnRequest> reqs;
-  for (int i = 0; i < 4; ++i) {
-    reqs.push_back({Isolation::basic({&mp}), [&order, i](Context&) { order.push_back(i); }});
-  }
-  const auto handles = rt.spawn_isolated_batch(std::move(reqs));
-  for (const auto& h : handles) EXPECT_TRUE(h.done());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(InlineDispatch, SpawnFromInsideRunsAfterItsSpawnerCompletes) {
   time::VirtualClock clock;
   Stack stack;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -271,8 +272,7 @@ TEST(TimerService, FiresInDeadlineOrder) {
   TimerService timers(&clock);
   std::vector<int> order;
   std::mutex mu;
-  WaitGroup wg;
-  wg.add(2);
+  std::latch fired(2);
   {
     // The pin keeps virtual time frozen until both timers are armed, so
     // the order is decided by the deadlines, not the arming race.
@@ -280,15 +280,15 @@ TEST(TimerService, FiresInDeadlineOrder) {
     timers.schedule(std::chrono::microseconds(40000), [&] {
       std::unique_lock lock(mu);
       order.push_back(2);
-      wg.done();
+      fired.count_down();
     });
     timers.schedule(std::chrono::microseconds(2000), [&] {
       std::unique_lock lock(mu);
       order.push_back(1);
-      wg.done();
+      fired.count_down();
     });
   }
-  wg.wait();
+  fired.wait();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -219,107 +218,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
-
-// Batch admission linearizability property: spawn_isolated_batch must be
-// indistinguishable from calling spawn_isolated once per request in
-// request order. The observable consequence pinned here: on every
-// microprotocol, the gated execution order of batch members equals the
-// request order — i.e. the versions claimed by the batch (one claim_range
-// per gate on the all-single-mp fast path, one lock-ordered transaction
-// for mixed batches) are exactly the versions sequential admissions would
-// have claimed. Swept over random batch compositions and cross-checked
-// against the isolation oracle.
-class BatchAdmissionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BatchAdmissionProperty, BatchMatchesSequentialVersionOrder) {
-  const std::uint64_t seed = GetParam();
-  Rng rng(seed);
-
-  struct Seq {
-    int idx;  // global spawn index, the order sequential admits would use
-  };
-  constexpr int kMps = 3;
-
-  // Records the spawn index of every gated execution, per microprotocol.
-  class RecorderMp : public Microprotocol {
-   public:
-    RecorderMp(std::string n, std::vector<int>& order, std::mutex& mu)
-        : Microprotocol(std::move(n)) {
-      handler = &register_handler("run", [&order, &mu](Context&, const Message& m) {
-        std::unique_lock lock(mu);
-        order.push_back(m.as<Seq>().idx);
-      });
-    }
-    const Handler* handler = nullptr;
-  };
-
-  Stack stack;
-  std::vector<EventType> evs;
-  std::mutex order_mu;
-  std::vector<std::vector<int>> exec_order(kMps);
-  std::vector<RecorderMp*> mps;
-  for (int i = 0; i < kMps; ++i) {
-    auto& mp = stack.emplace<RecorderMp>("mp" + std::to_string(i), exec_order[i], order_mu);
-    mps.push_back(&mp);
-    evs.emplace_back("ev" + std::to_string(i));
-    stack.bind(evs.back(), *mp.handler);
-  }
-
-  Runtime rt(stack, RuntimeOptions{.policy = CCPolicy::kVCABasic, .record_trace = true});
-
-  std::vector<std::vector<int>> admitted(kMps);  // request order, per mp
-  std::vector<ComputationHandle> hs;
-  std::uint64_t total_members = 0;
-  int next_idx = 0;
-  for (int round = 0; round < 6; ++round) {
-    // Batches overlap in time with earlier rounds' still-running members,
-    // so later claims genuinely race with concurrent waits and publishes.
-    const int batch_size = 1 + static_cast<int>(rng.next_below(8));
-    std::vector<Runtime::SpawnRequest> reqs;
-    for (int b = 0; b < batch_size; ++b) {
-      std::vector<int> picks;
-      if (rng.chance(0.6)) {
-        // Single-mp request: with a whole batch of these, admission goes
-        // through the claim_range fast path.
-        picks.push_back(static_cast<int>(rng.next_below(kMps)));
-      } else {
-        for (int i = 0; i < kMps; ++i) {
-          if (rng.chance(0.5)) picks.push_back(i);
-        }
-        if (picks.empty()) picks.push_back(static_cast<int>(rng.next_below(kMps)));
-      }
-      const int idx = next_idx++;
-      std::vector<const Microprotocol*> members;
-      for (int i : picks) {
-        admitted[i].push_back(idx);
-        members.push_back(mps[i]);
-      }
-      reqs.push_back({Isolation::basic(members), [idx, picks, &evs](Context& ctx) {
-                        for (int i : picks) ctx.trigger(evs[i], Message::of(Seq{idx}));
-                      }});
-    }
-    total_members += reqs.size();
-    for (auto& h : rt.spawn_isolated_batch(std::move(reqs))) hs.push_back(std::move(h));
-  }
-  for (auto& h : hs) h.wait();
-  rt.drain();
-
-  // Per-mp gated execution order == version order == request order: the
-  // exact sequence sequential spawn_isolated calls would have produced.
-  for (int i = 0; i < kMps; ++i) {
-    EXPECT_EQ(exec_order[i], admitted[i]) << "mp" << i << " seed=" << seed;
-  }
-  auto report = check_isolation(rt.trace()->snapshot());
-  EXPECT_TRUE(report.isolated) << "seed=" << seed << "\n" << report.summary();
-  EXPECT_EQ(rt.controller().stats().admissions_batched.value(), total_members);
-  EXPECT_EQ(rt.controller().stats().admissions.value(), total_members);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, BatchAdmissionProperty,
-                         ::testing::Values(2u, 11u, 77u, testing::test_seed(4242)),
-                         [](const ::testing::TestParamInfo<std::uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
 
 // Gate wakeup property: every version published through a GateTable gate
 // wakes all waiters whose predicate it satisfies, under randomized

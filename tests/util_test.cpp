@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -189,15 +190,14 @@ TEST(FormatDuration, PicksUnits) {
 TEST(ThreadPool, RunsSubmittedTasks) {
   ElasticThreadPool pool;
   std::atomic<int> ran{0};
-  WaitGroup wg;
+  std::latch done(100);
   for (int i = 0; i < 100; ++i) {
-    wg.add();
     pool.submit([&] {
       ran.fetch_add(1);
-      wg.done();
+      done.count_down();
     });
   }
-  wg.wait();
+  done.wait();
   EXPECT_EQ(ran.load(), 100);
 }
 
@@ -206,19 +206,18 @@ TEST(ThreadPool, GrowsWhenTasksBlock) {
   // must still run (elastic growth), otherwise this test deadlocks.
   ElasticThreadPool pool(ElasticThreadPool::Options{1, 64, std::chrono::milliseconds(50)});
   OneShotEvent release;
-  WaitGroup wg;
+  std::latch done(8);
   for (int i = 0; i < 8; ++i) {
-    wg.add();
     pool.submit([&] {
       release.wait();
-      wg.done();
+      done.count_down();
     });
   }
   OneShotEvent unblocked;
   pool.submit([&] { unblocked.set(); });
   EXPECT_TRUE(unblocked.wait_for(std::chrono::milliseconds(5000)));
   release.set();
-  wg.wait();
+  done.wait();
   EXPECT_GE(pool.peak_thread_count(), 2u);
 }
 
@@ -243,50 +242,19 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
 TEST(ThreadPool, IdleWorkersRetire) {
   ElasticThreadPool pool(ElasticThreadPool::Options{1, 64, std::chrono::milliseconds(20)});
   OneShotEvent release;
-  WaitGroup wg;
+  std::latch done(16);
   for (int i = 0; i < 16; ++i) {
-    wg.add();
     pool.submit([&] {
       release.wait();
-      wg.done();
+      done.count_down();
     });
   }
   release.set();
-  wg.wait();
+  done.wait();
   // Give idle workers several timeout periods to retire.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_LE(pool.thread_count(), 16u);
   EXPECT_GE(pool.peak_thread_count(), 2u);
-}
-
-TEST(WaitGroup, WaitsForAll) {
-  WaitGroup wg;
-  std::atomic<int> done{0};
-  wg.add(4);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      done.fetch_add(1);
-      wg.done();
-    });
-  }
-  wg.wait();
-  EXPECT_EQ(done.load(), 4);
-  for (auto& t : threads) t.join();
-}
-
-TEST(WaitGroup, DoneWithoutAddThrows) {
-  WaitGroup wg;
-  EXPECT_THROW(wg.done(), std::logic_error);
-}
-
-TEST(WaitGroup, WaitForTimesOut) {
-  WaitGroup wg;
-  wg.add();
-  EXPECT_FALSE(wg.wait_for(std::chrono::milliseconds(20)));
-  wg.done();
-  EXPECT_TRUE(wg.wait_for(std::chrono::milliseconds(1000)));
 }
 
 TEST(OneShotEvent, SetReleasesWaiters) {
