@@ -27,7 +27,7 @@ class VCABasicComputationCC : public ComputationCC {
     // only be satisfied once every older computation upgraded, so the
     // iteration order over the claims is irrelevant for correctness.
     for (const GateClaim& c : claims_) {
-      c.gate->wait_exact(c.pv - 1, stats_);
+      c.gate->wait_exact(c.pv - 1, stats_, c.who);
       c.gate->set_lv(c.pv);
     }
   }
@@ -55,7 +55,7 @@ class VCABasicComputationCC : public ComputationCC {
 
 std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const Isolation& spec) {
   stats_.admissions.add();
-  std::vector<GateClaim> claims = resolve_claims(gates_, spec.members());
+  std::vector<GateClaim> claims = resolve_claims(gates_, spec);
   if (claims.size() == 1) {
     // Fast path: one microprotocol means one counter, so the admission is
     // atomic by construction — a single lock-free fetch_add.

@@ -19,9 +19,10 @@
 // observe identical version order everywhere.
 //
 // A computation's private versions are one array of GateClaim (mp, gate,
-// pv) sorted by mp id: the gates are resolved once at admission, so the
-// gate checks of Steps 2 and 3 are a binary search and a pointer
-// dereference, with no hashing and no gate-table probe.
+// pv, name) sorted by mp id: the gates are resolved once at admission, so
+// the gate checks of Steps 2 and 3 are a binary search and a pointer
+// dereference, with no hashing and no gate-table probe, and a Step 3 wait
+// names its microprotocol in blocked-state dumps.
 #pragma once
 
 #include "cc/controller.hpp"

@@ -11,6 +11,7 @@ struct Slot {
   std::uint64_t pv = 0;       // private version (upper edge of the window)
   std::uint64_t bound = 0;    // declared least upper bound
   std::uint64_t used = 0;     // visits issued so far (guarded by mu)
+  const char* who = "";       // the microprotocol's name, for dumps
 };
 
 class VCABoundComputationCC : public ComputationCC {
@@ -56,7 +57,7 @@ class VCABoundComputationCC : public ComputationCC {
     for (const auto& [mp, s] : slots_) {
       auto& gate = ctrl_.gates_.gate(mp);
       if (gate.lv() >= s.pv) continue;  // budget fully used: Rule 4 closed it
-      gate.wait_window(s.pv - s.bound, s.pv, ctrl_.stats_);
+      gate.wait_window(s.pv - s.bound, s.pv, ctrl_.stats_, s.who);
       gate.set_lv(s.pv);
     }
   }
@@ -76,23 +77,25 @@ std::unique_ptr<ComputationCC> VCABoundController::admit(ComputationId k, const 
   stats_.admissions.add();
   std::unordered_map<MicroprotocolId, Slot> slots;
   const auto& members = spec.members();
-  auto admit_one = [&](MicroprotocolId mp) {
+  auto admit_one = [&](std::size_t i) {
+    const MicroprotocolId mp = members[i];
     const std::uint64_t bound = spec.bounds().at(mp);
     Slot s;
     s.bound = bound;
     s.pv = gates_.gate(mp).admit(bound, k.value());  // Rule 1: gv += bound[p]
+    s.who = spec.member_names()[i];
     slots.emplace(mp, s);
   };
   if (members.size() == 1) {
     // Single microprotocol: the window claim is one lock-free fetch_add.
     stats_.admit_fast.add();
-    admit_one(members.front());
+    admit_one(0);
   } else {
     // Lock-ordered multi-mp path; see VCABasicController::admit.
     stats_.admit_slow.add();
-    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, spec);
     OrderedAdmission locks(claims);
-    for (MicroprotocolId mp : members) admit_one(mp);
+    for (std::size_t i = 0; i < members.size(); ++i) admit_one(i);
   }
   return std::make_unique<VCABoundComputationCC>(*this, k, std::move(slots));
 }

@@ -9,10 +9,16 @@
 
 namespace samoa {
 
+/// A declared microprotocol's private version, and its name for dumps.
+struct RouteClaim {
+  std::uint64_t pv = 0;
+  const char* who = "";
+};
+
 class VCARouteComputationCC : public ComputationCC {
  public:
   VCARouteComputationCC(VCARouteController& ctrl, ComputationId k, RoutingGraph graph,
-                        std::unordered_map<MicroprotocolId, std::uint64_t> pv)
+                        std::unordered_map<MicroprotocolId, RouteClaim> pv)
       : ctrl_(ctrl), k_(k), graph_(std::move(graph)), pv_(std::move(pv)) {}
 
   void on_issue(HandlerId caller, const Handler& h) override {
@@ -49,7 +55,7 @@ class VCARouteComputationCC : public ComputationCC {
   }
 
   void before_execute(const Handler& h) override {
-    const auto pv = pv_.at(h.owner().id());
+    const auto pv = pv_.at(h.owner().id()).pv;
     ctrl_.gates_.gate(h.owner().id()).wait_exact(pv - 1, ctrl_.stats_, h.owner().name().c_str());
   }
 
@@ -73,16 +79,16 @@ class VCARouteComputationCC : public ComputationCC {
     std::vector<MicroprotocolId> leftovers;
     {
       std::unique_lock lock(mu_);
-      for (const auto& [mp, pv] : pv_) {
-        (void)pv;
+      for (const auto& [mp, claim] : pv_) {
+        (void)claim;
         if (!released_.contains(mp)) leftovers.push_back(mp);
       }
     }
     for (MicroprotocolId mp : leftovers) {
       auto& gate = ctrl_.gates_.gate(mp);
-      const auto pv = pv_.at(mp);
-      gate.wait_exact(pv - 1, ctrl_.stats_);
-      gate.set_lv(pv);
+      const RouteClaim& claim = pv_.at(mp);
+      gate.wait_exact(claim.pv - 1, ctrl_.stats_, claim.who);
+      gate.set_lv(claim.pv);
     }
   }
 
@@ -113,7 +119,7 @@ class VCARouteComputationCC : public ComputationCC {
       }
       if (releasable) {
         released_.insert(mp);
-        const auto pv = pv_.at(mp);
+        const auto pv = pv_.at(mp).pv;
         ctrl_.gates_.gate(mp).schedule_set(pv - 1, pv);
       }
     }
@@ -122,7 +128,7 @@ class VCARouteComputationCC : public ComputationCC {
   VCARouteController& ctrl_;
   ComputationId k_;
   RoutingGraph graph_;
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv_;
+  std::unordered_map<MicroprotocolId, RouteClaim> pv_;
 
   std::mutex mu_;
   std::unordered_map<HandlerId, std::uint64_t> pending_;  // issued-but-uncompleted calls
@@ -137,21 +143,22 @@ std::unique_ptr<ComputationCC> VCARouteController::admit(ComputationId k, const 
   }
   stats_.admissions.add();
   RoutingGraph graph(spec.route_spec(), spec.route_owners());
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv;
+  std::unordered_map<MicroprotocolId, RouteClaim> pv;
   const auto& members = spec.members();
+  const auto admit_one = [&](std::size_t i) {
+    const MicroprotocolId mp = members[i];
+    pv.emplace(mp, RouteClaim{gates_.gate(mp).admit(1, k.value()), spec.member_names()[i]});
+  };
   if (members.size() == 1) {
     // Single microprotocol: one lock-free fetch_add claims the version.
     stats_.admit_fast.add();
-    const MicroprotocolId mp = members.front();
-    pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
+    admit_one(0);
   } else {
     // Lock-ordered multi-mp path; see VCABasicController::admit.
     stats_.admit_slow.add();
-    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, spec);
     OrderedAdmission locks(claims);
-    for (MicroprotocolId mp : members) {
-      pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
-    }
+    for (std::size_t i = 0; i < members.size(); ++i) admit_one(i);
   }
   return std::make_unique<VCARouteComputationCC>(*this, k, std::move(graph), std::move(pv));
 }

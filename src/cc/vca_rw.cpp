@@ -11,6 +11,7 @@ class VCARWComputationCC : public ComputationCC {
   struct Slot {
     std::uint64_t pv = 0;
     Access access = Access::kWrite;
+    const char* who = "";  // the microprotocol's name, for dumps
   };
 
   VCARWComputationCC(VCARWController& ctrl, ComputationId k,
@@ -46,7 +47,7 @@ class VCARWComputationCC : public ComputationCC {
     for (const auto& [mp, s] : slots_) {
       auto& gate = ctrl_.gates_.gate(mp);
       if (s.access == Access::kWrite) {
-        gate.wait_exact(s.pv - 1, ctrl_.stats_);
+        gate.wait_exact(s.pv - 1, ctrl_.stats_, s.who);
         gate.set_lv(s.pv);
         continue;
       }
@@ -66,7 +67,7 @@ class VCARWComputationCC : public ComputationCC {
         }
       }
       if (last_out) {
-        gate.wait_exact(s.pv - 1, ctrl_.stats_);
+        gate.wait_exact(s.pv - 1, ctrl_.stats_, s.who);
         gate.set_lv(s.pv);
       }
     }
@@ -90,13 +91,16 @@ std::unique_ptr<ComputationCC> VCARWController::admit(ComputationId k, const Iso
   }
   stats_.admissions.add();
   std::unordered_map<MicroprotocolId, VCARWComputationCC::Slot> slots;
-  // Caller must hold gates_.gate(mp).admission_mutex().
-  auto admit_one = [&](MicroprotocolId mp) {
+  const auto& members = spec.members();
+  // Caller must hold gates_.gate(members[i]).admission_mutex().
+  auto admit_one = [&](std::size_t i) {
+    const MicroprotocolId mp = members[i];
     const Access access = spec.accesses().at(mp);
     auto& gate = gates_.gate(mp);
     auto& rw = rw_state(mp);
     VCARWComputationCC::Slot s;
     s.access = access;
+    s.who = spec.member_names()[i];
     if (access == Access::kWrite) {
       s.pv = gate.admit(1, k.value());
       rw.joinable_version = 0;  // later readers must start a new group
@@ -113,20 +117,18 @@ std::unique_ptr<ComputationCC> VCARWController::admit(ComputationId k, const Iso
     }
     slots.emplace(mp, s);
   };
-  const auto& members = spec.members();
   if (members.size() == 1) {
     // Sharded fast path: group joining mutates per-mp shared state, so rw
     // takes the single member gate's admission lock — contention stays
     // per-microprotocol instead of controller-wide.
     stats_.admit_fast.add();
-    const MicroprotocolId mp = members.front();
-    std::unique_lock lock(gates_.gate(mp).admission_mutex());
-    admit_one(mp);
+    std::unique_lock lock(gates_.gate(members.front()).admission_mutex());
+    admit_one(0);
   } else {
     stats_.admit_slow.add();
-    const std::vector<GateClaim> claims = resolve_claims(gates_, members);
+    const std::vector<GateClaim> claims = resolve_claims(gates_, spec);
     OrderedAdmission locks(claims);
-    for (MicroprotocolId mp : members) admit_one(mp);
+    for (std::size_t i = 0; i < members.size(); ++i) admit_one(i);
   }
   return std::make_unique<VCARWComputationCC>(*this, k, std::move(slots));
 }

@@ -308,16 +308,15 @@ VersionGate& GateTable::gate_slow(MicroprotocolId mp) {
   return *slot;
 }
 
-std::vector<GateClaim> resolve_claims(GateTable& gates, const std::vector<MicroprotocolId>& mps) {
+std::vector<GateClaim> resolve_claims(GateTable& gates, const Isolation& spec) {
+  const auto& mps = spec.members();
   std::vector<GateClaim> claims;
   claims.reserve(mps.size());
-  for (MicroprotocolId mp : mps) claims.push_back({mp, nullptr, 0});
+  for (std::size_t i = 0; i < mps.size(); ++i) {
+    claims.push_back({mps[i], &gates.gate(mps[i]), 0, spec.member_names()[i]});
+  }
   std::sort(claims.begin(), claims.end(),
             [](const GateClaim& a, const GateClaim& b) { return a.mp < b.mp; });
-  claims.erase(std::unique(claims.begin(), claims.end(),
-                           [](const GateClaim& a, const GateClaim& b) { return a.mp == b.mp; }),
-               claims.end());
-  for (GateClaim& c : claims) c.gate = &gates.gate(c.mp);
   return claims;
 }
 

@@ -268,17 +268,20 @@ class GateTable {
 };
 
 /// One declared microprotocol of an admitted computation: its gate,
-/// resolved once at admission, and the private version pv claimed there
-/// (VCAbasic keeps exactly this; the other controllers use it to lock).
+/// resolved once at admission, the private version pv claimed there, and
+/// the microprotocol's name, which its gate waits report in blocked-state
+/// dumps (VCAbasic keeps exactly this; the other controllers use it to
+/// lock).
 struct GateClaim {
   MicroprotocolId mp;
   VersionGate* gate = nullptr;
   std::uint64_t pv = 0;
+  const char* who = "";
 };
 
-/// The gates of `mps`, sorted by mp id with duplicates dropped (pv = 0):
-/// the layout OrderedAdmission locks in.
-std::vector<GateClaim> resolve_claims(GateTable& gates, const std::vector<MicroprotocolId>& mps);
+/// The gates of `spec`'s members, sorted by mp id (pv = 0): the layout
+/// OrderedAdmission locks in.
+std::vector<GateClaim> resolve_claims(GateTable& gates, const Isolation& spec);
 
 /// RAII lock-ordered admission over several gates (the multi-microprotocol
 /// slow path). Acquires every claimed gate's admission_mutex() in

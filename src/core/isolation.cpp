@@ -10,9 +10,10 @@ namespace samoa {
 Isolation Isolation::basic(std::vector<const Microprotocol*> mps) {
   Isolation iso(Kind::Basic);
   iso.members_.reserve(mps.size());
+  iso.member_names_.reserve(mps.size());
   for (const auto* mp : mps) {
     if (mp == nullptr) throw ConfigError("Isolation::basic: null microprotocol");
-    if (!iso.declares(mp->id())) iso.members_.push_back(mp->id());
+    iso.add_member(*mp);
   }
   return iso;
 }
@@ -23,7 +24,7 @@ Isolation Isolation::bound(std::vector<std::pair<const Microprotocol*, std::uint
     if (mp == nullptr) throw ConfigError("Isolation::bound: null microprotocol");
     if (b == 0) throw ConfigError("Isolation::bound: bound must be >= 1 for " + mp->name());
     if (iso.declares(mp->id())) throw ConfigError("Isolation::bound: duplicate " + mp->name());
-    iso.members_.push_back(mp->id());
+    iso.add_member(*mp);
     iso.bounds_.emplace(mp->id(), b);
   }
   return iso;
@@ -42,7 +43,7 @@ Isolation Isolation::read_write(std::vector<std::pair<const Microprotocol*, Acce
     if (iso.declares(mp->id())) {
       throw ConfigError("Isolation::read_write: duplicate " + mp->name());
     }
-    iso.members_.push_back(mp->id());
+    iso.add_member(*mp);
     iso.accesses_.emplace(mp->id(), access);
   }
   return iso;
@@ -52,18 +53,24 @@ bool Isolation::declares(MicroprotocolId mp) const {
   return std::find(members_.begin(), members_.end(), mp) != members_.end();
 }
 
+void Isolation::add_member(const Microprotocol& mp) {
+  if (declares(mp.id())) return;
+  members_.push_back(mp.id());
+  member_names_.push_back(mp.name().c_str());
+}
+
 void Isolation::resolve_route(const Stack& stack) {
   if (kind_ != Kind::Route) return;
   members_.clear();
+  member_names_.clear();
   route_owners_.clear();
   auto note_handler = [&](HandlerId h) {
     const Handler* handler = stack.find_handler(h);
     if (handler == nullptr) {
       throw ConfigError("Isolation::route: handler not found in stack");
     }
-    const MicroprotocolId mp = handler->owner().id();
-    route_owners_.emplace(h, mp);
-    if (!declares(mp)) members_.push_back(mp);
+    route_owners_.emplace(h, handler->owner().id());
+    add_member(handler->owner());
   };
   for (HandlerId h : route_.entries) note_handler(h);
   for (const auto& [from, to] : route_.edges) {

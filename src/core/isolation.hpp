@@ -64,6 +64,11 @@ class Isolation {
   /// stack), so it is empty until resolve_route() was called.
   const std::vector<MicroprotocolId>& members() const { return members_; }
 
+  /// The name of each of members(), in the same order, for blocked-state
+  /// dumps. Each points into its microprotocol, which outlives every
+  /// computation of its stack.
+  const std::vector<const char*>& member_names() const { return member_names_; }
+
   /// Least upper bounds; only meaningful for Kind::Bound.
   const std::unordered_map<MicroprotocolId, std::uint32_t>& bounds() const { return bounds_; }
 
@@ -92,8 +97,12 @@ class Isolation {
  private:
   explicit Isolation(Kind kind) : kind_(kind) {}
 
+  /// Append mp to members() unless it is declared already.
+  void add_member(const Microprotocol& mp);
+
   Kind kind_;
   std::vector<MicroprotocolId> members_;
+  std::vector<const char*> member_names_;
   std::unordered_map<MicroprotocolId, std::uint32_t> bounds_;
   std::unordered_map<MicroprotocolId, Access> accesses_;
   RouteSpec route_;

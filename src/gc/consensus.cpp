@@ -122,7 +122,6 @@ void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
   if (coord != self_) return;
   inst.my_round = (inst.attempt + 1) * kRoundStride + self_.value() + 1;
   inst.promises.clear();
-  inst.accepted_from.clear();
   inst.last_activity = options().now();
   rounds_started_.add();
   if (inst.attempt == 0) {
@@ -219,27 +218,75 @@ void Consensus::handle_accept(Outbox& out, SiteId from, const CsAccept& a) {
   inst.promised = a.round;
   inst.accepted_round = a.round;
   inst.accepted_value = a.value;
-  to(out, from, Wire{CsAccepted{a.instance, a.round}});
+  // Report to the distinguished learners: the round's proposer and every
+  // in-view origin of the batch, each once.
+  const Wire accepted{CsAccepted{a.instance, a.round}};
+  to(out, from, accepted);
+  for (auto m = a.value.begin(); m != a.value.end(); ++m) {
+    const SiteId origin = msg_origin(m->id);
+    const auto same_origin = [&](const AppMessage& e) { return msg_origin(e.id) == origin; };
+    if (origin == from || std::any_of(a.value.begin(), m, same_origin) ||
+        !view_.contains(origin)) {
+      continue;
+    }
+    to(out, origin, accepted);
+  }
+  // A majority of ACCEPTEDs for this round may have overtaken its ACCEPT.
+  learn(out, a.instance, a.round);
 }
 
 void Consensus::handle_accepted(Outbox& out, SiteId from, const CsAccepted& a) {
   Instance& inst = instance(a.instance);
-  if (inst.decided || !inst.phase2 || a.round != inst.my_round) return;
-  inst.accepted_from.insert(from);
-  if (inst.accepted_from.size() < view_.majority()) return;
-  broadcast(out, Wire{CsDecide{a.instance, inst.chosen}});
-  // Our own CsDecide arrives through loopback and runs handle_decide.
+  if (inst.decided) return;
+  inst.accepted_from[a.round].insert(from);
+  learn(out, a.instance, a.round);
+}
+
+void Consensus::learn(Outbox& out, std::uint64_t i, std::uint64_t round) {
+  Instance& inst = instance(i);
+  // A site outside its own view must not decide the group's slots (see
+  // pull_frontier).
+  if (inst.decided || !view_.contains(self_)) return;
+  const auto it = inst.accepted_from.find(round);
+  if (it == inst.accepted_from.end() || it->second.size() < view_.majority()) return;
+  // A round has one proposer and one value: if we proposed it or accepted
+  // it, the value we hold for it is the one the majority accepted. The
+  // majority must be one of slot i's view. A proposer holds that view: it
+  // proposed at its cursor i. An acceptor holds it only while its cursor is
+  // at i; one that has not applied every slot below i may still hold an
+  // older, smaller view, and one a catch-up floor moved past i never
+  // applied i's.
+  const ConsensusValue* value = nullptr;
+  if (inst.phase2 && inst.my_round == round) {
+    value = &inst.chosen;
+  } else if (inst.accepted_round == round && frontier_source_ && frontier_source_() == i) {
+    value = &*inst.accepted_value;
+  } else {
+    return;
+  }
+  // One DECIDE wave per learner: the proposer's and each origin's hedge
+  // one another against a lost copy.
+  const Wire decision{CsDecide{i, *value}};
+  for (SiteId site : view_.members()) {
+    if (site != self_) to(out, site, decision);
+  }
+  decide(out, i, *value);
 }
 
 void Consensus::handle_decide(Outbox& out, const CsDecide& d) {
-  Instance& inst = instance(d.instance);
-  if (inst.decided) return;
+  if (instance(d.instance).decided) return;
+  decide(out, d.instance, d.value);
+}
+
+void Consensus::decide(Outbox& out, std::uint64_t i, const ConsensusValue& value) {
+  Instance& inst = instance(i);
   inst.decided = true;
-  inst.accepted_value = d.value;
-  open_.erase(d.instance);
-  highest_decided_ = std::max(highest_decided_, d.instance);
+  inst.accepted_value = value;
+  inst.accepted_from.clear();
+  open_.erase(i);
+  highest_decided_ = std::max(highest_decided_, i);
   decided_count_.add();
-  out.trigger(events_->cs_decided, Message::of(CsDecided{d.instance, d.value}));
+  out.trigger(events_->cs_decided, Message::of(CsDecided{i, value}));
 }
 
 }  // namespace samoa::gc

@@ -5,9 +5,17 @@
 //            their highest accepted (round, value).
 //   Phase 2  coordinator picks the accepted value of the highest round
 //            among a majority of promises (its own proposal otherwise) and
-//            sends ACCEPT(i, r, v); acceptors accept and reply ACCEPTED.
-//   Decide   on a majority of ACCEPTED the coordinator broadcasts
-//            DECIDE(i, v); every site learns and hands the value up.
+//            sends ACCEPT(i, r, v); acceptors accept and send ACCEPTED(i, r)
+//            to the round's proposer and to every in-view origin of v's
+//            payloads, the instance's distinguished learners.
+//   Decide   a site that holds ACCEPTED(i, r) from a majority and knows
+//            r's value, because it proposed r or accepted r with its
+//            cursor at i (so that it counts in slot i's view), decides at
+//            once and sends DECIDE(i, v) to every other member: one wave
+//            per learner. A round has one proposer and one value, so the
+//            majority chose that value. Every other site learns from the
+//            first DECIDE that reaches it. The origin of a payload thus
+//            learns its order in three hops, everyone else in four.
 //
 // The coordinator of instance i, attempt a is view.member_at(i + a);
 // rounds are made proposer-unique by round = (attempt + 1) * kRoundStride +
@@ -66,9 +74,10 @@ class Consensus : public GcMicroprotocol {
   //     before its copy reached us).
   // The probe is a PREPARE with round 0 — never a real round, so undecided
   // acceptors ignore it (0 <= promised), while decided sites answer any
-  // prepare with the decision. Both sources are wired before the stack
-  // spawns and must be safe to call from the retry handler's thread
-  // without our guard.
+  // prepare with the decision. The learner rule reads the same source: an
+  // acceptor decides from ACCEPTEDs only the instance it waits for (see
+  // learn). Both sources are wired before the stack spawns and must be
+  // safe to call from the retry handler's thread without our guard.
   void set_frontier_source(std::function<std::uint64_t()> source) {
     frontier_source_ = std::move(source);
   }
@@ -93,10 +102,11 @@ class Consensus : public GcMicroprotocol {
     std::uint64_t my_round = 0;  // 0: not coordinating
     bool phase2 = false;
     std::map<SiteId, CsPromise> promises;
-    std::set<SiteId> accepted_from;
     ConsensusValue chosen;
     Clock::time_point last_activity{};
-    // Learner state.
+    // Learner state: who reported ACCEPTED, per round; dropped once the
+    // instance decides.
+    std::map<std::uint64_t, std::set<SiteId>> accepted_from;
     bool decided = false;
   };
 
@@ -111,6 +121,10 @@ class Consensus : public GcMicroprotocol {
   void handle_accept(Outbox& out, SiteId from, const CsAccept& a);
   void handle_accepted(Outbox& out, SiteId from, const CsAccepted& a);
   void handle_decide(Outbox& out, const CsDecide& d);
+  /// The learner rule: decide instance i if a majority reported ACCEPTED
+  /// for `round` and we know its value, then send our DECIDE wave.
+  void learn(Outbox& out, std::uint64_t i, std::uint64_t round);
+  void decide(Outbox& out, std::uint64_t i, const ConsensusValue& value);
 
   const GcEvents* events_;
   SiteId self_;

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <string>
 
+#include "core/errors.hpp"
+
 namespace samoa::net {
 
 namespace {
@@ -113,17 +115,26 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
   const bool unknown = to.value() >= sites_.size();
   const bool blocked = crashed_.contains(from) || crashed_.contains(to) ||
                        partitioned_.contains(pack_pair(from, to));
-  const LinkOptions& link = link_for(from, to);
-  // RNG stream contract: every send consumes the draws its link options
-  // call for (one Bernoulli draw for loss, one bounded draw for jitter),
-  // whether or not the packet is discarded for an unknown destination,
-  // crash or partition. The stream is then a pure function of (seed, link
-  // options, send sequence) and replays stay aligned across fault states.
-  const bool chance_drop = rng_.chance(link.drop_probability);
-  auto latency = link.base_latency;
-  if (link.jitter.count() > 0) {
-    latency += std::chrono::microseconds(
-        rng_.next_below(static_cast<std::uint64_t>(link.jitter.count()) + 1));
+  // A site's link to itself is local, as loopback is on any host: zero
+  // latency, no loss and no RNG draw, whatever the defaults say (set_link
+  // refuses to override it). The packet still goes through the lanes, so
+  // a DeliveryHook orders it like any other.
+  bool chance_drop = false;
+  std::chrono::microseconds latency{0};
+  if (from != to) {
+    const LinkOptions& link = link_for(from, to);
+    // RNG stream contract: every send between two sites consumes the
+    // draws its link options call for (one Bernoulli draw for loss, one
+    // bounded draw for jitter), whether or not the packet is discarded
+    // for an unknown destination, crash or partition. The stream is then
+    // a pure function of (seed, link options, sequence of sends between
+    // sites) and replays stay aligned across fault states.
+    chance_drop = rng_.chance(link.drop_probability);
+    latency = link.base_latency;
+    if (link.jitter.count() > 0) {
+      latency += std::chrono::microseconds(
+          rng_.next_below(static_cast<std::uint64_t>(link.jitter.count()) + 1));
+    }
   }
   if (unknown || blocked || chance_drop) {
     stats_.dropped.add();
@@ -142,6 +153,7 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
 }
 
 void SimNetwork::set_link(SiteId from, SiteId to, LinkOptions opts) {
+  if (from == to) throw ConfigError("SimNetwork::set_link: a site's link to itself is local");
   std::unique_lock lock(mu_);
   links_[pack_pair(from, to)] = opts;
 }

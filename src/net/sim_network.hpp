@@ -16,10 +16,12 @@
 // with zero real sleeps.
 //
 // Determinism: all randomness (jitter, drops) comes from a seeded Rng, and
-// every send consumes the same RNG draws for a given link configuration
-// whatever the crash/partition state, so the stream (and hence a replay)
-// never diverges based on fault state. A run is reproducible given (seed,
-// workload timing); with VirtualClock the timing itself is deterministic.
+// every send between two sites consumes the same RNG draws for a given
+// link configuration whatever the crash/partition state, so the stream
+// (and hence a replay) never diverges based on fault state. A site's
+// packets to itself are local, as on any host: zero latency, no loss and
+// no draw. A run is reproducible given (seed, workload timing); with
+// VirtualClock the timing itself is deterministic.
 #pragma once
 
 #include <chrono>
@@ -97,10 +99,12 @@ class SimNetwork : private time::EventSource {
   SiteId add_site(DeliveryFn deliver);
 
   /// Send a packet. Unknown destinations, crashed endpoints, partitions
-  /// and random drops silently discard it (UDP semantics).
+  /// and random drops silently discard it (UDP semantics). A packet to
+  /// the sender itself is due at once and never randomly dropped.
   void send(SiteId from, SiteId to, Message payload);
 
-  /// Directional link override (from -> to).
+  /// Directional link override (from -> to). A site's link to itself is
+  /// always local (see send): from == to throws ConfigError.
   void set_link(SiteId from, SiteId to, LinkOptions opts);
 
   /// Cut / heal both directions between a and b.

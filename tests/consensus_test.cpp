@@ -7,11 +7,16 @@
 // ACCEPT, every later attempt still runs PREPARE/PROMISE — and the safety
 // it rests on: a value the owner's first round got chosen survives the
 // owner's crash even when the next coordinator holds another proposal.
+// They also pin the learner rule: the batch's origin decides from a
+// majority of ACCEPTEDs before any DECIDE reaches it, not from a minority,
+// not from ACCEPTEDs of a round it did not accept, and not while it has
+// not applied a view change below the slot.
 //
-// The last tests run virtual-time GroupNode fleets. One cuts the final
-// DECIDE of the stream to a rejoined site, which holds no proposal of its
-// own and sees no later decision; only the retry tick's decision pull of
-// an idle accepted value lets it deliver the last message. Another cuts a
+// The last tests run virtual-time GroupNode fleets. One
+// cuts the final DECIDE of the stream to a rejoined site, which holds no
+// proposal of its own and sees no later decision; only the retry tick's
+// decision pull of an idle accepted value lets it deliver the last
+// message. Another cuts a
 // site off the whole last slot, whose payload it never received; only the
 // frontier in the header of its peers' later packets makes it pull the
 // decision, under either failure detector. A live site evicted under SWIM
@@ -40,6 +45,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -88,6 +95,7 @@ class Outlet : public Microprotocol {
       const auto& req = m.as<TransportSend>();
       std::lock_guard lock(*mu_);
       ++(*sent_)[wire_kind(req.wire)];
+      if (req.to == self_) ++(*sent_)["to self"];
       queue_->push_back(Packet{self_, req.to, req.wire});
     });
     decided = &register_handler("decided", [this](Context&, const Message& m) {
@@ -107,13 +115,16 @@ class Outlet : public Microprotocol {
   std::map<std::string, int>* sent_;
 };
 
-/// One site: a Consensus and its Outlet in a stack of their own.
+/// One site: a Consensus and its Outlet in a stack of their own, and the
+/// cursor an ordering layer above would report (the instance it waits for).
 struct ConsensusSite {
   ConsensusSite(SiteId id, ManualClock& clock, std::mutex& mu, std::deque<Packet>& queue,
-                std::map<std::string, int>& sent) {
+                std::map<std::string, int>& sent, std::uint64_t initial_cursor)
+      : cursor(initial_cursor) {
     opts.clock = &clock;
     opts.cs_retry_timeout = 8000us;
     consensus = &stack.emplace<Consensus>(opts, events, id, View{});
+    consensus->set_frontier_source([this] { return cursor.load(); });
     outlet = &stack.emplace<Outlet>(id, mu, queue, sent);
     stack.bind(events.cs_propose, *consensus->propose_handler());
     stack.bind(events.cs_wire, *consensus->on_wire_handler());
@@ -133,6 +144,7 @@ struct ConsensusSite {
         .wait();
   }
 
+  std::atomic<std::uint64_t> cursor;
   GcOptions opts;
   GcEvents events;
   Stack stack;
@@ -141,7 +153,12 @@ struct ConsensusSite {
   std::unique_ptr<Runtime> runtime;
 };
 
-/// A cluster of consensus sites over a hand-driven network.
+constexpr int kSites = 5;
+constexpr std::uint64_t kSlot = 7;
+
+/// A cluster of consensus sites over a hand-driven network. Every site
+/// holds the same view and has its cursor at kSlot until the test moves
+/// them.
 class ScriptedCluster {
  public:
   explicit ScriptedCluster(int n) {
@@ -149,13 +166,21 @@ class ScriptedCluster {
     for (int i = 0; i < n; ++i) members.push_back(SiteId(i));
     view_ = View(1, members);
     for (SiteId id : members) {
-      sites_.push_back(std::make_unique<ConsensusSite>(id, clock_, mu_, queue_, sent_));
+      sites_.push_back(std::make_unique<ConsensusSite>(id, clock_, mu_, queue_, sent_, kSlot));
       sites_.back()->run(sites_.back()->events.view_change, Message::of(view_));
     }
   }
 
   const View& view() const { return view_; }
   ManualClock& clock() { return clock_; }
+
+  /// Give one site a view and a cursor of its own: a site that has not yet
+  /// applied every slot below kSlot.
+  void lag(int site, View view, std::uint64_t cursor) {
+    ConsensusSite& s = *sites_[site];
+    s.cursor = cursor;
+    s.run(s.events.view_change, Message::of(std::move(view)));
+  }
 
   void propose(int site, std::uint64_t instance, ConsensusValue value) {
     ConsensusSite& s = *sites_[site];
@@ -198,8 +223,8 @@ class ScriptedCluster {
     queue_.insert(queue_.begin(), held.begin(), held.end());
   }
 
-  /// Packets of one wire kind that left any site so far (delivered,
-  /// held or dropped alike).
+  /// Packets of one wire kind, or "to self" for those a site addressed to
+  /// itself, that left any site so far (delivered, held or dropped alike).
   int sent(const char* kind) {
     std::lock_guard lock(mu_);
     const auto it = sent_.find(kind);
@@ -242,29 +267,36 @@ bool is(const Packet& p) {
   return std::holds_alternative<T>(p.wire);
 }
 
-constexpr int kSites = 5;
-constexpr std::uint64_t kSlot = 7;
-
 TEST(ConsensusFirstRound, FaultFreeInstanceSendsNoPrepareOrPromise) {
-  ScriptedCluster c(kSites);
-  const int owner = static_cast<int>(c.view().member_at(kSlot).value());
-  const ConsensusValue v = batch_of(3, 1, "m");
-  // Every site proposes the same batch; the owner's proposal comes last,
-  // so the others are already waiting on it.
-  for (int s = 0; s < kSites; ++s) {
-    if (s != owner) c.propose(s, kSlot, v);
-  }
-  EXPECT_EQ(c.sent("CsPrepare") + c.sent("CsAccept"), 0) << "a non-owner started attempt 0";
-  c.propose(owner, kSlot, v);
-  c.deliver();
+  // The acceptors report to the proposer and to the batch's origin, and
+  // each of those learners sends one DECIDE wave; when the owner is the
+  // origin, there is one learner.
+  for (const bool origin_owns : {false, true}) {
+    SCOPED_TRACE(origin_owns ? "the origin owns the slot" : "the origin does not own the slot");
+    ScriptedCluster c(kSites);
+    const int owner = static_cast<int>(c.view().member_at(kSlot).value());
+    const int origin = origin_owns ? owner : (owner + 1) % kSites;
+    const int learners = origin_owns ? 1 : 2;
+    const ConsensusValue v = batch_of(origin, 1, "m");
+    // Every site proposes the same batch; the owner's proposal comes last,
+    // so the others are already waiting on it.
+    for (int s = 0; s < kSites; ++s) {
+      if (s != owner) c.propose(s, kSlot, v);
+    }
+    EXPECT_EQ(c.sent("CsPrepare") + c.sent("CsAccept"), 0) << "a non-owner started attempt 0";
+    c.propose(owner, kSlot, v);
+    c.deliver();
 
-  EXPECT_EQ(c.sent("CsPrepare"), 0);
-  EXPECT_EQ(c.sent("CsPromise"), 0);
-  EXPECT_EQ(c.sent("CsAccept"), kSites);
-  EXPECT_EQ(c.sent("CsAccepted"), kSites);
-  EXPECT_GE(c.sent("CsDecide"), kSites);
-  for (int s = 0; s < kSites; ++s) {
-    EXPECT_EQ(c.decided(s, kSlot), v.front().data) << "site " << s;
+    EXPECT_EQ(c.sent("CsPrepare"), 0);
+    EXPECT_EQ(c.sent("CsPromise"), 0);
+    EXPECT_EQ(c.sent("CsAccept"), kSites);
+    EXPECT_EQ(c.sent("CsAccepted"), learners * kSites);
+    EXPECT_EQ(c.sent("CsDecide"), learners * (kSites - 1));
+    // The owner's ACCEPT to itself and each learner's own ACCEPTED.
+    EXPECT_EQ(c.sent("to self"), 1 + learners);
+    for (int s = 0; s < kSites; ++s) {
+      EXPECT_EQ(c.decided(s, kSlot), v.front().data) << "site " << s;
+    }
   }
 }
 
@@ -348,6 +380,118 @@ TEST(ConsensusFirstRound, EmptyBatchIsASkipOnlyForTheOwner) {
   EXPECT_EQ(c.sent("CsAccept"), kSites);
   for (int s = 0; s < kSites; ++s) {
     EXPECT_EQ(c.decided(s, kSlot), "") << "site " << s;
+  }
+}
+
+// --- The learner rule ----------------------------------------------------------
+
+TEST(ConsensusLearner, OriginDecidesBeforeAnyDecide) {
+  // Every DECIDE is held: the owner and the batch's origin decide from
+  // ACCEPTEDs alone, in three hops for the origin, and nobody else does.
+  ScriptedCluster c(kSites);
+  const int owner = static_cast<int>(c.view().member_at(kSlot).value());
+  const int origin = static_cast<int>(c.view().member_at(kSlot + 2).value());
+  c.propose(owner, kSlot, batch_of(origin, 1, "m"));
+  c.deliver(nullptr, [](const Packet& p) { return is<CsDecide>(p); });
+
+  EXPECT_EQ(c.decided(origin, kSlot), "m");
+  EXPECT_EQ(c.decided(owner, kSlot), "m");
+  for (int s = 0; s < kSites; ++s) {
+    if (s == owner || s == origin) continue;
+    EXPECT_EQ(c.decided(s, kSlot), "none") << "site " << s;
+  }
+}
+
+TEST(ConsensusLearner, MinorityOfAcceptedsDecidesNothing) {
+  // Every acceptor accepts, but only the owner's and the origin's own
+  // ACCEPTEDs reach the origin: two of five.
+  ScriptedCluster c(kSites);
+  const int owner = static_cast<int>(c.view().member_at(kSlot).value());
+  const int origin = static_cast<int>(c.view().member_at(kSlot + 2).value());
+  c.propose(owner, kSlot, batch_of(origin, 1, "m"));
+  c.deliver(
+      [&](const Packet& p) {
+        return is<CsAccepted>(p) && p.to == SiteId(origin) && p.from != SiteId(owner) &&
+               p.from != SiteId(origin);
+      },
+      [](const Packet& p) { return is<CsDecide>(p); });
+
+  EXPECT_EQ(c.decided(owner, kSlot), "m");
+  EXPECT_EQ(c.decided(origin, kSlot), "none");
+  c.deliver();  // the owner's DECIDE wave
+  EXPECT_EQ(c.decided(origin, kSlot), "m");
+}
+
+TEST(ConsensusLearner, NoDecisionFromARoundNotAccepted) {
+  // Two coordinators with different values, both carrying a payload of
+  // the origin. The owner's first round reaches the origin alone, so v1 is
+  // the origin's accepted value. The attempt-1 coordinator's phase 1 misses
+  // the origin and gets v2 chosen, and the origin hears a majority of
+  // ACCEPTED for that round before its own ACCEPT arrives. Those ACCEPTEDs
+  // are not about v1: the origin must wait for ACCEPT(v2), then decide v2.
+  ScriptedCluster c(kSites);
+  const View& v = c.view();
+  const int owner = static_cast<int>(v.member_at(kSlot).value());
+  const int coord = static_cast<int>(v.member_at(kSlot + 1).value());
+  const int origin = static_cast<int>(v.member_at(kSlot + 2).value());
+  const ConsensusValue v1 = batch_of(origin, 1, "v1");
+  const ConsensusValue v2{AppMessage{make_msg_id(SiteId(coord), 1), "v2", true},
+                          AppMessage{make_msg_id(SiteId(origin), 2), "o2", true}};
+  const auto to = [](int site) { return [site](const Packet& p) { return p.to == SiteId(site); }; };
+
+  c.propose(coord, kSlot, v2);
+  c.propose(owner, kSlot, v1);
+  c.deliver([&](const Packet& p) { return is<CsAccept>(p) && !to(origin)(p); });
+  ASSERT_EQ(c.sent("CsDecide"), 0);
+
+  c.suspect(coord, owner);
+  c.deliver(
+      [&](const Packet& p) { return is<CsPrepare>(p) && to(origin)(p); },
+      [&](const Packet& p) { return (is<CsAccept>(p) && to(origin)(p)) || is<CsDecide>(p); });
+  ASSERT_EQ(c.decided(coord, kSlot), "v2,o2");
+  EXPECT_EQ(c.decided(origin, kSlot), "none") << "decided from a round it did not accept";
+
+  // ACCEPT(v2) arrives; every DECIDE is still held.
+  c.deliver(nullptr, [](const Packet& p) { return is<CsDecide>(p); });
+  EXPECT_EQ(c.decided(origin, kSlot), "v2,o2");
+  c.deliver();
+  for (int s = 0; s < kSites; ++s) {
+    EXPECT_EQ(c.decided(s, kSlot), "v2,o2") << "site " << s;
+  }
+}
+
+TEST(ConsensusLearner, OriginBehindAViewChangeDecidesNothing) {
+  // Sites 3 and 4 joined in two slots below kSlot, and the origin has not
+  // applied them: it still holds the view {0, 1, 2}, whose majority is 2,
+  // while kSlot's view has five members. The owner's first-round ACCEPT
+  // reaches site 0 and the origin only, so the origin holds two ACCEPTEDs.
+  // They are a majority of its view but not of kSlot's: it must decide
+  // nothing. The attempt-1 coordinator's phase 1 then reaches {2, 3, 4},
+  // which accepted nothing, and gets its own value chosen; an origin that
+  // had decided the owner's value would disagree with every other site.
+  ScriptedCluster c(kSites);
+  const View& v = c.view();
+  const int owner = static_cast<int>(v.member_at(kSlot).value());
+  const int coord = static_cast<int>(v.member_at(kSlot + 1).value());
+  const int origin = 1;
+  ASSERT_EQ(owner, 2);
+  ASSERT_EQ(coord, 3);
+  c.lag(origin, View(0, {SiteId(0), SiteId(1), SiteId(2)}), kSlot - 2);
+  const auto to = [](int site) { return [site](const Packet& p) { return p.to == SiteId(site); }; };
+
+  c.propose(coord, kSlot, batch_of(coord, 1, "coordinator's"));
+  c.propose(owner, kSlot, batch_of(origin, 1, "origin's"));
+  // Any DECIDE the origin sent would be lost.
+  c.deliver([&](const Packet& p) {
+    return (is<CsAccept>(p) && !to(0)(p) && !to(origin)(p)) || is<CsDecide>(p);
+  });
+  EXPECT_EQ(c.decided(origin, kSlot), "none") << "decided from a majority of an older view";
+  EXPECT_EQ(c.sent("CsDecide"), 0);
+
+  c.suspect(coord, owner);
+  c.deliver([&](const Packet& p) { return is<CsPrepare>(p) && (to(0)(p) || to(origin)(p)); });
+  for (int s = 0; s < kSites; ++s) {
+    EXPECT_EQ(c.decided(s, kSlot), "coordinator's") << "site " << s;
   }
 }
 

@@ -201,8 +201,8 @@ TEST(Determinism, RecoveryFleetReplaysIdentically) {
   // the same reason as the churn goldens below.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0xad8329854775ea91ull},
-      {17ull, 0x9923a7c9933825ddull},
+      {1ull, 0xbc62016a868e9c29ull},
+      {17ull, 0x808ab7a054696147ull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {
@@ -252,8 +252,8 @@ TEST(Determinism, ChurnFleetReplaysIdentically) {
   // replay equality.
 #ifdef __GLIBCXX__
   const std::map<std::uint64_t, std::uint64_t> golden = {
-      {1ull, 0xffebaa8d5e7989b1ull},
-      {17ull, 0xb7cc80ad5c7628cfull},
+      {1ull, 0xc2bcfa897d171984ull},
+      {17ull, 0xecde422c8cf44cc8ull},
   };
 #endif
   for (const std::uint64_t seed : {1ull, 17ull}) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "cc/controller.hpp"
@@ -109,6 +110,35 @@ TEST(WaitRegistry, FirstComputationIsAHolder) {
   auto second = rt.spawn_isolated(Isolation::basic({&mp}), [](Context&) {});
   const diag::Dump dump = dump_once_parked(second.id().value());
   EXPECT_TRUE(has_edge(dump, second.id().value(), first.id().value())) << dump.to_text();
+  mp.release.set();
+  first.wait();
+  second.wait();
+}
+
+// A computation parked only at Step 3 names the microprotocol it waits
+// on, in its wait record and on the gate, though no Step 2 waiter did.
+TEST(WaitRegistry, StepThreeWaitNamesItsMicroprotocol) {
+  Stack stack;
+  auto& mp = stack.emplace<BlockingMp>("step-three");
+  EventType ev("Block");
+  stack.bind(ev, *mp.handler);
+  Runtime rt(stack, RuntimeOptions{.policy = CCPolicy::kVCABasic});
+  auto first =
+      rt.spawn_isolated(Isolation::basic({&mp}), [&](Context& ctx) { ctx.trigger(ev); });
+  mp.started.wait();
+  auto second = rt.spawn_isolated(Isolation::basic({&mp}), [](Context&) {});
+  const diag::Dump dump = dump_once_parked(second.id().value());
+  const diag::WaitRecord* wait = nullptr;
+  for (const auto& w : dump.waits) {
+    if (w.comp == second.id().value()) wait = &w;
+  }
+  ASSERT_NE(wait, nullptr) << dump.to_text();
+  EXPECT_EQ(wait->subject_name, "step-three") << dump.to_text();
+  std::string gate_name = "(gate missing)";
+  for (const auto& s : dump.subjects) {
+    if (s.subject == wait->subject) gate_name = s.name;
+  }
+  EXPECT_EQ(gate_name, "step-three") << dump.to_text();
   mp.release.set();
   first.wait();
   second.wait();

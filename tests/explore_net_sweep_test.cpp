@@ -75,16 +75,16 @@ TEST(ExploreNetSweep, ExploredSchedulesStayClean) {
 // The reach gate: explored schedules change what the stack agrees on.
 // The fleet seed is pinned, not read from SAMOA_TEST_SEED: at most seeds
 // no order flip shows within the budget. Atomic payloads travel once, so
-// few packets are ever due together; of seeds 1-8 only 2 and 8 flip under
-// both strategies (EXPERIMENTS E-EXPLORE-NET, E-HB).
+// few packets are ever due together; of seeds 1-12 only 4, 5 and 10 flip
+// under both strategies (EXPERIMENTS E-EXPLORE-NET, E-LEARN).
 TEST(ExploreNetSweep, ExplorationFlipsTheAgreedOrder) {
-  constexpr std::uint64_t kSeed = 2;
+  constexpr std::uint64_t kSeed = 5;
 #ifdef __GLIBCXX__
-  // Measured shrunk lengths (from 11 and 21 decisions), libstdc++
-  // specific like the golden hashes: the event order depends on it.
+  // Measured shrunk lengths (from 24 decisions each), libstdc++ specific
+  // like the golden hashes: the event order depends on it.
   const std::map<StrategyKind, std::size_t> shrunk_size = {
-      {StrategyKind::kRandomWalk, 9},
-      {StrategyKind::kPct, 1},
+      {StrategyKind::kRandomWalk, 4},
+      {StrategyKind::kPct, 3},
   };
 #endif
   const FleetSchedule plain = run_fleet_schedule(ExploredFleet::kRecovery, kSeed, nullptr);

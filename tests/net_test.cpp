@@ -1,6 +1,6 @@
 // Unit tests for the network substrate: SimNetwork (latency, loss,
-// partitions, crashes, detach, the exploration DeliveryHook's key
-// stability) and TimerService.
+// partitions, crashes, detach, the local self-link, the exploration
+// DeliveryHook's key stability) and TimerService.
 //
 // Most cases run on a time::VirtualClock: the clock's loop fires deadlines
 // in virtual time, so the tests are deterministic and burn zero wall-clock
@@ -10,13 +10,16 @@
 // the test thread acts on the service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <latch>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "explore/strategy.hpp"
@@ -205,6 +208,83 @@ TEST(SimNetwork, UnknownDestinationCountsAsDrop) {
   net.send(a, SiteId{99}, Message::of(1));
   net.drain();
   EXPECT_EQ(net.stats().dropped.value(), 1u);
+}
+
+long at_us(Clock::time_point t) {
+  return static_cast<long>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t.time_since_epoch()).count());
+}
+
+TEST(SimNetwork, SelfLinkIsLocal) {
+  // A site's packets to itself are local, as on any host: due at their
+  // send instant, never lost and drawing nothing from the network's RNG,
+  // whatever the defaults say; set_link refuses to override them.
+  {
+    SCOPED_TRACE("every link drops");
+    VirtualClock clock;
+    SimNetwork net(LinkOptions{.base_latency = 100us, .drop_probability = 1.0}, 1, &clock);
+    std::atomic<long> self_at{-1};
+    std::atomic<int> peer_got{0};
+    const SiteId a = net.add_site([&](const Packet&) { self_at = at_us(clock.now()); });
+    const SiteId b = net.add_site([&](const Packet&) { peer_got.fetch_add(1); });
+    long sent_at = 0;
+    {
+      Pin setup(clock);
+      sent_at = at_us(clock.now());
+      net.send(a, a, Message::of(1));
+      net.send(a, b, Message::of(2));
+    }
+    net.drain();
+    EXPECT_EQ(self_at.load(), sent_at);
+    EXPECT_EQ(peer_got.load(), 0);
+  }
+  {
+    SCOPED_TRACE("a self-link override is refused");
+    VirtualClock clock;
+    SimNetwork net(LinkOptions{.base_latency = 100us}, 1, &clock);
+    std::atomic<long> self_at{-1};
+    const SiteId a = net.add_site([&](const Packet&) { self_at = at_us(clock.now()); });
+    EXPECT_THROW(
+        net.set_link(a, a, LinkOptions{.base_latency = 5000us, .drop_probability = 1.0}),
+        ConfigError);
+    long sent_at = 0;
+    {
+      Pin setup(clock);
+      sent_at = at_us(clock.now());
+      net.send(a, a, Message::of(1));
+    }
+    net.drain();
+    EXPECT_EQ(self_at.load(), sent_at);
+  }
+  // With jitter and loss on the links between sites, self-sends between
+  // the peer sends leave every peer packet's fate and delivery time as
+  // they are without them.
+  const auto peer_deliveries = [](bool with_self_sends) {
+    VirtualClock clock;
+    SimNetwork net(
+        LinkOptions{.base_latency = 100us, .jitter = 200us, .drop_probability = 0.2}, 11, &clock);
+    std::mutex mu;
+    std::vector<std::pair<int, long>> got;  // (payload, delivery time)
+    const SiteId a = net.add_site([](const Packet&) {});
+    const SiteId b = net.add_site([&](const Packet& p) {
+      std::unique_lock lock(mu);
+      got.emplace_back(p.payload.as<int>(), at_us(clock.now()));
+    });
+    {
+      Pin setup(clock);
+      for (int i = 0; i < 100; ++i) {
+        if (with_self_sends) net.send(a, a, Message::of(-1));
+        net.send(a, b, Message::of(i));
+      }
+    }
+    net.drain();
+    std::sort(got.begin(), got.end());
+    return got;
+  };
+  const auto without = peer_deliveries(false);
+  EXPECT_GT(without.size(), 50u);
+  EXPECT_LT(without.size(), 100u);
+  EXPECT_EQ(peer_deliveries(true), without);
 }
 
 /// Three sites relay a hop counter around jitter-free links, so each
