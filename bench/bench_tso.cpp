@@ -41,7 +41,7 @@ Result run(CCPolicy policy, int pool_size, int k, int footprint, std::uint64_t s
   std::vector<TxWork*> mps;
   std::vector<EventType> evs;
   for (int i = 0; i < pool_size; ++i) {
-    auto& mp = stack.emplace<TxWork>("w" + std::to_string(i));
+    auto& mp = stack.emplace<TxWork>(std::string("w").append(std::to_string(i)));
     mps.push_back(&mp);
     evs.emplace_back("ev" + std::to_string(i));
     stack.bind(evs.back(), *mp.run);

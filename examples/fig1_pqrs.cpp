@@ -35,8 +35,8 @@ std::string format_run(const Fig1Protocol& proto, const std::vector<TraceEvent>&
     if (!first) out += ", ";
     first = false;
     const char tag = e.computation == ka ? 'a' : 'b';
-    out += "(" + std::string(1, tag) + std::to_string(step[e.computation]++) + ", " +
-           names[e.microprotocol] + ")";
+    out.append("(").append(1, tag).append(std::to_string(step[e.computation]++));
+    out.append(", ").append(names[e.microprotocol]).append(")");
   }
   return out + ")";
 }

@@ -16,7 +16,7 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     {
       auto lock = guard();
       AppMessage msg{make_msg_id(self_, epoch_bits(options().id_epoch) | ++local_seq_),
-                     m.as<std::string>(), /*atomic=*/true};
+                     m.as<std::string>()};
       submitted_.add();
       pending_.emplace(msg.id, msg);
       // Disseminate the payload reliably; ordering happens via consensus.
@@ -31,7 +31,7 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     {
       auto lock = guard();
       const auto& msg = m.as<AppMessage>();
-      if (!msg.atomic) return;  // plain or causal broadcast: not ours to order
+      if (!is_atomic(msg.id)) return;  // plain or causal broadcast: not ours to order
       if (delivered_ids_.contains(msg.id) || pending_.contains(msg.id)) return;
       pending_.emplace(msg.id, msg);
       maybe_propose(out);

@@ -71,8 +71,7 @@ CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId sel
       // MsgId subspace bit 30 keeps causal ids apart from abcast / rbcast.
       AppMessage app{make_msg_id(self_, kCausalChannelBit | epoch_bits(options().id_epoch) |
                                             ++local_seq_),
-                     encode(msg),
-                     /*atomic=*/false};
+                     encode(msg)};
       out.trigger(events_->bcast, Message::of(app));
     }
     out.flush(ctx);
@@ -85,7 +84,7 @@ CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId sel
       const auto& app = m.as<AppMessage>();
       // Causal broadcasts carry the causal channel bit (set by submit); any
       // other payload is not ours, however its bytes happen to decode.
-      if (app.atomic || !in_channel(app.id, kCausalChannelBit)) return;
+      if (!in_channel(app.id, kCausalChannelBit)) return;
       CausalMsg msg;
       if (!decode(app.data, msg)) return;                // malformed header
       if (msg.origin == self_) return;                   // delivered at submit

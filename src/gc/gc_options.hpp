@@ -1,4 +1,5 @@
-// Tunables of one group-communication node.
+// Tunables of one group-communication node. None picks the wire format:
+// every packet crosses the network marshalled by net/codec.
 #pragma once
 
 #include <chrono>
@@ -66,12 +67,6 @@ struct GcOptions {
   /// previous incarnation already used — peers would silently drop the new
   /// message as a duplicate.
   std::uint64_t id_epoch = 0;
-
-  /// Marshal every wire message to its binary network format (net/codec)
-  /// before it enters the simulated network, and unmarshal on delivery —
-  /// the full path a real UDP transport would take. Off by default (the
-  /// in-process simulator can carry typed values directly).
-  bool serialize_wire = false;
 
   /// Time base for the node: timer deadlines, retransmit/failure-detector
   /// timeouts and consensus retry clocks all read this source. Null means

@@ -14,7 +14,7 @@ DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
     const auto& msg = m.as<AppMessage>();
     // Atomic payloads are delivered via ADeliver and causal broadcasts via
     // CDeliver; the MsgId says which, whatever bytes the payload holds.
-    if (msg.atomic || in_channel(msg.id, kCausalChannelBit)) return;
+    if (!in_channel(msg.id, kPlainChannelBit)) return;
     std::unique_lock snap(mu_);
     rdelivered_.push_back(msg);
   });
@@ -248,37 +248,36 @@ void GroupNode::on_packet(const net::Packet& packet) {
   if (!started_.load(std::memory_order_acquire) || crashed_.load(std::memory_order_acquire)) {
     return;
   }
-  // Unmarshal from the binary network format when the codec path is on;
-  // otherwise the simulator carried the typed value directly.
-  const FromWire fw =
-      opts_.serialize_wire
-          ? net::decode_wire(packet.payload.as<std::vector<std::uint8_t>>())
-          : packet.payload.as<FromWire>();
+  FromWire fw;
+  try {
+    fw = net::decode_wire(packet.payload);
+  } catch (const net::CodecError&) {
+    // A datagram that does not decode is dropped like a lost one (UDP
+    // semantics): counted, and no computation runs.
+    malformed_packets_.add();
+    return;
+  }
   // Every packet's header tells its sender's frontier, and its arrival
   // that the sender is alive. Both are recorded here, outside any
   // computation, so no event's declaration widens.
   transport_->note_peer_frontier(fw.frontier);
   if (fd_ != nullptr) fd_->heard_from(fw.from);
-  const Wire& wire = fw.wire;
-  std::visit(
-      [&](const auto& body) {
+  const EventType* root = std::visit(
+      [this](const auto& body) -> const EventType* {
         using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, RcData>) {
-          spawn(events_.rc_data, Message::of(fw));
-        } else if constexpr (std::is_same_v<T, RcAck>) {
-          spawn(events_.rc_ack, Message::of(fw));
-        } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-          // Its arrival, recorded above, is all it tells: no computation.
-        } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
-                             std::is_same_v<T, SwimPingReq>) {
-          spawn(events_.swim_wire, Message::of(fw));
-        } else if constexpr (std::is_same_v<T, ViewInstall>) {
-          spawn(events_.view_install, Message::of(fw));
-        } else {
-          spawn(events_.cs_wire, Message::of(fw));
+        if constexpr (std::is_same_v<T, RcData>) return &events_.rc_data;
+        if constexpr (std::is_same_v<T, RcAck>) return &events_.rc_ack;
+        // A heartbeat's arrival, recorded above, is all it tells.
+        if constexpr (std::is_same_v<T, FdHeartbeat>) return nullptr;
+        if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
+                      std::is_same_v<T, SwimPingReq>) {
+          return &events_.swim_wire;
         }
+        if constexpr (std::is_same_v<T, ViewInstall>) return &events_.view_install;
+        return &events_.cs_wire;
       },
-      wire);
+      fw.wire);
+  if (root != nullptr) spawn(*root, Message::of(std::move(fw)));
 }
 
 void GroupNode::start(View initial_view) {
@@ -432,7 +431,7 @@ ComputationHandle GroupNode::rbcast(std::string data) {
   // Plain reliable broadcasts draw ids from a separate subspace (high bit
   // of the per-origin sequence) so they never collide with ABcast ids.
   const std::uint64_t seq = kPlainChannelBit | epoch_bits(opts_.id_epoch) | ++rb_seq_;
-  AppMessage msg{make_msg_id(self_, seq), std::move(data), /*atomic=*/false};
+  AppMessage msg{make_msg_id(self_, seq), std::move(data)};
   return spawn(events_.api_rbcast, Message::of(msg));
 }
 

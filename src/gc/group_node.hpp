@@ -4,9 +4,11 @@
 // detector, Consensus, ABcast, CausalCast, Membership, a delivery sink),
 // its Runtime with the chosen concurrency-control policy, and a
 // TimerService; registers with the SimNetwork and turns every network
-// packet and timer tick into an `isolated` computation. A heartbeat is
-// the exception: every packet's arrival and header are recorded outside
-// the computations (on_packet), and that is all a heartbeat tells.
+// packet and timer tick into an `isolated` computation. A packet arrives
+// as bytes and is decoded first (net::decode_wire); one that does not
+// decode is dropped. A heartbeat is the exception: every packet's arrival
+// and header are recorded outside the computations (on_packet), and that
+// is all a heartbeat tells.
 //
 // Declarations are inferred, not hand-written (paper Section 4: M "could
 // be inferred statically"): one TriggerDeclarations table lists the events
@@ -200,6 +202,10 @@ class GroupNode {
   /// stop_timers() first if the node should actually become idle.
   void drain() { runtime_->drain(); }
 
+  /// Datagrams dropped because they did not decode (net::CodecError),
+  /// summed over all incarnations.
+  std::uint64_t malformed_packets() const { return malformed_packets_.value(); }
+
   /// Periodic tick computations skipped because the previous tick of the
   /// same class had not completed (see spawn_tick).
   std::uint64_t ticks_coalesced() const {
@@ -272,6 +278,7 @@ class GroupNode {
   std::atomic<bool> started_{false};
   std::atomic<bool> crashed_{false};
   std::atomic<std::uint64_t> rb_seq_{0};
+  Counter malformed_packets_;
   std::vector<IncarnationArchive> archives_;
   mutable std::mutex archive_mu_;
 };

@@ -32,7 +32,7 @@ RelCast::RelCast(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
       // then deliver locally. An atomic payload is not relayed: consensus
       // carries every ordered payload to every site in its ACCEPT and
       // DECIDE values, so a relay would only send it again.
-      if (!msg.atomic) {
+      if (!is_atomic(msg.id)) {
         for (SiteId site : view_.members()) {
           out.trigger(events.send_out, Message::of(SendReq{msg, site}));
         }

@@ -14,11 +14,7 @@ Transport::Transport(const GcOptions& opts, const GcEvents&, net::SimNetwork& ne
       last_sent_[req.to] = options().now();
     }
     const std::uint64_t frontier = frontier_source_ ? frontier_source_() : 0;
-    if (options().serialize_wire) {
-      net_.send(self_, req.to, Message::of(net::encode_wire(self_, frontier, req.wire)));
-    } else {
-      net_.send(self_, req.to, Message::of(FromWire{self_, req.wire, frontier}));
-    }
+    net_.send(self_, req.to, net::encode_wire(self_, frontier, req.wire));
   });
 }
 

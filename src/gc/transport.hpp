@@ -2,7 +2,9 @@
 // simulated network. Other microprotocols emit TransportSend events; this
 // is the only component that talks to SimNetwork directly, so network
 // access is itself gated by the isolation declarations like any other
-// microprotocol state.
+// microprotocol state. It marshals every message to its network format
+// (net::encode_wire) and hands the bytes to the network;
+// GroupNode::on_packet decodes them on the other side.
 //
 // Every packet carries a header (FromWire): the sender and the sender's
 // decided frontier. Transport stamps it, and keeps two mirrors that other

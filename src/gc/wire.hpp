@@ -1,9 +1,9 @@
 // Wire format of the group-communication stack.
 //
 // Everything crossing the simulated network is one of these structs inside
-// a `Wire` variant. In-process simulation needs no byte serialization, but
-// the types are value-only (no pointers into node state), so a real codec
-// could be slotted underneath without touching the protocols.
+// a `Wire` variant. The types are value-only (no pointers into node state);
+// net/codec marshals each packet to bytes before it enters the network and
+// back on arrival, so the protocols never see the encoding.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,8 @@ inline SiteId msg_origin(MsgId id) { return SiteId(static_cast<SiteId::value_typ
 
 /// Channel bits inside the per-origin sequence part of a MsgId. Several
 /// broadcast layers share RelCast for dissemination; the bits keep their
-/// id spaces apart and let CausalCast and the sink recognise causal
-/// traffic in the DeliverOut fan-out without trusting payload bytes.
-/// ABcast needs no bit: its payloads are the only ones marked `atomic`.
+/// id spaces apart and name each message's layer in the DeliverOut
+/// fan-out without trusting payload bytes. ABcast's ids carry neither bit.
 constexpr std::uint64_t kCausalChannelBit = 1ull << 30;  // causal broadcasts
 constexpr std::uint64_t kPlainChannelBit = 1ull << 31;   // plain reliable broadcasts
 
@@ -43,17 +42,17 @@ inline constexpr std::uint64_t epoch_bits(std::uint64_t epoch) { return (epoch &
 
 inline bool in_channel(MsgId id, std::uint64_t bit) { return (id & bit) != 0; }
 
-/// An application payload travelling through RelCast / ABcast. `atomic`
-/// marks messages whose delivery order is decided by consensus (they are
-/// disseminated via RelCast but only delivered via ADeliver).
+/// An atomic broadcast: consensus decides its delivery order, and it is
+/// delivered only through ADeliver.
+inline bool is_atomic(MsgId id) { return (id & (kCausalChannelBit | kPlainChannelBit)) == 0; }
+
+/// An application payload travelling through RelCast / ABcast; its id
+/// names its layer (see the channel bits).
 struct AppMessage {
   MsgId id = 0;
   std::string data;
-  bool atomic = false;
 
-  friend bool operator==(const AppMessage& a, const AppMessage& b) {
-    return a.id == b.id && a.data == b.data && a.atomic == b.atomic;
-  }
+  friend bool operator==(const AppMessage&, const AppMessage&) = default;
 };
 
 // --- RelComm (reliable point-to-point) ---

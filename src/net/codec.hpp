@@ -4,15 +4,16 @@
 // construction of network protocols, such as ... marshalling messages to
 // the network format" (paper Section 1). This module provides that
 // substrate: a compact, self-describing binary encoding for the
-// group-communication Wire messages, built on a varint writer/reader. The
-// in-process simulator does not need bytes to function, but GroupNode can
-// run with `GcOptions::serialize_wire` so every message crosses the
-// simulated network as a byte vector — exercising exactly the code a real
-// UDP transport would.
+// group-communication Wire messages, built on a varint writer/reader.
+// Every GroupNode packet crosses the simulated network as these bytes:
+// Transport encodes each one, and GroupNode::on_packet decodes it and
+// drops a datagram that does not decode — exactly the code a real UDP
+// transport would run.
 //
-// Encoding: LEB128-style varints for integers, length-prefixed strings,
-// one tag byte per Wire alternative. A packet is its header (the sender's
-// site id and ABcast frontier, see gc::FromWire), the tag and the body.
+// Encoding: LEB128-style varints for integers, length-prefixed strings
+// and lists, one tag byte per Wire alternative (its index in the variant
+// plus one). A packet is its header (the sender's site id and ABcast
+// frontier, see gc::FromWire), the tag and the body's fields in order.
 // Decoding is bounds-checked and throws CodecError on truncated or
 // malformed input (never UB).
 #pragma once
@@ -34,6 +35,10 @@ class CodecError : public SamoaError {
 /// Append-only binary writer.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Start with room for `capacity` bytes.
+  explicit ByteWriter(std::size_t capacity) { bytes_.reserve(capacity); }
+
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
   void put_varint(std::uint64_t v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }

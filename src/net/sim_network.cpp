@@ -109,7 +109,7 @@ const LinkOptions& SimNetwork::link_for(SiteId from, SiteId to) const {
   return it == links_.end() ? defaults_ : it->second;
 }
 
-void SimNetwork::send(SiteId from, SiteId to, Message payload) {
+void SimNetwork::send(SiteId from, SiteId to, std::vector<std::uint8_t> payload) {
   std::unique_lock lock(mu_);
   stats_.sent.add();
   const bool unknown = to.value() >= sites_.size();
@@ -227,7 +227,9 @@ void SimNetwork::drain() {
 
 void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix) {
   Lane& lane = lanes_[lane_ix];
-  InFlight item = lane.q.top();
+  // Move the head out before popping: pop() compares only deliver_at and
+  // seq, which the move leaves intact.
+  InFlight item = std::move(const_cast<InFlight&>(lane.q.top()));
   lane.q.pop();
   --in_flight_count_;
   // Re-claim the lane's next head so the merge invariant (every non-empty

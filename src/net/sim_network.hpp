@@ -1,12 +1,15 @@
 // Simulated multi-site network.
 //
 // Substitute for the paper's "distributed machines" testbed (Section 7):
-// an in-process message bus connecting simulated sites with configurable
-// per-link latency, jitter, loss and partitions, plus site crashes. The
-// network is one event source of its clock: packets leave the queue in
-// arrival order and go to the destination site's delivery callback —
-// which, in the group-communication stack, spawns an isolated computation,
-// exactly the external-event path of a real deployment.
+// an in-process datagram bus connecting simulated sites with configurable
+// per-link latency, jitter, loss and partitions, plus site crashes. A
+// packet's payload is a byte vector, as on a real wire: the network never
+// looks inside it, and the group-communication stack marshals every
+// message through net/codec before it enters. The network is one event
+// source of its clock: packets leave the queue in arrival order and go to
+// the destination site's delivery callback — which, in the
+// group-communication stack, decodes the datagram and spawns an isolated
+// computation, exactly the external-event path of a real deployment.
 //
 // Time base: all deadlines flow through an injected time::ClockSource.
 // Under the default WallClock, a thread of the clock delivers packets at
@@ -26,6 +29,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -36,7 +40,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/event.hpp"
 #include "time/clock.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
@@ -44,10 +47,11 @@
 
 namespace samoa::net {
 
+/// One datagram: its endpoints and its bytes.
 struct Packet {
   SiteId from;
   SiteId to;
-  Message payload;
+  std::vector<std::uint8_t> payload;
 };
 
 struct LinkOptions {
@@ -98,10 +102,11 @@ class SimNetwork : private time::EventSource {
   /// isolated computation).
   SiteId add_site(DeliveryFn deliver);
 
-  /// Send a packet. Unknown destinations, crashed endpoints, partitions
+  /// Send a datagram. Unknown destinations, crashed endpoints, partitions
   /// and random drops silently discard it (UDP semantics). A packet to
-  /// the sender itself is due at once and never randomly dropped.
-  void send(SiteId from, SiteId to, Message payload);
+  /// the sender itself is due at once and never randomly dropped. The
+  /// receiver gets exactly these bytes.
+  void send(SiteId from, SiteId to, std::vector<std::uint8_t> payload);
 
   /// Directional link override (from -> to). A site's link to itself is
   /// always local (see send): from == to throws ConfigError.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -21,6 +22,35 @@ std::string name_of(const IncarnationTrace& t) {
 
 }  // namespace
 
+std::string lost_delivery(const IncarnationTrace& t, const std::vector<DeliveryRecord>& reference) {
+  if (reference.empty()) return {};
+  std::set<std::uint64_t> joined;  // the views t installed as a member
+  for (const gc::View& v : t.views) {
+    if (v.contains(t.site)) joined.insert(v.id());
+  }
+  const DeliveryRecord& last = reference.back();
+  if ((joined.empty() || *joined.begin() <= last.view_id) &&
+      (t.deliveries.empty() || key_of(t.deliveries.back()) != key_of(last))) {
+    std::ostringstream os;
+    os << "lost delivery: " << name_of(t) << " is alive but stopped at ordinal "
+       << (t.deliveries.empty() ? 0 : t.deliveries.back().ordinal)
+       << " while the reference order ends at ordinal " << last.ordinal;
+    return os.str();
+  }
+  std::set<OrderKey> delivered;
+  for (const auto& r : t.deliveries) delivered.insert(key_of(r));
+  for (const auto& r : reference) {
+    if (joined.contains(r.view_id) && !delivered.contains(key_of(r))) {
+      std::ostringstream os;
+      os << "lost delivery: " << name_of(t) << " installed view " << r.view_id
+         << " as a member but did not deliver message " << r.id << " (ordinal " << r.ordinal
+         << ") delivered in it";
+      return os.str();
+    }
+  }
+  return {};
+}
+
 std::string VsReport::describe() const {
   std::ostringstream os;
   os << "virtual synchrony: " << (ok() ? "OK" : "VIOLATED") << " (" << incarnations_checked
@@ -38,7 +68,7 @@ VsReport check_virtual_synchrony(const std::vector<IncarnationTrace>& traces) {
   // ordinal everywhere; each ordinal position holds consistent content.
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, const IncarnationTrace*>> view_of;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, const IncarnationTrace*>> ord_of;
-  std::map<OrderKey, std::string> reference;  // reconstructed total order
+  std::map<OrderKey, const DeliveryRecord*> reference;  // reconstructed total order
   for (const auto& t : traces) {
     for (const auto& r : t.deliveries) {
       auto [vit, vnew] = view_of.try_emplace(r.id, r.view_id, &t);
@@ -57,7 +87,7 @@ VsReport check_virtual_synchrony(const std::vector<IncarnationTrace>& traces) {
            << name_of(*oit->second.second);
         violate(os.str());
       }
-      reference.emplace(key_of(r), r.data);
+      reference.emplace(key_of(r), &r);
     }
   }
   report.reference_length = reference.size();
@@ -110,20 +140,13 @@ VsReport check_virtual_synchrony(const std::vector<IncarnationTrace>& traces) {
     }
   }
 
-  // --- 5. No lost stable delivery: every incarnation alive at the end of
-  // the run drained to the end of the reference order.
-  if (!reference.empty()) {
-    const OrderKey last = reference.rbegin()->first;
-    for (const auto& t : traces) {
-      if (t.crashed) continue;
-      if (t.deliveries.empty() || key_of(t.deliveries.back()) != last) {
-        std::ostringstream os;
-        os << "lost delivery: " << name_of(t) << " is alive but stopped at ordinal "
-           << (t.deliveries.empty() ? 0 : t.deliveries.back().ordinal)
-           << " while the reference order ends at ordinal " << last.first;
-        violate(os.str());
-      }
-    }
+  // --- 5. No lost stable delivery, for every incarnation alive at the
+  // end of the run.
+  std::vector<DeliveryRecord> order;
+  for (const auto& [key, r] : reference) order.push_back(*r);
+  for (const auto& t : traces) {
+    if (t.crashed) continue;
+    if (std::string lost = lost_delivery(t, order); !lost.empty()) violate(lost);
   }
 
   // --- 6. View agreement: one member set per view id, strictly

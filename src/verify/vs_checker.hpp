@@ -21,7 +21,11 @@
 //   4. No duplicate delivery per site — successive incarnations' windows
 //      are disjoint and strictly advancing.
 //   5. No lost stable delivery — every incarnation alive at the end of
-//      the run reached the end of the reference order.
+//      the run (a) reached the end of the reference order, unless every
+//      view it installed as a member is newer than the view the order's
+//      last message was delivered in (it joined after the last delivery),
+//      and (b) delivered every message delivered in a view it installed
+//      as a member.
 //   6. View agreement — a view id maps to one member set everywhere, and
 //      each incarnation installs strictly increasing view ids.
 #pragma once
@@ -64,5 +68,10 @@ struct VsReport {
 
 /// Run all checks over the incarnation traces of one simulated run.
 VsReport check_virtual_synchrony(const std::vector<IncarnationTrace>& traces);
+
+/// Invariant 5 for one incarnation alive at the end of the run, against
+/// the reference order (every delivery, in (ordinal, id) order): empty
+/// when it holds, else the finding.
+std::string lost_delivery(const IncarnationTrace& t, const std::vector<DeliveryRecord>& reference);
 
 }  // namespace samoa::verify

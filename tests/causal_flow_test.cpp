@@ -97,7 +97,7 @@ struct CausalUnit {
   /// carries the causal channel bit, as CausalCast::submit's ids do.
   void inject(SiteId origin, std::map<SiteId, std::uint64_t> vc, std::string payload) {
     CausalMsg msg{origin, std::move(vc), std::move(payload)};
-    AppMessage app{make_msg_id(origin, kCausalChannelBit | 1), CausalCast::encode(msg), false};
+    AppMessage app{make_msg_id(origin, kCausalChannelBit | 1), CausalCast::encode(msg)};
     rt->spawn_isolated(Isolation::basic(mps_), [&, app](Context& ctx) {
         ctx.trigger_all(events.deliver_out, Message::of(app));
       }).wait();
@@ -268,7 +268,7 @@ TEST(FlowControl, WindowCapsInFlightMessages) {
     const View initial(1, {nodes[0]->id(), nodes[1]->id()});
     for (auto& n : nodes) n->start(initial);
     script.schedule(std::chrono::microseconds(500), [&] {
-      for (std::size_t i = 0; i < kSends; ++i) nodes[0]->rbcast("f" + std::to_string(i));
+      for (std::size_t i = 0; i < kSends; ++i) nodes[0]->rbcast(std::string("f").append(std::to_string(i)));
     });
     script.schedule(std::chrono::microseconds(50'000), [&] {
       for (auto& n : nodes) n->stop_timers();

@@ -265,7 +265,7 @@ constexpr int kEvicted = 12;    // sites 108..119 evicted in view 2
 constexpr int kRejoined = 6;    // sites 108..113 re-added in view 3
 
 DeliveryRecord rec(std::uint64_t n, std::uint64_t view_id) {
-  return DeliveryRecord{n, view_id, n, "m" + std::to_string(n)};
+  return DeliveryRecord{n, view_id, n, std::string("m").append(std::to_string(n))};
 }
 
 // Message n lives in view 1 (n <= 8), view 2 (n <= 14) or view 3.
@@ -386,6 +386,43 @@ TEST(VsCheckerAdversarial, DivergentOrdinalAtScaleIsCaught) {
   bool found = false;
   for (const auto& v : report.violations) {
     if (v.find("total order") != std::string::npos) found = true;
+  }
+  EXPECT_TRUE(found) << report.describe();
+}
+
+TEST(VsCheckerAdversarial, IncarnationJoinedAfterTheLastDeliveryPasses) {
+  auto traces = churn_fleet_traces();
+  // Evicted site 114 rejoins as 114#1 in view 4, after message 20, the
+  // last one, was delivered in view 3: it has nothing to deliver.
+  std::vector<SiteId> v4 = traces[0].views[2].members();
+  v4.push_back(traces[114].site);
+  const View view4(4, v4);
+  for (auto& t : traces) {
+    if (!t.crashed) t.views.push_back(view4);
+  }
+  IncarnationTrace joined;
+  joined.site = traces[114].site;
+  joined.incarnation = 1;
+  joined.views = {view4};
+  traces.push_back(std::move(joined));
+  const auto report = check_virtual_synchrony(traces);
+  EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+TEST(VsCheckerAdversarial, RejoinedIncarnationMissingTheFirstMessageOfItsViewIsCaught) {
+  auto traces = churn_fleet_traces();
+  // Rejoined site 108#1 installed view 3 but starts at message 16: it
+  // lost message 15, delivered in view 3 by every other member, although
+  // its window is contiguous and reaches the end of the order.
+  IncarnationTrace& rejoined = traces[kSites];  // first second-incarnation trace
+  ASSERT_EQ(rejoined.incarnation, 1u);
+  rejoined.deliveries.erase(rejoined.deliveries.begin());
+  ASSERT_EQ(rejoined.deliveries.front().id, 16u);
+  const auto report = check_virtual_synchrony(traces);
+  ASSERT_FALSE(report.ok());
+  bool found = false;
+  for (const auto& v : report.violations) {
+    if (v.find("lost delivery") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found) << report.describe();
 }

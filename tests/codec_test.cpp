@@ -97,7 +97,7 @@ TEST(WireCodec, HeaderTruncatedInsideTheFrontierThrows) {
 }
 
 TEST(WireCodec, RcDataRoundTrip) {
-  expect_roundtrip<RcData>(SiteId{3}, RcData{42, AppMessage{77, "payload", true}},
+  expect_roundtrip<RcData>(SiteId{3}, RcData{42, AppMessage{77, "payload"}},
                            [](const RcData& a, const RcData& b) {
                              return a.seq == b.seq && a.body == b.body;
                            });
@@ -125,11 +125,11 @@ TEST(WireCodec, ConsensusMessagesRoundTrip) {
                                  return a.instance == b.instance && a.round == b.round;
                                });
   expect_roundtrip<CsAccept>(
-      SiteId{4}, CsAccept{7, 3, {AppMessage{1, "a", true}, AppMessage{2, "b", true}}},
+      SiteId{4}, CsAccept{7, 3, {AppMessage{1, "a"}, AppMessage{2, "b"}}},
       [](const CsAccept& a, const CsAccept& b) {
         return a.instance == b.instance && a.round == b.round && a.value == b.value;
       });
-  expect_roundtrip<CsDecide>(SiteId{4}, CsDecide{7, {AppMessage{1, "a", true}}},
+  expect_roundtrip<CsDecide>(SiteId{4}, CsDecide{7, {AppMessage{1, "a"}}},
                              [](const CsDecide& a, const CsDecide& b) {
                                return a.instance == b.instance && a.value == b.value;
                              });
@@ -143,7 +143,7 @@ TEST(WireCodec, PromiseWithAndWithoutValue) {
                                        a.accepted_value == b.accepted_value;
                               });
   expect_roundtrip<CsPromise>(
-      SiteId{5}, CsPromise{1, 9, 4, ConsensusValue{AppMessage{11, "v", true}}},
+      SiteId{5}, CsPromise{1, 9, 4, ConsensusValue{AppMessage{11, "v"}}},
       [](const CsPromise& a, const CsPromise& b) {
         return a.accepted_value == b.accepted_value && a.accepted_round == b.accepted_round;
       });
@@ -207,6 +207,17 @@ TEST(WireCodec, UnknownTagThrows) {
   EXPECT_THROW(decode_wire(w.take()), CodecError);
 }
 
+TEST(WireCodec, SiteIdBeyondItsRangeThrows) {
+  // A site id is 32 bits: a wider varint in the header must not be
+  // truncated into some other site's id.
+  ByteWriter w;
+  w.put_varint(std::uint64_t{1} << 32);  // from
+  w.put_varint(0);                       // frontier
+  w.put_u8(2);                           // RcAck
+  w.put_varint(7);
+  EXPECT_THROW(decode_wire(w.take()), CodecError);
+}
+
 TEST(WireCodec, TrailingBytesThrow) {
   auto bytes = encode_wire(SiteId{1}, 0, Wire{RcAck{7}});
   bytes.push_back(0xFF);
@@ -215,7 +226,7 @@ TEST(WireCodec, TrailingBytesThrow) {
 
 TEST(WireCodec, TruncatedWireThrows) {
   const auto full = encode_wire(
-      SiteId{1}, 5, Wire{RcData{42, AppMessage{77, "some payload data", true}}});
+      SiteId{1}, 5, Wire{RcData{42, AppMessage{77, "some payload data"}}});
   // Every strict prefix must throw, never crash or mis-decode silently.
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> prefix(full.begin(), full.begin() + cut);
@@ -230,8 +241,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
     Wire wire;
     switch (rng.next_below(6)) {
       case 0:
-        wire = RcData{rng.next(), AppMessage{rng.next(), std::string(rng.next_below(50), 'q'),
-                                             rng.chance(0.5)}};
+        wire = RcData{rng.next(), AppMessage{rng.next(), std::string(rng.next_below(50), 'q')}};
         break;
       case 1:
         wire = RcAck{rng.next()};
@@ -243,7 +253,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
         ConsensusValue v;
         const auto n = rng.next_below(5);
         for (std::uint64_t i = 0; i < n; ++i) {
-          v.push_back(AppMessage{rng.next(), "m" + std::to_string(i), true});
+          v.push_back(AppMessage{rng.next(), std::string("m").append(std::to_string(i))});
         }
         wire = CsAccept{rng.next(), rng.next(), std::move(v)};
         break;

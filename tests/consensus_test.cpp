@@ -29,9 +29,10 @@
 // a payload the group delivered before its join, which only ABcast's
 // rejoined-proposer filter keeps it from proposing again, and one more
 // checks that such a site's new RelComm sends are not taken for its old
-// ones. The last ones pin the heartbeat detector's liveness rule: any
+// ones. The next ones pin the heartbeat detector's liveness rule: any
 // packet proves its sender alive, so a heartbeat goes only to a peer that
-// got nothing else since the previous tick.
+// got nothing else since the previous tick. The last one sends a node
+// datagrams that do not decode, which it must drop and count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,7 +260,7 @@ class ScriptedCluster {
 };
 
 ConsensusValue batch_of(int origin, std::uint64_t seq, std::string data) {
-  return ConsensusValue{AppMessage{make_msg_id(SiteId(origin), seq), std::move(data), true}};
+  return ConsensusValue{AppMessage{make_msg_id(SiteId(origin), seq), std::move(data)}};
 }
 
 template <typename T>
@@ -435,8 +436,8 @@ TEST(ConsensusLearner, NoDecisionFromARoundNotAccepted) {
   const int coord = static_cast<int>(v.member_at(kSlot + 1).value());
   const int origin = static_cast<int>(v.member_at(kSlot + 2).value());
   const ConsensusValue v1 = batch_of(origin, 1, "v1");
-  const ConsensusValue v2{AppMessage{make_msg_id(SiteId(coord), 1), "v2", true},
-                          AppMessage{make_msg_id(SiteId(origin), 2), "o2", true}};
+  const ConsensusValue v2{AppMessage{make_msg_id(SiteId(coord), 1), "v2"},
+                          AppMessage{make_msg_id(SiteId(origin), 2), "o2"}};
   const auto to = [](int site) { return [site](const Packet& p) { return p.to == SiteId(site); }; };
 
   c.propose(coord, kSlot, v2);
@@ -903,18 +904,19 @@ TEST(RelCommRestart, UnevictedRestartedSiteIsNotTakenForItsOldIncarnation) {
 // --- Liveness on every packet -------------------------------------------------
 
 /// Add to `c`'s view a raw peer site, not a GroupNode: it sends only what
-/// the test makes it send, and counts the heartbeats that reach it.
+/// the test makes it send, and decodes what reaches it to count the
+/// heartbeats.
 SiteId add_raw_peer(VirtualCluster& c, std::atomic<int>& heartbeats) {
   const SiteId peer = c.net.add_site([&heartbeats](const net::Packet& p) {
-    if (std::holds_alternative<FdHeartbeat>(p.payload.as<FromWire>().wire)) ++heartbeats;
+    if (std::holds_alternative<FdHeartbeat>(net::decode_wire(p.payload).wire)) ++heartbeats;
   });
   c.members.push_back(peer);
   return peer;
 }
 
-/// A packet from raw peer `from` to `node`.
-void send_raw(VirtualCluster& c, SiteId from, GroupNode& node, Wire wire) {
-  c.net.send(from, node.id(), Message::of(FromWire{from, std::move(wire)}));
+/// A packet from raw peer `from` to `node`, encoded as Transport would.
+void send_raw(VirtualCluster& c, SiteId from, GroupNode& node, const Wire& wire) {
+  c.net.send(from, node.id(), net::encode_wire(from, 0, wire));
 }
 
 // Until 20 ms the busy peer sends the node a PREPARE for an unused
@@ -1002,7 +1004,7 @@ TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
   c.run([&] {
     for (int k = 0; k < 60; ++k) {
       c.script.schedule(std::chrono::microseconds(500 + 500 * k),
-                        [&c, k] { c[k % 3].abcast("m" + std::to_string(k)); });
+                        [&c, k] { c[k % 3].abcast(std::string("m").append(std::to_string(k))); });
     }
     c.script.schedule(10000us, [&] {
       for (int i = 0; i < 3; ++i) suspected_before[i] = c[i].fd().is_suspected(crashed.id());
@@ -1027,6 +1029,36 @@ TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
     EXPECT_FALSE(c[i].fd().is_suspected(c[(i + 1) % 3].id())) << "site " << i;
   }
   EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// --- Malformed datagrams -------------------------------------------------------
+
+// The raw peer sends site 0 one datagram of garbage (an unknown tag) and
+// one valid encoding cut short. Neither decodes, so site 0 drops both like
+// lost packets and counts them; no computation runs for them, none fails,
+// and a later abcast still reaches every site.
+TEST(MalformedDatagram, IsDroppedAndCounted) {
+  GcOptions opts;
+  opts.fd_timeout = 1000000us;  // the raw peer sends no heartbeats back
+  VirtualCluster c(3, opts);
+  std::atomic<int> beats{0};
+  const SiteId peer = add_raw_peer(c, beats);
+  std::vector<std::uint8_t> truncated = net::encode_wire(peer, 0, Wire{CsPrepare{7, 1}});
+  truncated.pop_back();
+  c.run([&] {
+    c.script.schedule(1000us, [&] { c.net.send(peer, c[0].id(), {0x03, 0x00, 0xC8, 0x13}); });
+    c.script.schedule(2000us, [&] { c.net.send(peer, c[0].id(), truncated); });
+    c.script.schedule(3000us, [&] { c[1].abcast("after"); });
+    c.script.schedule(30000us, [&] { c.shut_down(); });
+  });
+
+  EXPECT_EQ(c[0].malformed_packets(), 2u);
+  EXPECT_EQ(c[1].malformed_packets(), 0u);
+  EXPECT_EQ(c.failed_computations(), 0u);
+  for (auto& n : c.nodes) {
+    EXPECT_EQ(payloads(n->sink().adelivered()), std::vector<std::string>{"after"})
+        << "site " << n->id().value();
+  }
 }
 
 }  // namespace

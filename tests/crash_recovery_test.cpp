@@ -13,6 +13,7 @@
 
 #include "gc/group_node.hpp"
 #include "net/sim_network.hpp"
+#include "test_support.hpp"
 #include "verify/vs_checker.hpp"
 
 namespace samoa::gc {
@@ -20,6 +21,7 @@ namespace {
 
 using net::LinkOptions;
 using net::SimNetwork;
+using samoa::testing::datagram;
 
 template <typename Pred>
 bool wait_until(Pred pred, std::chrono::milliseconds timeout = std::chrono::milliseconds(20000)) {
@@ -54,11 +56,11 @@ TEST(SimRecover, CrashedSiteDeliversAgainAfterRecover) {
   const SiteId a = net.add_site([](const net::Packet&) {});
   const SiteId b = net.add_site([&](const net::Packet&) { got.fetch_add(1); });
   net.crash(b);
-  net.send(a, b, Message::of(1));
+  net.send(a, b, datagram(1));
   net.drain();
   EXPECT_EQ(got.load(), 0) << "crashed site received a packet";
   net.recover(b);
-  net.send(a, b, Message::of(2));
+  net.send(a, b, datagram(2));
   net.drain();
   EXPECT_EQ(got.load(), 1);
   EXPECT_EQ(net.stats().recoveries.value(), 1u);

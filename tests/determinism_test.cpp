@@ -16,6 +16,7 @@
 
 #include "net/sim_network.hpp"
 #include "net/timer_service.hpp"
+#include "test_support.hpp"
 #include "time/clock.hpp"
 #include "util/sync.hpp"
 #include "virtual_fleet.hpp"
@@ -23,6 +24,8 @@
 namespace samoa::net {
 namespace {
 
+using samoa::testing::datagram;
+using samoa::testing::datagram_value;
 using time::Pin;
 using time::VirtualClock;
 
@@ -62,14 +65,14 @@ SimTrace run_sim(std::uint64_t seed) {
   std::vector<SiteId> sites(kSites);
   for (int i = 0; i < kSites; ++i) {
     sites[i] = net.add_site([&, i](const Packet& p) {
-      const int hops = p.payload.as<int>();
+      const int hops = datagram_value(p.payload);
       {
         std::unique_lock lock(mu);
         trace.events.push_back(std::to_string(virtual_us(clock)) + " site" + std::to_string(i) +
                                " <- site" + std::to_string(p.from.value()) +
                                " hops=" + std::to_string(hops));
       }
-      if (hops > 0) net.send(sites[i], sites[(i + 1) % kSites], Message::of(hops - 1));
+      if (hops > 0) net.send(sites[i], sites[(i + 1) % kSites], datagram(hops - 1));
     });
   }
 
@@ -78,7 +81,7 @@ SimTrace run_sim(std::uint64_t seed) {
     Pin setup(clock);
     for (int k = 0; k < 10; ++k) {
       timers.schedule(microseconds(100 + 500 * k), [&, k] {
-        net.send(sites[k % kSites], sites[(k + 1) % kSites], Message::of(3));
+        net.send(sites[k % kSites], sites[(k + 1) % kSites], datagram(3));
       });
     }
     timers.schedule(microseconds(2000),
@@ -142,8 +145,8 @@ std::vector<long> run_with_faulty_peer(bool crash_c, std::uint64_t seed) {
     // Pin while injecting: every send must be stamped at the same virtual
     // instant, or delivery timing depends on the arming race.
     Pin inject(clock);
-    net.send(a, c, Message::of(0));  // consumes draws regardless of c's fate
-    for (int i = 0; i < 50; ++i) net.send(a, b, Message::of(i));
+    net.send(a, c, datagram(0));  // consumes draws regardless of c's fate
+    for (int i = 0; i < 50; ++i) net.send(a, b, datagram(i));
   }
   net.drain();
   std::unique_lock lock(mu);

@@ -11,11 +11,13 @@
 #include <atomic>
 #include <cstdio>
 
+#include "test_support.hpp"
 #include "virtual_fleet.hpp"
 
 namespace samoa::gc {
 namespace {
 
+using samoa::testing::datagram;
 using testing::kFleetAbcasts;
 using testing::kFleetCcasts;
 using testing::kFleetSites;
@@ -46,7 +48,7 @@ TEST_P(ChaosSweep, FleetConvergesUnderFaults) {
     const auto& got = out.cdelivered[i];
     ASSERT_EQ(got.size(), static_cast<std::size_t>(kFleetCcasts));
     for (int j = 0; j < kFleetCcasts; ++j) {
-      EXPECT_EQ(got[j], "c" + std::to_string(j))
+      EXPECT_EQ(got[j], std::string("c").append(std::to_string(j)))
           << "seed " << seed << ": causal order broken at site " << i;
     }
   }
@@ -182,14 +184,14 @@ TEST(ChaosEngine, AppliesFlapAndOnewayCutsAtVirtualTimes) {
     plan.flap(microseconds(1000), a, b, microseconds(1000), 1);  // cut 1ms..2ms
     plan.partition_oneway(microseconds(3000), a, b).heal_oneway(microseconds(5000), a, b);
     engine.arm(plan);
-    script.schedule(microseconds(500), [&] { net.send(a, b, Message::of(0)); });   // up
-    script.schedule(microseconds(1500), [&] { net.send(a, b, Message::of(1)); });  // flapped
-    script.schedule(microseconds(2500), [&] { net.send(a, b, Message::of(2)); });  // healed
+    script.schedule(microseconds(500), [&] { net.send(a, b, datagram(0)); });   // up
+    script.schedule(microseconds(1500), [&] { net.send(a, b, datagram(1)); });  // flapped
+    script.schedule(microseconds(2500), [&] { net.send(a, b, datagram(2)); });  // healed
     script.schedule(microseconds(3500), [&] {
-      net.send(a, b, Message::of(3));  // one-way cut: a->b dead...
-      net.send(b, a, Message::of(4));  // ...but b->a alive
+      net.send(a, b, datagram(3));  // one-way cut: a->b dead...
+      net.send(b, a, datagram(4));  // ...but b->a alive
     });
-    script.schedule(microseconds(5500), [&] { net.send(a, b, Message::of(5)); });  // healed
+    script.schedule(microseconds(5500), [&] { net.send(a, b, datagram(5)); });  // healed
     script.schedule(microseconds(6000), [&] { horizon.set(); });
   }
   horizon.wait();

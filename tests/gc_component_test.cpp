@@ -115,11 +115,11 @@ TEST(ABcastComponent, BatchesRespectMsgIdOrder) {
   // Burst from one site: decided batches are sorted by MsgId, so the
   // delivery order must equal submission order for a single origin.
   Pair p(GcOptions{}, LinkOptions{.base_latency = std::chrono::microseconds(80)}, 3);
-  for (int i = 0; i < 8; ++i) p.nodes[0]->abcast("b" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) p.nodes[0]->abcast(std::string("b").append(std::to_string(i)));
   ASSERT_TRUE(wait_until([&] { return p.nodes[2]->sink().adelivered().size() == 8; }));
   const auto got = p.nodes[2]->sink().adelivered();
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(got[i].data, "b" + std::to_string(i));
+    EXPECT_EQ(got[i].data, std::string("b").append(std::to_string(i)));
   }
 }
 
@@ -133,7 +133,7 @@ TEST(ABcastComponent, InstanceCountBounded) {
   opts.cs_retry_interval = std::chrono::microseconds(50'000);
   opts.cs_retry_timeout = std::chrono::microseconds(100'000);
   Pair p(opts, LinkOptions{.base_latency = std::chrono::microseconds(80)}, 3);
-  for (int i = 0; i < 12; ++i) p.nodes[0]->abcast("x" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) p.nodes[0]->abcast(std::string("x").append(std::to_string(i)));
   ASSERT_TRUE(wait_until([&] { return p.nodes[0]->sink().adelivered().size() == 12; }));
   EXPECT_LT(p.nodes[0]->ab().next_instance(), 12u)
       << "no batching happened: one instance per message";
@@ -187,7 +187,7 @@ TEST(ConsensusComponent, DecisionsIdenticalAcrossSites) {
   Pair p(GcOptions{}, LinkOptions{.base_latency = std::chrono::microseconds(80)}, 3);
   Rng rng(3);
   for (int i = 0; i < 6; ++i) {
-    p.nodes[rng.next_below(3)]->abcast("d" + std::to_string(i));
+    p.nodes[rng.next_below(3)]->abcast(std::string("d").append(std::to_string(i)));
   }
   ASSERT_TRUE(wait_until([&] {
     for (auto& n : p.nodes) {

@@ -213,7 +213,7 @@ TEST(InlineDispatch, VirtualGroupNodeFleetStartsNoDispatchThreads) {
     for (std::size_t i = 0; i < kMessages; ++i) {
       script.schedule(microseconds(500 + 300 * i), [&nodes, &timers, i] {
         timers.note();
-        nodes[i]->abcast("m" + std::to_string(i));
+        nodes[i]->abcast(std::string("m").append(std::to_string(i)));
       });
     }
     script.schedule_periodic(microseconds(1000), [&] {

@@ -25,12 +25,15 @@
 #include "explore/strategy.hpp"
 #include "net/sim_network.hpp"
 #include "net/timer_service.hpp"
+#include "test_support.hpp"
 #include "time/clock.hpp"
 #include "util/sync.hpp"
 
 namespace samoa::net {
 namespace {
 
+using samoa::testing::datagram;
+using samoa::testing::datagram_value;
 using time::Pin;
 using time::VirtualClock;
 using namespace std::chrono_literals;
@@ -56,13 +59,40 @@ TEST(SimNetwork, DeliversPacketToCallback) {
   SiteId a = net.add_site([&](const Packet&) {});
   SiteId b = net.add_site([&](const Packet& p) {
     EXPECT_EQ(p.from, a);
-    EXPECT_EQ(p.payload.as<int>(), 42);
+    EXPECT_EQ(datagram_value(p.payload), 42);
     got.fetch_add(1);
   });
-  net.send(a, b, Message::of(42));
+  net.send(a, b, datagram(42));
   net.drain();
   EXPECT_EQ(got.load(), 1);
   EXPECT_EQ(net.stats().delivered.value(), 1u);
+}
+
+TEST(SimNetwork, DatagramArrivesByteForByte) {
+  // The network never looks inside a payload: over the self-link and over
+  // a peer link, the receiver gets exactly the bytes that were sent.
+  VirtualClock clock;
+  SimNetwork net(LinkOptions{.base_latency = 50us, .jitter = 20us}, 1, &clock);
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 300; ++i) bytes.push_back(static_cast<std::uint8_t>(255 - i));
+  std::mutex mu;
+  std::vector<Packet> got;
+  const auto record = [&](const Packet& p) {
+    std::unique_lock lock(mu);
+    got.push_back(p);
+  };
+  const SiteId a = net.add_site(record);
+  const SiteId b = net.add_site(record);
+  net.send(a, a, bytes);
+  net.send(a, b, bytes);
+  net.drain();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].to, a);
+  EXPECT_EQ(got[1].to, b);
+  for (const Packet& p : got) {
+    EXPECT_EQ(p.from, a);
+    EXPECT_EQ(p.payload, bytes);
+  }
 }
 
 TEST(SimNetwork, VirtualLatencyIsExact) {
@@ -78,7 +108,7 @@ TEST(SimNetwork, VirtualLatencyIsExact) {
                               .count());
   });
   const auto start = clock.now();
-  net.send(a, b, Message::of(1));
+  net.send(a, b, datagram(1));
   net.drain();
   const auto start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.time_since_epoch()).count();
@@ -93,9 +123,9 @@ TEST(SimNetwork, OrderPreservedOnOneLink) {
   SiteId a = net.add_site([](const Packet&) {});
   SiteId b = net.add_site([&](const Packet& p) {
     std::unique_lock lock(mu);
-    received.push_back(p.payload.as<int>());
+    received.push_back(datagram_value(p.payload));
   });
-  for (int i = 0; i < 20; ++i) net.send(a, b, Message::of(i));
+  for (int i = 0; i < 20; ++i) net.send(a, b, datagram(i));
   net.drain();
   std::unique_lock lock(mu);
   ASSERT_EQ(received.size(), 20u);
@@ -110,7 +140,7 @@ TEST(SimNetwork, DropProbabilityLosesPackets) {
   std::atomic<int> got{0};
   SiteId a = net.add_site([](const Packet&) {});
   SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
-  for (int i = 0; i < 200; ++i) net.send(a, b, Message::of(i));
+  for (int i = 0; i < 200; ++i) net.send(a, b, datagram(i));
   net.drain();
   EXPECT_GT(got.load(), 50);
   EXPECT_LT(got.load(), 150);
@@ -124,12 +154,12 @@ TEST(SimNetwork, PartitionBlocksBothDirections) {
   SiteId a = net.add_site([&](const Packet&) { got_a.fetch_add(1); });
   SiteId b = net.add_site([&](const Packet&) { got_b.fetch_add(1); });
   net.set_partitioned(a, b, true);
-  net.send(a, b, Message::of(1));
-  net.send(b, a, Message::of(2));
+  net.send(a, b, datagram(1));
+  net.send(b, a, datagram(2));
   net.drain();
   EXPECT_EQ(got_a.load() + got_b.load(), 0);
   net.set_partitioned(a, b, false);
-  net.send(a, b, Message::of(3));
+  net.send(a, b, datagram(3));
   net.drain();
   EXPECT_EQ(got_b.load(), 1);
 }
@@ -143,14 +173,14 @@ TEST(SimNetwork, OnewayPartitionBlocksSingleDirection) {
   SiteId a = net.add_site([&](const Packet&) { got_a.fetch_add(1); });
   SiteId b = net.add_site([&](const Packet&) { got_b.fetch_add(1); });
   net.set_partitioned_oneway(a, b, true);
-  net.send(a, b, Message::of(1));
-  net.send(b, a, Message::of(2));
+  net.send(a, b, datagram(1));
+  net.send(b, a, datagram(2));
   net.drain();
   EXPECT_EQ(got_b.load(), 0) << "cut direction delivered";
   EXPECT_EQ(got_a.load(), 1) << "healthy direction blocked";
   // Healing the cut direction restores it; the other was never affected.
   net.set_partitioned_oneway(a, b, false);
-  net.send(a, b, Message::of(3));
+  net.send(a, b, datagram(3));
   net.drain();
   EXPECT_EQ(got_b.load(), 1);
 }
@@ -166,7 +196,7 @@ TEST(SimNetwork, OnewayAndSymmetricPartitionsCompose) {
   net.set_partitioned_oneway(a, b, true);
   net.set_partitioned(a, b, true);
   net.set_partitioned(a, b, false);  // heals both directions, including a->b
-  net.send(a, b, Message::of(1));
+  net.send(a, b, datagram(1));
   net.drain();
   EXPECT_EQ(got_b.load(), 1);
 }
@@ -179,7 +209,7 @@ TEST(SimNetwork, CrashedSiteDropsTraffic) {
   SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
   net.crash(b);
   EXPECT_TRUE(net.crashed(b));
-  net.send(a, b, Message::of(1));
+  net.send(a, b, datagram(1));
   net.drain();
   EXPECT_EQ(got.load(), 0);
 }
@@ -192,11 +222,11 @@ TEST(SimNetwork, PerLinkOverride) {
   SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
   net.set_link(a, b, LinkOptions{.base_latency = std::chrono::microseconds(10),
                                  .drop_probability = 1.0});
-  net.send(a, b, Message::of(1));
+  net.send(a, b, datagram(1));
   net.drain();
   EXPECT_EQ(got.load(), 0);
   net.set_link(a, b, LinkOptions{.base_latency = std::chrono::microseconds(10)});
-  net.send(a, b, Message::of(2));
+  net.send(a, b, datagram(2));
   net.drain();
   EXPECT_EQ(got.load(), 1);
 }
@@ -205,7 +235,7 @@ TEST(SimNetwork, UnknownDestinationCountsAsDrop) {
   VirtualClock clock;
   SimNetwork net({}, 1, &clock);
   SiteId a = net.add_site([](const Packet&) {});
-  net.send(a, SiteId{99}, Message::of(1));
+  net.send(a, SiteId{99}, datagram(1));
   net.drain();
   EXPECT_EQ(net.stats().dropped.value(), 1u);
 }
@@ -231,8 +261,8 @@ TEST(SimNetwork, SelfLinkIsLocal) {
     {
       Pin setup(clock);
       sent_at = at_us(clock.now());
-      net.send(a, a, Message::of(1));
-      net.send(a, b, Message::of(2));
+      net.send(a, a, datagram(1));
+      net.send(a, b, datagram(2));
     }
     net.drain();
     EXPECT_EQ(self_at.load(), sent_at);
@@ -251,7 +281,7 @@ TEST(SimNetwork, SelfLinkIsLocal) {
     {
       Pin setup(clock);
       sent_at = at_us(clock.now());
-      net.send(a, a, Message::of(1));
+      net.send(a, a, datagram(1));
     }
     net.drain();
     EXPECT_EQ(self_at.load(), sent_at);
@@ -268,13 +298,13 @@ TEST(SimNetwork, SelfLinkIsLocal) {
     const SiteId a = net.add_site([](const Packet&) {});
     const SiteId b = net.add_site([&](const Packet& p) {
       std::unique_lock lock(mu);
-      got.emplace_back(p.payload.as<int>(), at_us(clock.now()));
+      got.emplace_back(datagram_value(p.payload), at_us(clock.now()));
     });
     {
       Pin setup(clock);
       for (int i = 0; i < 100; ++i) {
-        if (with_self_sends) net.send(a, a, Message::of(-1));
-        net.send(a, b, Message::of(i));
+        if (with_self_sends) net.send(a, a, datagram(-1));
+        net.send(a, b, datagram(i));
       }
     }
     net.drain();
@@ -303,8 +333,8 @@ RelayRun run_relay_rounds(DeliveryHook& hook, int idle_sites) {
   net.set_delivery_hook(&hook);
   for (int i = 0; i < kSites; ++i) {
     net.add_site([&net, i](const Packet& p) {
-      const int hops = p.payload.as<int>();
-      if (hops > 0) net.send(SiteId(i), SiteId((i + 1) % kSites), Message::of(hops - 1));
+      const int hops = datagram_value(p.payload);
+      if (hops > 0) net.send(SiteId(i), SiteId((i + 1) % kSites), datagram(hops - 1));
     });
   }
   for (int i = 0; i < idle_sites; ++i) net.add_site([](const Packet&) {});
@@ -312,7 +342,7 @@ RelayRun run_relay_rounds(DeliveryHook& hook, int idle_sites) {
     Pin setup(clock);
     for (int from = 0; from < kSites; ++from) {
       for (int to = 0; to < kSites; ++to) {
-        if (from != to) net.send(SiteId(from), SiteId(to), Message::of(3));
+        if (from != to) net.send(SiteId(from), SiteId(to), datagram(3));
       }
     }
   }
@@ -440,7 +470,7 @@ TEST(SimNetwork, DetachStopsCallbacksSafely) {
     std::atomic<int> got{0};
     SiteId a = net.add_site([](const Packet&) {});
     SiteId b = net.add_site([&](const Packet&) { got.fetch_add(1); });
-    for (int i = 0; i < 10; ++i) net.send(a, b, Message::of(i));
+    for (int i = 0; i < 10; ++i) net.send(a, b, datagram(i));
     net.detach(b);  // returns only when no callback for b is running
     const int at_detach = got.load();
     net.drain();
@@ -460,11 +490,11 @@ TEST(SimNetwork, DrainWaitsForInFlightDeliveryCallback) {
       release.wait();
       // The callback produces follow-up traffic *before* it returns — the
       // exact window in which a drain() keyed only on the queue leaks work.
-      net.send(b, c, Message::of(1));
+      net.send(b, c, datagram(1));
     });
     c = net.add_site([&](const Packet&) { c_got.fetch_add(1); });
 
-    net.send(a, b, Message::of(0));
+    net.send(a, b, datagram(0));
     in_callback.wait();  // b's callback is now running, queue is empty
 
     std::atomic<bool> drain_returned{false};
@@ -493,9 +523,9 @@ TEST(SimNetwork, DestructionWaitsForARunningDeliveryThatSends) {
     b = net->add_site([&](const Packet&) {
       in_callback.set();
       release.wait();
-      raw->send(b, a, Message::of(1));  // after destruction began
+      raw->send(b, a, datagram(1));  // after destruction began
     });
-    net->send(a, b, Message::of(0));
+    net->send(a, b, datagram(0));
     in_callback.wait();
     std::atomic<bool> destroyed{false};
     std::thread destroyer([&] {

@@ -2,10 +2,12 @@
 // microprotocols and helpers to build the paper's example protocols.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,19 @@ inline std::uint64_t test_seed(std::uint64_t def) {
     if (end != env && *end == '\0') return static_cast<std::uint64_t>(v);
   }
   return def;
+}
+
+/// The network carries bytes: a test that only counts or orders packets
+/// sends one int as a datagram, and `datagram_value` reads it back.
+inline std::vector<std::uint8_t> datagram(int value) {
+  std::vector<std::uint8_t> bytes(sizeof value);
+  std::memcpy(bytes.data(), &value, sizeof value);
+  return bytes;
+}
+inline int datagram_value(const std::vector<std::uint8_t>& bytes) {
+  int value = 0;
+  std::memcpy(&value, bytes.data(), std::min(sizeof value, bytes.size()));
+  return value;
 }
 
 /// Microprotocol with a single handler that optionally busy-waits and

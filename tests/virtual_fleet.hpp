@@ -135,7 +135,7 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed, net::DeliveryHook* hook 
     // First traffic burst.
     for (int i = 0; i < kFleetAbcasts / 2; ++i) {
       const auto who = rng.next_below(kFleetSites);
-      const std::string payload = "a" + std::to_string(sent_abcasts++);
+      const std::string payload = std::string("a").append(std::to_string(sent_abcasts++));
       script.schedule(microseconds(100 + 200 * i),
                       [&nodes, who, payload] { nodes[who]->abcast(payload); });
     }
@@ -152,13 +152,13 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed, net::DeliveryHook* hook 
     // Causal stream from one origin, and a second abcast burst, both while
     // the partition is up.
     for (int i = 0; i < kFleetCcasts; ++i) {
-      const std::string payload = "c" + std::to_string(i);
+      const std::string payload = std::string("c").append(std::to_string(i));
       script.schedule(microseconds(1600 + 150 * i),
                       [&nodes, payload] { nodes[2]->ccast(payload); });
     }
     for (int i = 0; i < kFleetAbcasts / 2; ++i) {
       const auto who = rng.next_below(kFleetSites);
-      const std::string payload = "a" + std::to_string(sent_abcasts++);
+      const std::string payload = std::string("a").append(std::to_string(sent_abcasts++));
       script.schedule(microseconds(2600 + 300 * i),
                       [&nodes, who, payload] { nodes[who]->abcast(payload); });
     }
@@ -308,22 +308,25 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
     for (int i = 0; i < 4; ++i) sum += nodes[i]->rel_comm().retransmissions_to(site4);
     return sum;
   };
-  const auto last_record_id = [](GroupNode& n) -> std::uint64_t {
-    const auto recs = n.sink().delivery_records();
-    return recs.empty() ? 0 : recs.back().id;
-  };
   const auto all_converged = [&] {
-    // The never-crashed sites must hold the complete application history;
-    // the rejoined sites must have caught up to the same final delivery.
+    // The never-crashed sites must hold the complete application history.
+    // The rejoined sites must hold site 0's view and have lost no delivery
+    // of site 0's order (the vs checker's invariant 5): a site that
+    // rejoined after the last delivery has nothing to catch up.
     for (int i = 0; i < 3; ++i) {
       if (nodes[i]->sink().adelivered().size() !=
           static_cast<std::size_t>(kRecoveryMessages)) {
         return false;
       }
     }
-    const std::uint64_t tail = last_record_id(*nodes[0]);
-    if (tail == 0) return false;
-    return last_record_id(*nodes[3]) == tail && last_record_id(*nodes[4]) == tail;
+    const std::vector<verify::DeliveryRecord> order = nodes[0]->sink().delivery_records();
+    if (order.empty()) return false;
+    const View view = nodes[0]->membership().view_snapshot();
+    for (const int i : {3, 4}) {
+      if (!(nodes[i]->membership().view_snapshot() == view)) return false;
+      if (!verify::lost_delivery(nodes[i]->vs_traces().back(), order).empty()) return false;
+    }
+    return true;
   };
   const auto shut_down_fleet = [&] {
     for (auto& n : nodes) n->stop_timers();
@@ -340,21 +343,23 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
     // Burst A: everyone is up.
     for (int i = 0; i < 8; ++i) {
       const auto who = rng.next_below(kRecoverySites);
-      const std::string payload = "m" + std::to_string(sent++);
+      const std::string payload = std::string("m").append(std::to_string(sent++));
       script.schedule(microseconds(200 + 200 * i),
                       [&nodes, who, payload] { nodes[who]->abcast(payload); });
     }
     // Burst B: while site 4 is back but site 3 is still a member.
     std::vector<std::pair<int, std::string>> burst_b;
     for (int i = 0; i < 6; ++i) {
-      burst_b.emplace_back(rng.next_below(4), "m" + std::to_string(sent++));  // 0..3
+      // Origins 0..3.
+      burst_b.emplace_back(rng.next_below(4), std::string("m").append(std::to_string(sent++)));
     }
     // Burst C: after site 3's restart; site 3 is mid-rejoin, so origins
     // are the other four.
     std::vector<std::pair<int, std::string>> burst_c;
     for (int i = 0; i < 6; ++i) {
       const int origins[4] = {0, 1, 2, 4};
-      burst_c.emplace_back(origins[rng.next_below(4)], "m" + std::to_string(sent++));
+      burst_c.emplace_back(origins[rng.next_below(4)],
+                           std::string("m").append(std::to_string(sent++)));
     }
 
     chaos::FaultPlan plan;
@@ -659,8 +664,9 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
     int sent = 0;
     for (int i = 0; i < cfg.abcasts / 2; ++i) {
       const int who = i % s;
-      plan.call(microseconds(500 + 400 * i), "abcast a" + std::to_string(sent),
-                [&nodes, who, payload = "a" + std::to_string(sent)] { nodes[who]->abcast(payload); });
+      const std::string payload = std::string("a").append(std::to_string(sent));
+      plan.call(microseconds(500 + 400 * i), "abcast " + payload,
+                [&nodes, who, payload] { nodes[who]->abcast(payload); });
       ++sent;
     }
 
@@ -711,8 +717,9 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
     const auto post_at = evict_at + microseconds(300) * crashes + microseconds(3000);
     for (int i = cfg.abcasts / 2; i < cfg.abcasts; ++i) {
       const int who = (i * 7) % s;
-      plan.call(post_at + microseconds(400) * i, "abcast a" + std::to_string(sent),
-                [&nodes, who, payload = "a" + std::to_string(sent)] { nodes[who]->abcast(payload); });
+      const std::string payload = std::string("a").append(std::to_string(sent));
+      plan.call(post_at + microseconds(400) * i, "abcast " + payload,
+                [&nodes, who, payload] { nodes[who]->abcast(payload); });
       ++sent;
     }
     engine.arm(plan);
