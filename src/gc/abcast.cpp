@@ -6,71 +6,41 @@
 
 namespace samoa::gc {
 
-ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View initial_view)
-    : GcMicroprotocol("abcast", opts),
-      events_(&events),
-      self_(self),
-      view_(std::move(initial_view)) {
-  submit_ = &register_handler("submit", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      AppMessage msg{make_msg_id(self_, epoch_bits(options().id_epoch) | ++local_seq_),
-                     m.as<std::string>()};
-      submitted_.add();
-      pending_.emplace(msg.id, msg);
-      // Disseminate the payload reliably; ordering happens via consensus.
-      out.trigger(events_->bcast, Message::of(msg));
-      maybe_propose(out);
-    }
-    out.flush(ctx);
+ABcast::ABcast(const GcOptions& opts, const GcEvents& gc_events, SiteId self, View initial_view)
+    : GcMicroprotocol("abcast", opts, gc_events), self_(self), view_(std::move(initial_view)) {
+  submit_ = handle("submit", [this](Outbox& out, const std::string& data) {
+    AppMessage msg{make_msg_id(self_, epoch_bits(options().id_epoch) | ++local_seq_), data};
+    submitted_.add();
+    pending_.emplace(msg.id, msg);
+    // Disseminate the payload reliably; ordering happens via consensus.
+    out.trigger(events().bcast, Message::of(msg));
+    maybe_propose(out);
   });
 
-  on_rdeliver_ = &register_handler("on_rdeliver", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& msg = m.as<AppMessage>();
-      if (!is_atomic(msg.id)) return;  // plain or causal broadcast: not ours to order
-      if (delivered_ids_.contains(msg.id) || pending_.contains(msg.id)) return;
-      pending_.emplace(msg.id, msg);
-      maybe_propose(out);
-    }
-    out.flush(ctx);
+  on_rdeliver_ = handle("on_rdeliver", [this](Outbox& out, const AppMessage& msg) {
+    if (!is_atomic(msg.id)) return;  // plain or causal broadcast: not ours to order
+    if (delivered_ids_.contains(msg.id) || pending_.contains(msg.id)) return;
+    pending_.emplace(msg.id, msg);
+    maybe_propose(out);
   });
 
-  on_decide_ = &register_handler("on_decide", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& d = m.as<CsDecided>();
-      decisions_.emplace(d.instance, d.value);
-      apply_ready_decisions(out);
-    }
-    out.flush(ctx);
+  on_decide_ = handle("on_decide", [this](Outbox& out, const CsDecided& d) {
+    decisions_.emplace(d.instance, d.value);
+    apply_ready_decisions(out);
   });
 
-  view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    auto lock = guard();
-    view_ = m.as<View>();
-  });
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) { view_ = next; });
 
-  on_catchup_ = &register_handler("on_catchup", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto floor = m.as<std::uint64_t>();
-      if (floor <= next_instance_) return;  // stale or bootstrap install
-      next_instance_ = floor;
-      frontier_.store(next_instance_, std::memory_order_release);
-      rejoined_ = true;
-      // Anything decided below the floor is pre-join history we must not
-      // replay; anything we thought we proposed is void (fresh slate).
-      decisions_.erase(decisions_.begin(), decisions_.lower_bound(next_instance_));
-      proposed_.clear();
-      maybe_propose(out);
-    }
-    out.flush(ctx);
+  on_catchup_ = handle("on_catchup", [this](Outbox& out, const std::uint64_t& floor) {
+    if (floor <= next_instance_) return;  // stale or bootstrap install
+    next_instance_ = floor;
+    frontier_.store(next_instance_, std::memory_order_release);
+    rejoined_ = true;
+    // Anything decided below the floor is pre-join history we must not
+    // replay; anything we thought we proposed is void (fresh slate).
+    decisions_.erase(decisions_.begin(), decisions_.lower_bound(next_instance_));
+    proposed_.clear();
+    maybe_propose(out);
   });
 }
 
@@ -99,11 +69,11 @@ void ABcast::maybe_propose(Outbox& out) {
     // as in Mencius), so that slot decides at once instead of waiting a
     // retry timeout for a proposal we will never make. The slot stays
     // unmarked, so a payload of our own can still be proposed into it.
-    out.trigger(events_->cs_propose, Message::of(CsPropose{next_instance_, {}}));
+    out.trigger(events().cs_propose, Message::of(CsPropose{next_instance_, {}}));
     return;
   }
   proposed_.insert(next_instance_);
-  out.trigger(events_->cs_propose, Message::of(CsPropose{next_instance_, std::move(batch)}));
+  out.trigger(events().cs_propose, Message::of(CsPropose{next_instance_, std::move(batch)}));
 }
 
 void ABcast::apply_ready_decisions(Outbox& out) {
@@ -117,7 +87,7 @@ void ABcast::apply_ready_decisions(Outbox& out) {
       if (!delivered_ids_.insert(msg.id).second) continue;  // duplicate slot content
       pending_.erase(msg.id);
       delivered_count_.add();
-      out.trigger_all(events_->adeliver, Message::of(ADelivery{msg, next_instance_ + 1}));
+      out.trigger_all(events().adeliver, Message::of(ADelivery{msg, next_instance_ + 1}));
     }
     proposed_.erase(next_instance_);
     ++next_instance_;

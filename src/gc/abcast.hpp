@@ -45,7 +45,6 @@ class ABcast : public GcMicroprotocol {
   void maybe_propose(Outbox& out);
   void apply_ready_decisions(Outbox& out);
 
-  const GcEvents* events_;
   SiteId self_;
   View view_;
   std::uint64_t local_seq_ = 0;

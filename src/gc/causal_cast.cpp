@@ -49,62 +49,45 @@ bool CausalCast::decode(const std::string& data, CausalMsg& out) {
   }
 }
 
-CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId self,
+CausalCast::CausalCast(const GcOptions& opts, const GcEvents& gc_events, SiteId self,
                        View initial_view)
-    : GcMicroprotocol("causal", opts),
-      events_(&events),
-      self_(self),
-      view_(std::move(initial_view)) {
-  submit_ = &register_handler("submit", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      CausalMsg msg;
-      msg.origin = self_;
-      ++vc_[self_];
-      msg.vc = vc_;
-      msg.payload = m.as<std::string>();
-      // Own messages are delivered locally right away (they causally
-      // depend only on what this site already delivered).
-      delivered_.add();
-      out.trigger_all(events_->causal_deliver, Message::of(msg.payload));
-      // MsgId subspace bit 30 keeps causal ids apart from abcast / rbcast.
-      AppMessage app{make_msg_id(self_, kCausalChannelBit | epoch_bits(options().id_epoch) |
-                                            ++local_seq_),
-                     encode(msg)};
-      out.trigger(events_->bcast, Message::of(app));
-    }
-    out.flush(ctx);
+    : GcMicroprotocol("causal", opts, gc_events), self_(self), view_(std::move(initial_view)) {
+  submit_ = handle("submit", [this](Outbox& out, const std::string& payload) {
+    CausalMsg msg;
+    msg.origin = self_;
+    ++vc_[self_];
+    msg.vc = vc_;
+    msg.payload = payload;
+    // Own messages are delivered locally right away (they causally
+    // depend only on what this site already delivered).
+    delivered_.add();
+    out.trigger_all(events().causal_deliver, Message::of(msg.payload));
+    // MsgId subspace bit 30 keeps causal ids apart from abcast / rbcast.
+    AppMessage app{make_msg_id(self_, kCausalChannelBit | epoch_bits(options().id_epoch) |
+                                          ++local_seq_),
+                   encode(msg)};
+    out.trigger(events().bcast, Message::of(app));
   });
 
-  on_rdeliver_ = &register_handler("on_rdeliver", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& app = m.as<AppMessage>();
-      // Causal broadcasts carry the causal channel bit (set by submit); any
-      // other payload is not ours, however its bytes happen to decode.
-      if (!in_channel(app.id, kCausalChannelBit)) return;
-      CausalMsg msg;
-      if (!decode(app.data, msg)) return;                // malformed header
-      if (msg.origin == self_) return;                   // delivered at submit
-      if (msg.vc.count(msg.origin) == 0) return;         // malformed header
-      if (msg.vc.at(msg.origin) <= vc_[msg.origin]) return;  // duplicate/old
-      if (deliverable(msg)) {
-        deliver(out, msg);
-        drain_buffer(out);
-      } else {
-        buffered_.add();
-        buffer_.push_back(std::move(msg));
-      }
+  on_rdeliver_ = handle("on_rdeliver", [this](Outbox& out, const AppMessage& app) {
+    // Causal broadcasts carry the causal channel bit (set by submit); any
+    // other payload is not ours, however its bytes happen to decode.
+    if (!in_channel(app.id, kCausalChannelBit)) return;
+    CausalMsg msg;
+    if (!decode(app.data, msg)) return;                    // malformed header
+    if (msg.origin == self_) return;                       // delivered at submit
+    if (msg.vc.count(msg.origin) == 0) return;             // malformed header
+    if (msg.vc.at(msg.origin) <= vc_[msg.origin]) return;  // duplicate/old
+    if (deliverable(msg)) {
+      deliver(out, msg);
+      drain_buffer(out);
+    } else {
+      buffered_.add();
+      buffer_.push_back(std::move(msg));
     }
-    out.flush(ctx);
   });
 
-  view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    auto lock = guard();
-    view_ = m.as<View>();
-  });
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) { view_ = next; });
 }
 
 bool CausalCast::deliverable(const CausalMsg& m) const {
@@ -123,7 +106,7 @@ bool CausalCast::deliverable(const CausalMsg& m) const {
 void CausalCast::deliver(Outbox& out, const CausalMsg& m) {
   vc_[m.origin] = m.vc.at(m.origin);
   delivered_.add();
-  out.trigger_all(events_->causal_deliver, Message::of(m.payload));
+  out.trigger_all(events().causal_deliver, Message::of(m.payload));
 }
 
 void CausalCast::drain_buffer(Outbox& out) {

@@ -55,7 +55,6 @@ class CausalCast : public GcMicroprotocol {
   void deliver(Outbox& out, const CausalMsg& m);
   void drain_buffer(Outbox& out);
 
-  const GcEvents* events_;
   SiteId self_;
   View view_;
   std::map<SiteId, std::uint64_t> vc_;  // delivered-so-far per origin

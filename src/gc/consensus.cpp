@@ -6,113 +6,84 @@
 
 namespace samoa::gc {
 
-Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
+Consensus::Consensus(const GcOptions& opts, const GcEvents& gc_events, SiteId self,
                      View initial_view)
-    : GcMicroprotocol("consensus", opts),
-      events_(&events),
-      self_(self),
-      view_(std::move(initial_view)) {
-  propose_ = &register_handler("propose", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& req = m.as<CsPropose>();
-      // An empty batch is a skip (see ABcast::maybe_propose): taken only by
-      // the slot's owner, for its first round, and never retried.
-      const bool skip = req.value.empty();
-      if (skip && (view_.size() == 0 || view_.member_at(req.instance) != self_)) return;
-      Instance& inst = instance(req.instance);
-      if (inst.decided || inst.have_proposal) return;
-      inst.have_proposal = true;
-      inst.proposal = req.value;
-      inst.last_activity = options().now();
-      if (!skip) open_.insert(req.instance);
-      try_coordinate(out, req.instance);
-    }
-    out.flush(ctx);
+    : GcMicroprotocol("consensus", opts, gc_events), self_(self), view_(std::move(initial_view)) {
+  propose_ = handle("propose", [this](Outbox& out, const CsPropose& req) {
+    // An empty batch is a skip (see ABcast::maybe_propose): taken only by
+    // the slot's owner, for its first round, and never retried.
+    const bool skip = req.value.empty();
+    if (skip && (view_.size() == 0 || view_.member_at(req.instance) != self_)) return;
+    Instance& inst = instance(req.instance);
+    if (inst.decided || inst.have_proposal) return;
+    inst.have_proposal = true;
+    inst.proposal = req.value;
+    inst.last_activity = options().now();
+    if (!skip) open_.insert(req.instance);
+    try_coordinate(out, req.instance);
   });
 
-  on_wire_ = &register_handler("on_wire", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& fw = m.as<FromWire>();
-      std::visit(
-          [&](const auto& msg) {
-            using T = std::decay_t<decltype(msg)>;
-            if constexpr (std::is_same_v<T, CsPrepare>) {
-              handle_prepare(out, fw.from, msg);
-            } else if constexpr (std::is_same_v<T, CsPromise>) {
-              handle_promise(out, fw.from, msg);
-            } else if constexpr (std::is_same_v<T, CsAccept>) {
-              handle_accept(out, fw.from, msg);
-            } else if constexpr (std::is_same_v<T, CsAccepted>) {
-              handle_accepted(out, fw.from, msg);
-            } else if constexpr (std::is_same_v<T, CsDecide>) {
-              handle_decide(out, msg);
-            }
-          },
-          fw.wire);
-    }
-    out.flush(ctx);
+  on_wire_ = handle("on_wire", [this](Outbox& out, const FromWire& fw) {
+    std::visit(
+        [&](const auto& msg) {
+          using T = std::decay_t<decltype(msg)>;
+          if constexpr (std::is_same_v<T, CsPrepare>) {
+            handle_prepare(out, fw.from, msg);
+          } else if constexpr (std::is_same_v<T, CsPromise>) {
+            handle_promise(out, fw.from, msg);
+          } else if constexpr (std::is_same_v<T, CsAccept>) {
+            handle_accept(out, fw.from, msg);
+          } else if constexpr (std::is_same_v<T, CsAccepted>) {
+            handle_accepted(out, fw.from, msg);
+          } else if constexpr (std::is_same_v<T, CsDecide>) {
+            handle_decide(out, msg);
+          }
+        },
+        fw.wire);
   });
 
-  on_suspect_ = &register_handler("on_suspect", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const SiteId suspected = m.as<SiteId>();
-      if (view_.size() == 0) return;
-      for (const std::uint64_t i : open_) {
-        Instance& inst = instances_.at(i);
-        const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
-        if (coord == suspected) {
-          ++inst.attempt;
-          try_coordinate(out, i);
-        }
-      }
-    }
-    out.flush(ctx);
-  });
-
-  retry_ = &register_handler("retry", [this](Context& ctx, const Message&) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto now = options().now();
-      // Before the loop below refreshes last_activity: our own retries are
-      // not progress, and a site whose next attempt belongs to someone else
-      // would otherwise wait a whole rotation for a decision it could pull.
-      pull_frontier(out, now);
-      for (const std::uint64_t i : open_) {
-        Instance& inst = instances_.at(i);
-        if (now - inst.last_activity < options().cs_retry_timeout) continue;
-        // Stuck: either our own round's messages were lost, or a remote
-        // coordinator stalled. Advance the attempt and retry.
+  on_suspect_ = handle("on_suspect", [this](Outbox& out, const SiteId& suspected) {
+    if (view_.size() == 0) return;
+    for (const std::uint64_t i : open_) {
+      Instance& inst = instances_.at(i);
+      const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
+      if (coord == suspected) {
         ++inst.attempt;
-        inst.last_activity = now;
         try_coordinate(out, i);
       }
     }
-    out.flush(ctx);
   });
 
-  view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    auto lock = guard();
-    view_ = m.as<View>();
+  retry_ = handle("retry", [this](Outbox& out) {
+    const auto now = options().now();
+    // Before the loop below refreshes last_activity: our own retries are
+    // not progress, and a site whose next attempt belongs to someone else
+    // would otherwise wait a whole rotation for a decision it could pull.
+    pull_frontier(out, now);
+    for (const std::uint64_t i : open_) {
+      Instance& inst = instances_.at(i);
+      if (now - inst.last_activity < options().cs_retry_timeout) continue;
+      // Stuck: either our own round's messages were lost, or a remote
+      // coordinator stalled. Advance the attempt and retry.
+      ++inst.attempt;
+      inst.last_activity = now;
+      try_coordinate(out, i);
+    }
   });
+
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) { view_ = next; });
 }
 
 Consensus::Instance& Consensus::instance(std::uint64_t i) { return instances_[i]; }
 
 void Consensus::broadcast(Outbox& out, const Wire& wire) {
   for (SiteId site : view_.members()) {
-    out.trigger(events_->transport_send, Message::of(TransportSend{site, wire}));
+    out.trigger(events().transport_send, Message::of(TransportSend{site, wire}));
   }
 }
 
 void Consensus::to(Outbox& out, SiteId site, const Wire& wire) {
-  out.trigger(events_->transport_send, Message::of(TransportSend{site, wire}));
+  out.trigger(events().transport_send, Message::of(TransportSend{site, wire}));
 }
 
 void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
@@ -286,7 +257,7 @@ void Consensus::decide(Outbox& out, std::uint64_t i, const ConsensusValue& value
   open_.erase(i);
   highest_decided_ = std::max(highest_decided_, i);
   decided_count_.add();
-  out.trigger(events_->cs_decided, Message::of(CsDecided{i, value}));
+  out.trigger(events().cs_decided, Message::of(CsDecided{i, value}));
 }
 
 }  // namespace samoa::gc

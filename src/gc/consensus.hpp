@@ -126,7 +126,6 @@ class Consensus : public GcMicroprotocol {
   void learn(Outbox& out, std::uint64_t i, std::uint64_t round);
   void decide(Outbox& out, std::uint64_t i, const ConsensusValue& value);
 
-  const GcEvents* events_;
   SiteId self_;
   View view_;
   // Every instance ever created: decided ones answer lagging coordinators

@@ -4,63 +4,50 @@
 
 namespace samoa::gc {
 
-FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, SiteId self,
+FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& gc_events, SiteId self,
                                  View initial_view, const Transport& transport)
-    : GcMicroprotocol("fd", opts),
+    : GcMicroprotocol("fd", opts, gc_events),
       self_(self),
       view_(std::move(initial_view)),
       transport_(transport) {
-  send_heartbeats_ = &register_handler("send_heartbeats",
-                                       [this, &events](Context& ctx, const Message&) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto now = options().now();
-      const FdHeartbeat beat{++epoch_};
-      for (SiteId site : view_.members()) {
-        if (site == self_) continue;
-        // Whatever we sent the peer since the previous tick told it what
-        // a heartbeat would.
-        if (transport_.last_sent_to(site) > last_tick_) {
-          skipped_.add();
-          continue;
-        }
-        out.trigger(events.transport_send, Message::of(TransportSend{site, Wire{beat}}));
+  send_heartbeats_ = handle("send_heartbeats", [this](Outbox& out) {
+    const auto now = options().now();
+    for (SiteId site : view_.members()) {
+      if (site == self_) continue;
+      // Whatever we sent the peer since the previous tick told it what
+      // a heartbeat would.
+      if (transport_.last_sent_to(site) > last_tick_) {
+        skipped_.add();
+        continue;
       }
-      last_tick_ = now;
+      out.trigger(events().transport_send, Message::of(TransportSend{site, Wire{FdHeartbeat{}}}));
     }
-    out.flush(ctx);
+    last_tick_ = now;
   });
 
-  check_ = &register_handler("check", [this, &events](Context& ctx, const Message&) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto now = options().now();
-      std::unique_lock snap(snap_mu_);
-      for (SiteId site : view_.members()) {
-        if (site == self_) continue;
-        auto it = last_heard_.find(site);
-        // A peer we never heard from gets a full timeout from start-up;
-        // seed its record on first check.
-        if (it == last_heard_.end()) {
-          last_heard_[site] = now;
-          continue;
-        }
-        const bool overdue = now - it->second > options().fd_timeout;
-        if (overdue && !suspected_.contains(site)) {
-          suspected_.insert(site);
-          suspicions_.add();
-          out.trigger_all(events.suspect, Message::of(site));
-        }
+  check_ = handle("check", [this](Outbox& out) {
+    const auto now = options().now();
+    std::unique_lock snap(snap_mu_);
+    for (SiteId site : view_.members()) {
+      if (site == self_) continue;
+      auto it = last_heard_.find(site);
+      // A peer we never heard from gets a full timeout from start-up;
+      // seed its record on first check.
+      if (it == last_heard_.end()) {
+        last_heard_[site] = now;
+        continue;
+      }
+      const bool overdue = now - it->second > options().fd_timeout;
+      if (overdue && !suspected_.contains(site)) {
+        suspected_.insert(site);
+        suspicions_.add();
+        out.trigger_all(events().suspect, Message::of(site));
       }
     }
-    out.flush(ctx);
   });
 
-  view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    auto lock = guard();
-    view_ = m.as<View>();
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) {
+    view_ = next;
     const auto now = options().now();
     std::unique_lock snap(snap_mu_);
     for (auto it = suspected_.begin(); it != suspected_.end();) {

@@ -57,7 +57,6 @@ class FailureDetector : public GcMicroprotocol, public Detector {
   SiteId self_;
   View view_;
   const Transport& transport_;
-  std::uint64_t epoch_ = 0;
   Clock::time_point last_tick_{};  // when the previous heartbeat tick ran
   std::unordered_map<SiteId, Clock::time_point> last_heard_;
   std::unordered_set<SiteId> suspected_;

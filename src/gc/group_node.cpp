@@ -7,25 +7,20 @@
 
 namespace samoa::gc {
 
-DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
-    : GcMicroprotocol("app", opts) {
-  on_rdeliver_ = &register_handler("on_rdeliver", [this](Context&, const Message& m) {
-    auto lock = guard();
-    const auto& msg = m.as<AppMessage>();
+DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents& gc_events)
+    : GcMicroprotocol("app", opts, gc_events) {
+  on_rdeliver_ = handle("on_rdeliver", [this](Outbox&, const AppMessage& msg) {
     // Atomic payloads are delivered via ADeliver and causal broadcasts via
     // CDeliver; the MsgId says which, whatever bytes the payload holds.
     if (!in_channel(msg.id, kPlainChannelBit)) return;
     std::unique_lock snap(mu_);
     rdelivered_.push_back(msg);
   });
-  on_cdeliver_ = &register_handler("on_cdeliver", [this](Context&, const Message& m) {
-    auto lock = guard();
+  on_cdeliver_ = handle("on_cdeliver", [this](Outbox&, const std::string& payload) {
     std::unique_lock snap(mu_);
-    cdelivered_.push_back(m.as<std::string>());
+    cdelivered_.push_back(payload);
   });
-  on_adeliver_ = &register_handler("on_adeliver", [this](Context&, const Message& m) {
-    auto lock = guard();
-    const auto& del = m.as<ADelivery>();
+  on_adeliver_ = handle("on_adeliver", [this](Outbox&, const ADelivery& del) {
     char op;
     SiteId site;
     if (Membership::decode_op(del.m.data, op, site)) return;  // membership-internal
@@ -257,17 +252,12 @@ void GroupNode::on_packet(const net::Packet& packet) {
     malformed_packets_.add();
     return;
   }
-  // Every packet's header tells its sender's frontier, and its arrival
-  // that the sender is alive. Both are recorded here, outside any
-  // computation, so no event's declaration widens.
-  transport_->note_peer_frontier(fw.frontier);
-  if (fd_ != nullptr) fd_->heard_from(fw.from);
   const EventType* root = std::visit(
       [this](const auto& body) -> const EventType* {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, RcData>) return &events_.rc_data;
         if constexpr (std::is_same_v<T, RcAck>) return &events_.rc_ack;
-        // A heartbeat's arrival, recorded above, is all it tells.
+        // A heartbeat's arrival, recorded below, is all it tells.
         if constexpr (std::is_same_v<T, FdHeartbeat>) return nullptr;
         if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                       std::is_same_v<T, SwimPingReq>) {
@@ -277,6 +267,18 @@ void GroupNode::on_packet(const net::Packet& packet) {
         return &events_.cs_wire;
       },
       fw.wire);
+  // Only the built detector's packets are taken: a heartbeat at a SWIM
+  // node, or a SWIM message at a heartbeat node, is dropped and counted
+  // like a datagram that does not decode.
+  if (root == nullptr ? fd_ == nullptr : (root == &events_.swim_wire && swim_ == nullptr)) {
+    malformed_packets_.add();
+    return;
+  }
+  // Every packet's header tells its sender's frontier, and its arrival
+  // that the sender is alive. Both are recorded here, outside any
+  // computation, so no event's declaration widens.
+  transport_->note_peer_frontier(fw.frontier);
+  if (fd_ != nullptr) fd_->heard_from(fw.from);
   if (root != nullptr) spawn(*root, Message::of(std::move(fw)));
 }
 

@@ -6,9 +6,10 @@
 // TimerService; registers with the SimNetwork and turns every network
 // packet and timer tick into an `isolated` computation. A packet arrives
 // as bytes and is decoded first (net::decode_wire); one that does not
-// decode is dropped. A heartbeat is the exception: every packet's arrival
-// and header are recorded outside the computations (on_packet), and that
-// is all a heartbeat tells.
+// decode, or whose kind the built stack has no handler for, is dropped. A
+// heartbeat is the exception: every packet's arrival and header are
+// recorded outside the computations (on_packet), and that is all a
+// heartbeat tells.
 //
 // Declarations are inferred, not hand-written (paper Section 4: M "could
 // be inferred statically"): one TriggerDeclarations table lists the events
@@ -202,8 +203,9 @@ class GroupNode {
   /// stop_timers() first if the node should actually become idle.
   void drain() { runtime_->drain(); }
 
-  /// Datagrams dropped because they did not decode (net::CodecError),
-  /// summed over all incarnations.
+  /// Datagrams dropped because they did not decode (net::CodecError), or
+  /// carry a kind this node's stack has no handler for (the other failure
+  /// detector's packets), summed over all incarnations.
   std::uint64_t malformed_packets() const { return malformed_packets_.value(); }
 
   /// Periodic tick computations skipped because the previous tick of the

@@ -51,7 +51,6 @@ class Membership : public GcMicroprotocol {
  private:
   void install(Outbox& out, const View& next);
 
-  const GcEvents* events_;
   SiteId self_;
   View view_;
   std::vector<View> history_;

@@ -4,125 +4,100 @@
 
 namespace samoa::gc {
 
-RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, View initial_view)
-    : GcMicroprotocol("relcomm", opts),
-      events_(&events),
+RelComm::RelComm(const GcOptions& opts, const GcEvents& gc_events, SiteId self, View initial_view)
+    : GcMicroprotocol("relcomm", opts, gc_events),
       self_(self),
       view_(std::move(initial_view)),
       rng_(opts.rng_seed ^ (0x9e3779b97f4a7c15ull * (self.value() + 1))) {
-  send_ = &register_handler("send", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& req = m.as<SendReq>();
-      if (!view_.contains(req.target)) {
-        // The Section 3 failure mode: with a stale local view the message
-        // is silently discarded ("RelComm does not know about s").
-        discarded_out_of_view_.add();
-        return;
-      }
-      if (in_flight_[req.target] >= kFlowWindow) {
-        // Flow control: out of credits for this peer — queue until acks
-        // free a slot (drained in recv_ack).
-        backlog_[req.target].push_back(req.m);
-        flow_deferred_.add();
-        return;
-      }
-      dispatch_send(out, req.m, req.target);
+  send_ = handle("send", [this](Outbox& out, const SendReq& req) {
+    if (!view_.contains(req.target)) {
+      // The Section 3 failure mode: with a stale local view the message
+      // is silently discarded ("RelComm does not know about s").
+      discarded_out_of_view_.add();
+      return;
     }
-    out.flush(ctx);
+    if (in_flight_[req.target] >= kFlowWindow) {
+      // Flow control: out of credits for this peer — queue until acks
+      // free a slot (drained in recv_ack).
+      backlog_[req.target].push_back(req.m);
+      flow_deferred_.add();
+      return;
+    }
+    dispatch_send(out, req.m, req.target);
   });
 
-  recv_data_ = &register_handler("recv_data", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& fw = m.as<FromWire>();
-      const auto& data = std::get<RcData>(fw.wire);
-      // Always acknowledge — the sender believed we were a valid target,
-      // and retransmitting into a check that keeps failing helps nobody.
-      out.trigger(events_->transport_send,
-                  Message::of(TransportSend{fw.from, Wire{RcAck{data.seq}}}));
-      if (!view_.contains(fw.from)) {
-        discarded_unknown_sender_.add();
-      } else if (seen_[fw.from].insert(data.seq).second) {
-        out.async_trigger_all(events_->from_rcomm, Message::of(data.body));
-      }
+  recv_data_ = handle("recv_data", [this](Outbox& out, const FromWire& fw) {
+    const auto& data = std::get<RcData>(fw.wire);
+    // Always acknowledge — the sender believed we were a valid target,
+    // and retransmitting into a check that keeps failing helps nobody.
+    out.trigger(events().transport_send,
+                Message::of(TransportSend{fw.from, Wire{RcAck{data.seq}}}));
+    if (!view_.contains(fw.from)) {
+      discarded_unknown_sender_.add();
+    } else if (seen_[fw.from].insert(data.seq).second) {
+      out.async_trigger_all(events().from_rcomm, Message::of(data.body));
     }
-    out.flush(ctx);
   });
 
-  recv_ack_ = &register_handler("recv_ack", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& fw = m.as<FromWire>();
-      const auto& ack = std::get<RcAck>(fw.wire);
-      if (unacked_.erase({fw.from, ack.seq}) > 0) {
+  recv_ack_ = handle("recv_ack", [this](Outbox& out, const FromWire& fw) {
+    const auto& ack = std::get<RcAck>(fw.wire);
+    if (unacked_.erase({fw.from, ack.seq}) == 0) return;
+    unacked_count_.fetch_sub(1, std::memory_order_relaxed);
+    --in_flight_[fw.from];
+    // Credits freed: drain the flow-control backlog for this peer.
+    auto bit = backlog_.find(fw.from);
+    while (bit != backlog_.end() && !bit->second.empty() && in_flight_[fw.from] < kFlowWindow) {
+      dispatch_send(out, bit->second.front(), fw.from);
+      bit->second.pop_front();
+    }
+  });
+
+  retransmit_ = handle("retransmit", [this](Outbox& out) {
+    const auto now = options().now();
+    for (auto bit = backlog_.begin(); bit != backlog_.end();) {
+      bit = view_.contains(bit->first) ? std::next(bit) : backlog_.erase(bit);
+    }
+    for (auto it = unacked_.begin(); it != unacked_.end();) {
+      Pending& p = it->second;
+      if (!view_.contains(p.target)) {
+        // Defence in depth: gc_evicted_peers() already dropped these at
+        // the view change; anything racing in since counts the same way.
+        --in_flight_[p.target];
         unacked_count_.fetch_sub(1, std::memory_order_relaxed);
-        --in_flight_[fw.from];
-        // Credits freed: drain the flow-control backlog for this peer.
-        auto bit = backlog_.find(fw.from);
-        while (bit != backlog_.end() && !bit->second.empty() &&
-               in_flight_[fw.from] < kFlowWindow) {
-          dispatch_send(out, bit->second.front(), fw.from);
-          bit->second.pop_front();
-        }
+        view_change_drops_.add();
+        it = unacked_.erase(it);  // target evicted: give up
+        continue;
       }
+      if (now - p.last_sent >= p.rto) {
+        p.last_sent = now;
+        retransmissions_.add();
+        {
+          std::unique_lock snap(snap_mu_);
+          ++retrans_to_[p.target];
+        }
+        // Capped exponential backoff with deterministic jitter: the next
+        // deadline doubles (cap clamps the doubling, so compounded jitter
+        // cannot drift past cap + cap/4) plus up to 1/4 extra so a fleet
+        // of pendings to the same peer de-synchronises.
+        auto next = p.rto * 2;
+        if (next > options().retransmit_backoff_cap) next = options().retransmit_backoff_cap;
+        if (next < options().retransmit_timeout) next = options().retransmit_timeout;
+        p.rto = next + std::chrono::microseconds(rng_.next_below(
+                           static_cast<std::uint64_t>(next.count() / 4) + 1));
+        out.trigger(events().transport_send, Message::of(TransportSend{p.target, Wire{p.data}}));
+      }
+      ++it;
     }
-    out.flush(ctx);
   });
 
-  retransmit_ = &register_handler("retransmit", [this](Context& ctx, const Message&) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto now = options().now();
-      for (auto bit = backlog_.begin(); bit != backlog_.end();) {
-        bit = view_.contains(bit->first) ? std::next(bit) : backlog_.erase(bit);
-      }
-      for (auto it = unacked_.begin(); it != unacked_.end();) {
-        Pending& p = it->second;
-        if (!view_.contains(p.target)) {
-          // Defence in depth: gc_evicted_peers() already dropped these at
-          // the view change; anything racing in since counts the same way.
-          --in_flight_[p.target];
-          unacked_count_.fetch_sub(1, std::memory_order_relaxed);
-          view_change_drops_.add();
-          it = unacked_.erase(it);  // target evicted: give up
-          continue;
-        }
-        if (now - p.last_sent >= p.rto) {
-          p.last_sent = now;
-          retransmissions_.add();
-          {
-            std::unique_lock snap(snap_mu_);
-            ++retrans_to_[p.target];
-          }
-          // Capped exponential backoff with deterministic jitter: the next
-          // deadline doubles (cap clamps the doubling, so compounded jitter
-          // cannot drift past cap + cap/4) plus up to 1/4 extra so a fleet
-          // of pendings to the same peer de-synchronises.
-          auto next = p.rto * 2;
-          if (next > options().retransmit_backoff_cap) next = options().retransmit_backoff_cap;
-          if (next < options().retransmit_timeout) next = options().retransmit_timeout;
-          p.rto = next + std::chrono::microseconds(rng_.next_below(
-                             static_cast<std::uint64_t>(next.count() / 4) + 1));
-          out.trigger(events_->transport_send,
-                      Message::of(TransportSend{p.target, Wire{p.data}}));
-        }
-        ++it;
-      }
-    }
-    out.flush(ctx);
-  });
-
+  // The one handler outside handle(): it triggers nothing, and it must
+  // wait before taking the guard. Widened race window (Section 3
+  // experiment): the new view is adopted only after this delay —
+  // deliberately *outside* the manual lock, so a concurrent
+  // unsynchronised send can take the lock and read the stale view while
+  // RelCast already uses the new one. Under the VCA policies the whole
+  // computation is isolated and the placement is irrelevant.
   view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    // Widened race window (Section 3 experiment): the new view is adopted
-    // only after this delay — deliberately *outside* the manual lock, so a
-    // concurrent unsynchronised send can take the lock and read the stale
-    // view while RelCast already uses the new one. Under the VCA policies
-    // the whole computation is isolated and the placement is irrelevant.
     if (options().view_change_delay.count() > 0) spin_for(options().view_change_delay);
     auto lock = guard();
     {
@@ -188,7 +163,7 @@ void RelComm::dispatch_send(Outbox& out, const AppMessage& m, SiteId target) {
   std::uint64_t peak = peak_in_flight_.load();
   while (now_in_flight > peak && !peak_in_flight_.compare_exchange_weak(peak, now_in_flight)) {
   }
-  out.trigger(events_->transport_send, Message::of(TransportSend{target, Wire{p.data}}));
+  out.trigger(events().transport_send, Message::of(TransportSend{target, Wire{p.data}}));
 }
 
 View RelComm::view_snapshot() {

@@ -83,7 +83,6 @@ class RelComm : public GcMicroprotocol {
   /// view_change_drops_. Call with the guard held.
   void gc_evicted_peers();
 
-  const GcEvents* events_ = nullptr;
   SiteId self_;
   View view_;
   Rng rng_;  // retransmission jitter; draws only inside handlers

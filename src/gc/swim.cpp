@@ -15,10 +15,9 @@ std::uint32_t log2_ceil(std::uint64_t n) {
 
 }  // namespace
 
-SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId self,
+SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& gc_events, SiteId self,
                            View initial_view)
-    : GcMicroprotocol("swim", opts),
-      events_(events),
+    : GcMicroprotocol("swim", opts, gc_events),
       self_(self),
       view_(std::move(initial_view)),
       // Distinct stream per site (and from RelComm's jitter stream).
@@ -30,132 +29,116 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
   }
   probe_index_ = probe_order_.size();  // force a shuffle before the first probe
 
-  on_wire_ = &register_handler("on_wire", [this](Context& ctx, const Message& m) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto& fw = m.as<FromWire>();
-      const auto now = options().now();
-      std::unique_lock snap(snap_mu_);
-      std::visit(
-          [&](const auto& msg) {
-            using T = std::decay_t<decltype(msg)>;
-            // Piggybacked updates apply whatever the carrier message is —
-            // dissemination is independent of the probe state machine.
-            if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
-                          std::is_same_v<T, SwimPingReq>) {
-              for (const auto& u : msg.updates) apply_update(u, now, out);
-            }
-            if constexpr (std::is_same_v<T, SwimPing>) {
-              out.trigger(events_.transport_send,
-                          Message::of(TransportSend{
-                              fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from)}}}));
-              acks_sent_.add();
-            } else if constexpr (std::is_same_v<T, SwimPingReq>) {
-              // Probe the target on the origin's behalf under our own seq;
-              // the relay slot routes the eventual ack back.
-              const std::uint64_t relay_seq = next_seq_++;
-              relays_[relay_seq] =
-                  Relay{fw.from, msg.seq, msg.target,
-                        now + options().swim_probe_interval};
-              out.trigger(events_.transport_send,
-                          Message::of(TransportSend{
-                              msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target)}}}));
-              probes_sent_.add();
-            } else if constexpr (std::is_same_v<T, SwimAck>) {
-              if (probe_.active && msg.seq == probe_.seq && msg.on_behalf_of == probe_.target) {
-                probe_.active = false;  // target vouched for, period satisfied
-              } else if (auto it = relays_.find(msg.seq); it != relays_.end()) {
-                const Relay r = it->second;
-                relays_.erase(it);
-                out.trigger(events_.transport_send,
-                            Message::of(TransportSend{
-                                r.origin,
-                                Wire{SwimAck{r.origin_seq, msg.on_behalf_of,
-                                             make_updates(r.origin)}}}));
-                acks_relayed_.add();
-              }
-            }
-          },
-          fw.wire);
-    }
-    out.flush(ctx);
-  });
-
-  tick_ = &register_handler("probe_tick", [this](Context& ctx, const Message&) {
-    Outbox out;
-    {
-      auto lock = guard();
-      const auto now = options().now();
-      std::unique_lock snap(snap_mu_);
-
-      // 1. Un-refuted suspicions harden into confirmed faulty. The site
-      // stays a member (and stays probed) until the view-change machinery
-      // evicts it — which is also what lets a partitioned-but-live peer
-      // resurrect itself with a higher incarnation after the link heals.
-      for (auto& [site, member] : members_) {
-        if (member.status == SwimStatus::kSuspect && now >= member.suspect_expiry) {
-          member.status = SwimStatus::kFaulty;
-          confirmations_.add();
-          enqueue_gossip({SwimStatus::kFaulty, site, member.incarnation});
-        }
-      }
-      // 2. Expire relay slots whose acks never came.
-      for (auto it = relays_.begin(); it != relays_.end();) {
-        it = now >= it->second.expiry ? relays_.erase(it) : std::next(it);
-      }
-      // 3. Outstanding probe: escalate to indirect probing at the direct
-      // deadline, suspect at the period deadline.
-      if (probe_.active) {
-        if (now >= probe_.period_deadline) {
-          const SiteId target = probe_.target;
-          probe_.active = false;
-          suspect_locally(target, now, out);
-        } else if (now >= probe_.direct_deadline && !probe_.indirect_sent) {
-          probe_.indirect_sent = true;
-          std::vector<SiteId> proxies;
-          for (SiteId site : view_.members()) {
-            if (site == self_ || site == probe_.target) continue;
-            auto it = members_.find(site);
-            if (it != members_.end() && it->second.status == SwimStatus::kAlive) {
-              proxies.push_back(site);
-            }
+  on_wire_ = handle("on_wire", [this](Outbox& out, const FromWire& fw) {
+    const auto now = options().now();
+    std::unique_lock snap(snap_mu_);
+    std::visit(
+        [&](const auto& msg) {
+          using T = std::decay_t<decltype(msg)>;
+          // Piggybacked updates apply whatever the carrier message is —
+          // dissemination is independent of the probe state machine.
+          if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
+                        std::is_same_v<T, SwimPingReq>) {
+            for (const auto& u : msg.updates) apply_update(u, now, out);
           }
-          // Partial Fisher-Yates: the first k entries become the proxy set.
-          const std::size_t k = std::min(kIndirectProbes, proxies.size());
-          for (std::size_t i = 0; i < k; ++i) {
-            const std::size_t j = i + static_cast<std::size_t>(
-                                          rng_.next_below(proxies.size() - i));
-            std::swap(proxies[i], proxies[j]);
-            out.trigger(events_.transport_send,
+          if constexpr (std::is_same_v<T, SwimPing>) {
+            out.trigger(events().transport_send,
                         Message::of(TransportSend{
-                            proxies[i],
-                            Wire{SwimPingReq{probe_.seq, probe_.target,
-                                             make_updates(proxies[i])}}}));
-            ping_reqs_sent_.add();
+                            fw.from, Wire{SwimAck{msg.seq, self_, make_updates(fw.from)}}}));
+            acks_sent_.add();
+          } else if constexpr (std::is_same_v<T, SwimPingReq>) {
+            // Probe the target on the origin's behalf under our own seq;
+            // the relay slot routes the eventual ack back.
+            const std::uint64_t relay_seq = next_seq_++;
+            relays_[relay_seq] =
+                Relay{fw.from, msg.seq, msg.target, now + options().swim_probe_interval};
+            out.trigger(events().transport_send,
+                        Message::of(TransportSend{
+                            msg.target, Wire{SwimPing{relay_seq, make_updates(msg.target)}}}));
+            probes_sent_.add();
+          } else if constexpr (std::is_same_v<T, SwimAck>) {
+            if (probe_.active && msg.seq == probe_.seq && msg.on_behalf_of == probe_.target) {
+              probe_.active = false;  // target vouched for, period satisfied
+            } else if (auto it = relays_.find(msg.seq); it != relays_.end()) {
+              const Relay r = it->second;
+              relays_.erase(it);
+              out.trigger(events().transport_send,
+                          Message::of(TransportSend{
+                              r.origin, Wire{SwimAck{r.origin_seq, msg.on_behalf_of,
+                                                     make_updates(r.origin)}}}));
+              acks_relayed_.add();
+            }
+          }
+        },
+        fw.wire);
+  });
+
+  tick_ = handle("probe_tick", [this](Outbox& out) {
+    const auto now = options().now();
+    std::unique_lock snap(snap_mu_);
+
+    // 1. Un-refuted suspicions harden into confirmed faulty. The site
+    // stays a member (and stays probed) until the view-change machinery
+    // evicts it — which is also what lets a partitioned-but-live peer
+    // resurrect itself with a higher incarnation after the link heals.
+    for (auto& [site, member] : members_) {
+      if (member.status == SwimStatus::kSuspect && now >= member.suspect_expiry) {
+        member.status = SwimStatus::kFaulty;
+        confirmations_.add();
+        enqueue_gossip({SwimStatus::kFaulty, site, member.incarnation});
+      }
+    }
+    // 2. Expire relay slots whose acks never came.
+    for (auto it = relays_.begin(); it != relays_.end();) {
+      it = now >= it->second.expiry ? relays_.erase(it) : std::next(it);
+    }
+    // 3. Outstanding probe: escalate to indirect probing at the direct
+    // deadline, suspect at the period deadline.
+    if (probe_.active) {
+      if (now >= probe_.period_deadline) {
+        const SiteId target = probe_.target;
+        probe_.active = false;
+        suspect_locally(target, now, out);
+      } else if (now >= probe_.direct_deadline && !probe_.indirect_sent) {
+        probe_.indirect_sent = true;
+        std::vector<SiteId> proxies;
+        for (SiteId site : view_.members()) {
+          if (site == self_ || site == probe_.target) continue;
+          auto it = members_.find(site);
+          if (it != members_.end() && it->second.status == SwimStatus::kAlive) {
+            proxies.push_back(site);
           }
         }
-      }
-      // 4. Start the next protocol period.
-      if (now >= next_period_) {
-        next_period_ = now + options().swim_probe_interval;
-        periods_.add();
-        if (auto target = next_probe_target()) {
-          probe_ = Outstanding{*target, next_seq_++, now + options().swim_ack_timeout,
-                               next_period_, false, true};
-          out.trigger(events_.transport_send,
+        // Partial Fisher-Yates: the first k entries become the proxy set.
+        const std::size_t k = std::min(kIndirectProbes, proxies.size());
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::size_t j =
+              i + static_cast<std::size_t>(rng_.next_below(proxies.size() - i));
+          std::swap(proxies[i], proxies[j]);
+          out.trigger(events().transport_send,
                       Message::of(TransportSend{
-                          *target, Wire{SwimPing{probe_.seq, make_updates(*target)}}}));
-          probes_sent_.add();
+                          proxies[i], Wire{SwimPingReq{probe_.seq, probe_.target,
+                                                       make_updates(proxies[i])}}}));
+          ping_reqs_sent_.add();
         }
       }
     }
-    out.flush(ctx);
+    // 4. Start the next protocol period.
+    if (now >= next_period_) {
+      next_period_ = now + options().swim_probe_interval;
+      periods_.add();
+      if (auto target = next_probe_target()) {
+        probe_ = Outstanding{*target, next_seq_++, now + options().swim_ack_timeout,
+                             next_period_, false, true};
+        out.trigger(events().transport_send,
+                    Message::of(TransportSend{
+                        *target, Wire{SwimPing{probe_.seq, make_updates(*target)}}}));
+        probes_sent_.add();
+      }
+    }
   });
 
-  view_change_ = &register_handler("viewChange", [this](Context&, const Message& m) {
-    auto lock = guard();
-    const View next = m.as<View>();
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) {
     std::unique_lock snap(snap_mu_);
     view_ = next;
     for (auto it = members_.begin(); it != members_.end();) {
@@ -216,7 +199,7 @@ void SwimDetector::apply_update(const SwimUpdate& u, Clock::time_point now, Outb
         changed = true;
         if (newly) {
           suspicions_.add();
-          out.trigger_all(events_.suspect, Message::of(u.site));
+          out.trigger_all(events().suspect, Message::of(u.site));
         }
       }
       break;
@@ -228,7 +211,7 @@ void SwimDetector::apply_update(const SwimUpdate& u, Clock::time_point now, Outb
         changed = true;
         if (newly) {
           suspicions_.add();
-          out.trigger_all(events_.suspect, Message::of(u.site));
+          out.trigger_all(events().suspect, Message::of(u.site));
         }
       }
       break;
@@ -280,7 +263,7 @@ void SwimDetector::suspect_locally(SiteId site, Clock::time_point now, Outbox& o
   it->second.suspect_expiry = suspect_deadline(now);
   suspicions_.add();
   enqueue_gossip({SwimStatus::kSuspect, site, it->second.incarnation});
-  out.trigger_all(events_.suspect, Message::of(site));
+  out.trigger_all(events().suspect, Message::of(site));
 }
 
 std::optional<SiteId> SwimDetector::next_probe_target() {

@@ -119,7 +119,6 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   std::uint32_t gossip_budget() const;
   Clock::time_point suspect_deadline(Clock::time_point now) const;
 
-  const GcEvents& events_;
   SiteId self_;
   View view_;
   std::uint64_t self_incarnation_ = 0;

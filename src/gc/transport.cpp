@@ -1,13 +1,11 @@
-#include "core/context.hpp"
 #include "gc/transport.hpp"
 
 namespace samoa::gc {
 
-Transport::Transport(const GcOptions& opts, const GcEvents&, net::SimNetwork& net, SiteId self)
-    : GcMicroprotocol("transport", opts), net_(net), self_(self) {
-  send_ = &register_handler("send", [this](Context&, const Message& m) {
-    auto lock = guard();
-    const auto& req = m.as<TransportSend>();
+Transport::Transport(const GcOptions& opts, const GcEvents& gc_events, net::SimNetwork& net,
+                     SiteId self)
+    : GcMicroprotocol("transport", opts, gc_events), net_(net), self_(self) {
+  send_ = handle("send", [this](Outbox&, const TransportSend& req) {
     sent_.add();
     if (!std::holds_alternative<FdHeartbeat>(req.wire)) {
       std::unique_lock mirror(last_sent_mu_);

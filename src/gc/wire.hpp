@@ -66,10 +66,10 @@ struct RcAck {
 
 // --- Failure detector (heartbeat) ---
 /// Sent only to a peer that got no other packet from us since the
-/// previous heartbeat tick: any packet proves its sender alive.
-struct FdHeartbeat {
-  std::uint64_t epoch = 0;
-};
+/// previous heartbeat tick: any packet proves its sender alive. It has no
+/// body: its arrival, and the header every packet carries, are all it
+/// tells.
+struct FdHeartbeat {};
 
 // --- Failure detector (SWIM) ---
 /// Member status as disseminated by the SWIM detector. Ordering rules

@@ -23,7 +23,7 @@ void fields(IO& io, M& m) {
   } else if constexpr (std::is_same_v<T, RcAck>) {
     io(m.seq);
   } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-    io(m.epoch);
+    io();  // no body
   } else if constexpr (std::is_same_v<T, CsPrepare> || std::is_same_v<T, CsAccepted>) {
     io(m.instance, m.round);
   } else if constexpr (std::is_same_v<T, CsPromise>) {

@@ -34,43 +34,7 @@ SimNetwork::~SimNetwork() {
 SiteId SimNetwork::add_site(DeliveryFn deliver) {
   std::unique_lock lock(mu_);
   sites_.push_back(std::move(deliver));
-  lanes_.emplace_back();
   return SiteId(static_cast<SiteId::value_type>(sites_.size() - 1));
-}
-
-bool SimNetwork::push_packet(InFlight item) {
-  Lane& lane = lanes_[item.packet.to.value()];
-  const bool new_lane_head =
-      lane.q.empty() || std::tie(item.deliver_at, item.seq) <
-                            std::tie(lane.q.top().deliver_at, lane.q.top().seq);
-  const HeadRef ref{item.deliver_at, item.seq, item.packet.to.value()};
-  lane.q.push(std::move(item));
-  ++in_flight_count_;
-  if (!new_lane_head) return false;  // lane head unchanged: its claim stands
-  // Prune before comparing: a stale top claim (for an already-delivered
-  // packet) sorts below every live one and would mask a genuinely new
-  // global earliest — a missed reschedule of the clock.
-  prune_heads();
-  const bool new_global_head = heads_.empty() || heads_.top() > ref;
-  heads_.push(ref);
-  return new_global_head;
-}
-
-void SimNetwork::prune_heads() {
-  while (!heads_.empty()) {
-    const HeadRef& top = heads_.top();
-    const Lane& lane = lanes_[top.dest];
-    if (!lane.q.empty() && lane.q.top().deliver_at == top.deliver_at &&
-        lane.q.top().seq == top.seq) {
-      return;
-    }
-    heads_.pop();
-  }
-}
-
-Clock::time_point SimNetwork::earliest_deadline() {
-  prune_heads();
-  return heads_.empty() ? Clock::time_point::max() : heads_.top().deliver_at;
 }
 
 void SimNetwork::set_delivery_hook(DeliveryHook* hook) {
@@ -117,7 +81,7 @@ void SimNetwork::send(SiteId from, SiteId to, std::vector<std::uint8_t> payload)
                        partitioned_.contains(pack_pair(from, to));
   // A site's link to itself is local, as loopback is on any host: zero
   // latency, no loss and no RNG draw, whatever the defaults say (set_link
-  // refuses to override it). The packet still goes through the lanes, so
+  // refuses to override it). The packet still goes through the queue, so
   // a DeliveryHook orders it like any other.
   bool chance_drop = false;
   std::chrono::microseconds latency{0};
@@ -140,13 +104,13 @@ void SimNetwork::send(SiteId from, SiteId to, std::vector<std::uint8_t> payload)
     stats_.dropped.add();
     return;
   }
-  const bool new_earliest = push_packet(
-      InFlight{clock_.now() + latency, next_seq_++, Packet{from, to, std::move(payload)}});
-  // The clock only needs to re-read the head when the global earliest
-  // changed; a packet queued behind others cannot make its deadline
+  const std::uint64_t seq = next_seq_++;
+  queue_.push(InFlight{clock_.now() + latency, seq, Packet{from, to, std::move(payload)}});
+  // The clock only needs to re-read the head when this packet became the
+  // earliest; a packet queued behind others cannot make its deadline
   // overshoot, and skipping the call keeps broadcast storms from costing
   // the clock O(packets) head reads.
-  if (!new_earliest) return;
+  if (queue_.top().seq != seq) return;
   lock.unlock();
   // With mu_ released: the clock reads next_deadline() under its own mutex.
   registration_->reschedule();
@@ -222,22 +186,18 @@ void SimNetwork::drain() {
   // before it returns; `delivering_` stays set for its whole execution, so
   // waiting on it closes the window in which the queue looks empty while
   // deliveries are still producing work.
-  cv_.wait(lock, [this] { return in_flight_count_ == 0 && !delivering_.valid(); });
+  cv_.wait(lock, [this] { return queue_.empty() && !delivering_.valid(); });
 }
 
-void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix) {
-  Lane& lane = lanes_[lane_ix];
-  // Move the head out before popping: pop() compares only deliver_at and
+SimNetwork::InFlight SimNetwork::pop_earliest() {
+  // Move the top out before popping: pop() compares only deliver_at and
   // seq, which the move leaves intact.
-  InFlight item = std::move(const_cast<InFlight&>(lane.q.top()));
-  lane.q.pop();
-  --in_flight_count_;
-  // Re-claim the lane's next head so the merge invariant (every non-empty
-  // lane's head has a live claim) is restored; any claim for the popped
-  // head goes stale and is discarded lazily by prune_heads().
-  if (!lane.q.empty()) {
-    heads_.push(HeadRef{lane.q.top().deliver_at, lane.q.top().seq, lane_ix});
-  }
+  InFlight item = std::move(const_cast<InFlight&>(queue_.top()));
+  queue_.pop();
+  return item;
+}
+
+void SimNetwork::deliver_popped(std::unique_lock<std::mutex>& lock, InFlight item) {
   // Late crash check: packets in flight to a site that crashed meanwhile
   // are lost (the site is gone).
   const bool lost =
@@ -265,7 +225,7 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
   }
   if (lost) {
     stats_.dropped.add();
-    if (in_flight_count_ == 0) cv_.notify_all();
+    if (queue_.empty()) cv_.notify_all();
     return;
   }
   DeliveryFn deliver = sites_[item.packet.to.value()];
@@ -279,56 +239,45 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
 }
 
 void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now) {
-  // Every due lane head is a candidate (one per lane: the per-destination
-  // FIFO within a lane is not a choice).
-  struct Candidate {
-    Clock::time_point at;
-    std::uint64_t seq;
-    std::size_t lane;
-  };
-  std::vector<Candidate> cands;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (!lanes_[i].q.empty() && lanes_[i].q.top().deliver_at <= now) {
-      cands.push_back(Candidate{lanes_[i].q.top().deliver_at, lanes_[i].q.top().seq, i});
+  // Pop every due packet in (deliver_at, seq) order. Each destination's
+  // first is a candidate, so the keys come in the candidates' natural
+  // order and index 0 is exactly the default choice: a hook that always
+  // picks 0 reproduces the unexplored delivery order, and shrinking a
+  // trace toward all-zeros shrinks toward the natural schedule.
+  std::vector<InFlight> due;
+  std::vector<std::size_t> firsts;  // index into `due` of each key's packet
+  std::vector<std::uint64_t> keys;
+  while (!queue_.empty() && queue_.top().deliver_at <= now) {
+    due.push_back(pop_earliest());
+    const std::uint64_t dest = due.back().packet.to.value();
+    if (std::find(keys.begin(), keys.end(), dest) == keys.end()) {
+      keys.push_back(dest);
+      firsts.push_back(due.size() - 1);
     }
   }
-  // The caller established that something is due, so cands is non-empty.
-  std::size_t pick = 0;
-  if (cands.size() >= 2) {
-    // Present candidates in natural (deliver_at, seq) order: index 0 is
-    // exactly the default merge choice, so a hook that always picks 0
-    // reproduces the unexplored delivery order, and shrinking a trace
-    // toward all-zeros shrinks toward the natural schedule.
-    std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
-      return std::tie(a.at, a.seq) < std::tie(b.at, b.seq);
-    });
-    std::vector<std::uint64_t> keys;
-    keys.reserve(cands.size());
-    for (const Candidate& c : cands) keys.push_back(c.lane);
-    pick = std::min(hook_->choose(keys), cands.size() - 1);
+  // The caller established that something is due, so keys is non-empty.
+  const std::size_t pick =
+      firsts[keys.size() >= 2 ? std::min(hook_->choose(keys), keys.size() - 1) : 0];
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    if (i != pick) queue_.push(std::move(due[i]));
   }
-  deliver_from_lane(lock, cands[pick].lane);
+  deliver_popped(lock, std::move(due[pick]));
 }
 
 Clock::time_point SimNetwork::next_deadline() {
   std::unique_lock lock(mu_);
-  return earliest_deadline();
+  return queue_.empty() ? Clock::time_point::max() : queue_.top().deliver_at;
 }
 
 void SimNetwork::fire(Clock::time_point now) {
   std::unique_lock lock(mu_);
-  if (earliest_deadline() > now) return;  // nothing due
+  if (queue_.empty() || queue_.top().deliver_at > now) return;  // nothing due
   if (hook_ != nullptr) {
-    // Exploration: the hook picks among every due lane head.
+    // Exploration: the hook picks among the due packets' destinations.
     step_explored(lock, now);
     return;
   }
-  // Default order: the strict (deliver_at, seq) merge of lane heads.
-  // earliest_deadline() pruned, so the top claim matches its lane's head:
-  // pop the claim and deliver from that lane.
-  const HeadRef head = heads_.top();
-  heads_.pop();
-  deliver_from_lane(lock, head.dest);
+  deliver_popped(lock, pop_earliest());
 }
 
 }  // namespace samoa::net

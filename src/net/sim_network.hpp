@@ -61,21 +61,23 @@ struct LinkOptions {
 };
 
 /// Decision seam over packet delivery, for schedule exploration. When a
-/// hook is installed, every delivery step where more than one lane head is
-/// due becomes a decision point: choose() picks which packet is delivered
-/// next instead of the default (deliver_at, seq) merge order. A candidate's
-/// key is its destination site id, stable across runs of a deterministic
-/// simulation, which is what makes the decisions recordable and
-/// replayable. Keys are presented in each candidate's natural
-/// (deliver_at, seq) order, so index 0 is exactly the default merge
+/// hook is installed, every delivery step where packets to more than one
+/// destination are due becomes a decision point: the candidates are each
+/// destination's earliest due packet, and choose() picks which of them is
+/// delivered next instead of the default (deliver_at, seq) order. A
+/// candidate's key is its destination site id, stable across runs of a
+/// deterministic simulation, which is what makes the decisions
+/// recordable and replayable. Keys are presented in each candidate's
+/// natural (deliver_at, seq) order, so index 0 is exactly the default
 /// choice: a hook that always picks 0 reproduces the unexplored delivery
 /// order, and shrinking a trace toward all-zeros shrinks toward the
-/// natural schedule. choose() runs with the network mutex held: it must
-/// not block or re-enter the network.
+/// natural schedule. Packets to one destination keep their order: that is
+/// not a choice. choose() runs with the network mutex held: it must not
+/// block or re-enter the network.
 ///
-/// Without a hook (the default), delivery order is byte-identical to the
-/// plain merge of the per-destination lanes: exploration is a strict
-/// opt-in, never a behavioural change for seeded production runs.
+/// Without a hook (the default), delivery follows (deliver_at, seq)
+/// exactly: exploration is a strict opt-in, never a behavioural change
+/// for seeded production runs.
 class DeliveryHook {
  public:
   virtual ~DeliveryHook() = default;
@@ -184,43 +186,23 @@ class SimNetwork : private time::EventSource {
       return std::tie(deliver_at, seq) > std::tie(o.deliver_at, o.seq);
     }
   };
-  // The in-flight set is sharded into per-destination lanes, merged
-  // through a small heap of lane heads (see the field comments below).
-  struct Lane {
-    std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> q;
-  };
-  /// A (possibly stale) claim that lane `dest`'s head is packet
-  /// (deliver_at, seq). Stale claims are discarded lazily on inspection.
-  struct HeadRef {
-    Clock::time_point deliver_at;
-    std::uint64_t seq;
-    std::size_t dest;
-    bool operator>(const HeadRef& o) const {
-      return std::tie(deliver_at, seq) > std::tie(o.deliver_at, o.seq);
-    }
-  };
 
   // time::EventSource: the earliest packet, and delivering it.
   Clock::time_point next_deadline() override;
   void fire(Clock::time_point now) override;
 
   const LinkOptions& link_for(SiteId from, SiteId to) const;
-  /// One delivery step under an installed DeliveryHook: gather every lane
-  /// head due at `now`, let the hook choose when there are >= 2, deliver
-  /// the chosen one. Caller holds mu_ and has established that at least one
-  /// packet is due.
+  /// One delivery step under an installed DeliveryHook: pop every packet
+  /// due at `now`, let the hook choose among each destination's first
+  /// when there are >= 2, push the others back and deliver the chosen
+  /// one. Caller holds mu_ and has established that a packet is due.
   void step_explored(std::unique_lock<std::mutex>& lock, Clock::time_point now);
-  /// Pop lane `lane_ix`'s head and run the delivery protocol (late-crash
-  /// check, callback with mu_ released, stats, claim for the next head).
-  void deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix);
+  /// Move the earliest packet out of the queue. Caller holds mu_.
+  InFlight pop_earliest();
+  /// Run the delivery protocol for a packet popped from the queue
+  /// (late-crash check, callback with mu_ released, stats).
+  void deliver_popped(std::unique_lock<std::mutex>& lock, InFlight item);
   void note_event(std::string_view line);
-  /// Enqueue into the destination lane; returns true iff the packet became
-  /// the new global earliest (the clock must re-read the head).
-  bool push_packet(InFlight item);
-  /// Drop stale HeadRefs until the top claim matches its lane's real head.
-  void prune_heads();
-  /// Pruned earliest deadline across all lanes (max() when empty).
-  Clock::time_point earliest_deadline();
 
   time::ClockSource& clock_;
   LinkOptions defaults_;
@@ -231,23 +213,13 @@ class SimNetwork : private time::EventSource {
   std::unordered_set<std::uint64_t> partitioned_;  // packed (a,b) pairs
   std::unordered_map<std::uint64_t, LinkOptions> links_;
   std::unordered_set<SiteId> crashed_;
-  // Sharded in-flight set. One priority queue per destination keeps each
-  // push O(log lane) instead of O(log total), and — since a site's traffic
-  // is mostly FIFO (same link latency, later send time) — most pushes touch
-  // only their lane: a HeadRef enters the merge heap only when a packet
-  // becomes its lane's new head. heads_ may hold stale or duplicate claims
-  // (bounded: at most one per head change); readers lazily discard any
-  // claim that no longer matches its lane's top. Global delivery order is
-  // still exactly (deliver_at, seq) — the merge of per-lane minima — so
-  // seeded replays are byte-identical to the unsharded queue's.
-  std::vector<Lane> lanes_;  // indexed by destination site
-  std::priority_queue<HeadRef, std::vector<HeadRef>, std::greater<>> heads_;
+  // Every packet in flight, earliest (deliver_at, seq) on top.
+  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> queue_;
   DeliveryHook* hook_ = nullptr;
   bool log_events_ = false;
   bool log_store_ = false;
   std::vector<std::string> event_log_;
   std::uint64_t event_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
-  std::size_t in_flight_count_ = 0;
   SiteId delivering_;  // site whose callback is currently running
   std::uint64_t next_seq_ = 0;
   Stats stats_;

@@ -8,47 +8,22 @@ TimerService::TimerService(time::ClockSource* clock)
 
 TimerService::~TimerService() { registration_->close(); }
 
-TimerId TimerService::schedule(std::chrono::microseconds delay, std::function<void()> fn) {
-  TimerId id;
+void TimerService::schedule(std::chrono::microseconds delay, std::function<void()> fn) {
   {
     std::unique_lock lock(mu_);
-    id = next_id_++;
-    queue_.emplace(clock_.now() + delay, Entry{id, std::chrono::microseconds{0}, std::move(fn)});
+    queue_.emplace(clock_.now() + delay, Entry{std::chrono::microseconds{0}, std::move(fn)});
   }
   // With mu_ released: the clock reads next_deadline() under its own mutex.
   registration_->reschedule();
-  return id;
 }
 
-TimerId TimerService::schedule_periodic(std::chrono::microseconds interval,
-                                        std::function<void()> fn) {
-  TimerId id;
+void TimerService::schedule_periodic(std::chrono::microseconds interval,
+                                     std::function<void()> fn) {
   {
     std::unique_lock lock(mu_);
-    id = next_id_++;
-    queue_.emplace(clock_.now() + interval, Entry{id, interval, std::move(fn)});
+    queue_.emplace(clock_.now() + interval, Entry{interval, std::move(fn)});
   }
   registration_->reschedule();
-  return id;
-}
-
-bool TimerService::cancel(TimerId id) {
-  std::unique_lock lock(mu_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->second.id == id) {
-      queue_.erase(it);
-      return true;
-    }
-  }
-  // Not queued — it may be mid-callback. A periodic timer would otherwise
-  // re-arm after the callback returns, losing the cancellation; flag it so
-  // fire() suppresses the re-arm. A one-shot mid-callback keeps the
-  // "already fired" contract and reports false.
-  if (id != 0 && id == running_id_ && running_interval_.count() > 0) {
-    running_cancelled_ = true;
-    return true;
-  }
-  return false;
 }
 
 void TimerService::cancel_all() {
@@ -69,8 +44,6 @@ void TimerService::fire(Clock::time_point now) {
   if (queue_.empty() || queue_.begin()->first > now) return;
   Entry entry = std::move(queue_.begin()->second);
   queue_.erase(queue_.begin());
-  running_id_ = entry.id;
-  running_interval_ = entry.interval;
   running_cancelled_ = false;
   lock.unlock();
   // Count before invoking: a callback that signals completion must not
@@ -81,7 +54,6 @@ void TimerService::fire(Clock::time_point now) {
   if (entry.interval.count() > 0 && !running_cancelled_) {
     queue_.emplace(clock_.now() + entry.interval, std::move(entry));
   }
-  running_id_ = 0;
 }
 
 }  // namespace samoa::net

@@ -4,7 +4,8 @@
 // (Section 2). The TimerService is a deadline-ordered queue and one event
 // source of its clock; expired callbacks fire on the clock's thread and
 // typically spawn an isolated computation on the owning site's runtime.
-// Supports one-shot and periodic timers with cancellation.
+// Supports one-shot and periodic timers; cancel_all() stops them all, the
+// way a site's crash or shutdown does.
 //
 // All deadlines flow through an injected time::ClockSource. Under the
 // default WallClock a thread of the clock sleeps until each deadline;
@@ -25,8 +26,6 @@
 
 namespace samoa::net {
 
-using TimerId = std::uint64_t;
-
 class TimerService : private time::EventSource {
  public:
   explicit TimerService(time::ClockSource* clock = nullptr);
@@ -37,18 +36,14 @@ class TimerService : private time::EventSource {
   TimerService& operator=(const TimerService&) = delete;
 
   /// Fire `fn` once after `delay`.
-  TimerId schedule(std::chrono::microseconds delay, std::function<void()> fn);
+  void schedule(std::chrono::microseconds delay, std::function<void()> fn);
 
-  /// Fire `fn` every `interval` until cancelled.
-  TimerId schedule_periodic(std::chrono::microseconds interval, std::function<void()> fn);
-
-  /// Cancel a timer; returns false if it already fired (one-shot) or was
-  /// unknown. A periodic timer stops firing after cancel — including when
-  /// the cancel lands while its callback is executing.
-  bool cancel(TimerId id);
+  /// Fire `fn` every `interval` until cancel_all().
+  void schedule_periodic(std::chrono::microseconds interval, std::function<void()> fn);
 
   /// Cancel everything (used at site shutdown / crash). A periodic timer
-  /// mid-callback does not re-arm.
+  /// mid-callback does not re-arm, including when its own callback calls
+  /// cancel_all().
   void cancel_all();
 
   std::uint64_t fired_count() const { return fired_.value(); }
@@ -57,7 +52,6 @@ class TimerService : private time::EventSource {
 
  private:
   struct Entry {
-    TimerId id;
     std::chrono::microseconds interval{0};  // zero: one-shot
     std::function<void()> fn;
   };
@@ -69,12 +63,8 @@ class TimerService : private time::EventSource {
   time::ClockSource& clock_;
   std::mutex mu_;
   std::multimap<Clock::time_point, Entry> queue_;
-  TimerId next_id_ = 1;
-  // In-flight dispatch state: the entry currently executing unlocked is no
-  // longer in queue_, so cancel() consults these to stop a periodic timer
-  // from re-arming.
-  TimerId running_id_ = 0;
-  std::chrono::microseconds running_interval_{0};
+  // The entry executing unlocked is no longer in queue_: cancel_all() sets
+  // this so that a periodic one does not re-arm.
   bool running_cancelled_ = false;
   Counter fired_;
   std::unique_ptr<time::Registration> registration_;  // last: reads all of the above

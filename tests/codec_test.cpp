@@ -76,7 +76,7 @@ TEST(WireCodec, HeaderFrontierRoundTrip) {
   // Every packet carries its sender's frontier, whatever its body.
   for (const std::uint64_t frontier : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{300},
                                        std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
-    for (const Wire& wire : {Wire{RcAck{7}}, Wire{FdHeartbeat{3}}, Wire{CsDecide{9, {}}}}) {
+    for (const Wire& wire : {Wire{RcAck{7}}, Wire{FdHeartbeat{}}, Wire{CsDecide{9, {}}}}) {
       const auto fw = decode_wire(encode_wire(SiteId{6}, frontier, wire));
       EXPECT_EQ(fw.from, SiteId{6});
       EXPECT_EQ(fw.frontier, frontier);
@@ -109,10 +109,8 @@ TEST(WireCodec, RcAckRoundTrip) {
 }
 
 TEST(WireCodec, HeartbeatRoundTrip) {
-  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{123},
-                                [](const FdHeartbeat& a, const FdHeartbeat& b) {
-                                  return a.epoch == b.epoch;
-                                });
+  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{},
+                                [](const FdHeartbeat&, const FdHeartbeat&) { return true; });
 }
 
 TEST(WireCodec, ConsensusMessagesRoundTrip) {
@@ -247,7 +245,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
         wire = RcAck{rng.next()};
         break;
       case 2:
-        wire = FdHeartbeat{rng.next()};
+        wire = FdHeartbeat{};
         break;
       case 3: {
         ConsensusValue v;

@@ -750,6 +750,7 @@ void expect_lost_last_slot_learnt(DetectorImpl detector) {
     });
     c.script.schedule(12000us, [&] { c[owner->value()].crash(); });
     c.script.schedule_periodic(1000us, [&] {
+      if (!owner) return;  // "last" is not sent yet
       for (auto& n : c.nodes) {
         if (n->id() != *owner && !has_last(*n)) return;
       }
@@ -1059,6 +1060,45 @@ TEST(MalformedDatagram, IsDroppedAndCounted) {
     EXPECT_EQ(payloads(n->sink().adelivered()), std::vector<std::string>{"after"})
         << "site " << n->id().value();
   }
+}
+
+// Each failure detector's packets reach only a node built with it. The raw
+// peer sends site 0 every packet kind of the detector site 0 was not
+// built with; site 0 drops each like a lost packet and counts it, no
+// computation fails, and a later abcast still reaches every site.
+void expect_other_detectors_packets_dropped(DetectorImpl built, const std::vector<Wire>& sent) {
+  GcOptions opts;
+  opts.detector_impl = built;
+  opts.fd_timeout = 1000000us;  // the raw peer sends no heartbeats back
+  VirtualCluster c(3, opts);
+  std::atomic<int> beats{0};
+  const SiteId peer = add_raw_peer(c, beats);
+  c.run([&] {
+    for (std::size_t k = 0; k < sent.size(); ++k) {
+      c.script.schedule(std::chrono::microseconds(1000 * (k + 1)),
+                        [&, k] { send_raw(c, peer, c[0], sent[k]); });
+    }
+    c.script.schedule(5000us, [&] { c[1].abcast("after"); });
+    c.script.schedule(30000us, [&] { c.shut_down(); });
+  });
+
+  EXPECT_EQ(c[0].malformed_packets(), sent.size());
+  EXPECT_EQ(c[1].malformed_packets(), 0u);
+  EXPECT_EQ(c.failed_computations(), 0u);
+  for (auto& n : c.nodes) {
+    EXPECT_EQ(payloads(n->sink().adelivered()), std::vector<std::string>{"after"})
+        << "site " << n->id().value();
+  }
+}
+
+TEST(MalformedDatagram, SwimPacketsAtAHeartbeatNodeAreDroppedAndCounted) {
+  expect_other_detectors_packets_dropped(DetectorImpl::kHeartbeat,
+                                         {Wire{SwimPing{1, {}}}, Wire{SwimAck{1, SiteId{1}, {}}},
+                                          Wire{SwimPingReq{1, SiteId{1}, {}}}});
+}
+
+TEST(MalformedDatagram, HeartbeatAtASwimNodeIsDroppedAndCounted) {
+  expect_other_detectors_packets_dropped(DetectorImpl::kSwim, {Wire{FdHeartbeat{}}});
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Component-level tests of the group-communication microprotocols on
 // small clusters: RelComm dedup/acks/retransmit give-up, RelCast
 // rebroadcast semantics (plain traffic is relayed, atomic is not), ABcast
-// batching, consensus under coordinator crash, and Outbox ordering.
+// batching, consensus under coordinator crash, Outbox ordering, and the
+// rule GcMicroprotocol runs every handler body under.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "gc/group_node.hpp"
@@ -273,6 +276,80 @@ TEST(Outbox, FlushesInQueueingOrder) {
       out.flush(ctx);  // second flush is a no-op (entries cleared)
     }).wait();
   EXPECT_EQ(log, (std::vector<std::string>{"b:1", "a:2", "b:3"}));
+}
+
+/// Two handlers under GcMicroprotocol's rule: `outer` queues a trigger of
+/// `inner` and then throws if its payload says so.
+class RuleProbe : public GcMicroprotocol {
+ public:
+  RuleProbe(const GcOptions& opts, const GcEvents& events)
+      : GcMicroprotocol("probe", opts, events) {
+    outer = handle("outer", [this](Outbox& out, const bool& fail) {
+      out.trigger(inner_event, Message::of(false));
+      if (fail) throw std::runtime_error("outer body failed after queueing");
+    });
+    inner = handle("inner", [this](Outbox&, const bool&) { inner_calls.fetch_add(1); });
+  }
+
+  EventType outer_event{"Outer"};
+  EventType inner_event{"Inner"};
+  const Handler* outer = nullptr;
+  const Handler* inner = nullptr;
+  std::atomic<int> inner_calls{0};
+};
+
+/// A RuleProbe under manual locks on a wall-clock runtime. Each run()
+/// spawns one computation on `outer` and waits for it. If one is stuck on
+/// the guard, the rig leaks its runtime and stack: destroying the runtime
+/// would wait for that computation forever.
+struct RuleRig {
+  RuleRig() {
+    opts.manual_locks = true;
+    stack = std::make_unique<Stack>();
+    probe = &stack->emplace<RuleProbe>(opts, events);
+    stack->bind(probe->outer_event, *probe->outer);
+    stack->bind(probe->inner_event, *probe->inner);
+    runtime = std::make_unique<Runtime>(*stack, RuntimeOptions{.policy = CCPolicy::kUnsync});
+  }
+  ~RuleRig() {
+    if (stuck) {
+      (void)runtime.release();
+      (void)stack.release();
+    }
+  }
+
+  /// False if the computation did not complete; rethrows its error.
+  bool run(bool fail) {
+    const ComputationHandle h =
+        runtime->spawn_isolated(Isolation::basic({probe}), [this, fail](Context& ctx) {
+          ctx.trigger(probe->outer_event, Message::of(fail));
+        });
+    stuck = !h.wait_for(std::chrono::milliseconds(10000));
+    return !stuck;
+  }
+
+  GcOptions opts;
+  GcEvents events;
+  std::unique_ptr<Stack> stack;
+  RuleProbe* probe = nullptr;
+  std::unique_ptr<Runtime> runtime;
+  bool stuck = false;
+};
+
+TEST(GcMicroprotocolRule, FlushRunsAfterTheGuardIsReleased) {
+  // `inner` takes the same guard as `outer`: had outer's trigger been
+  // flushed while outer held it, inner would wait for it forever.
+  RuleRig rig;
+  ASSERT_TRUE(rig.run(false)) << "the flush ran under the guard";
+  EXPECT_EQ(rig.probe->inner_calls.load(), 1);
+}
+
+TEST(GcMicroprotocolRule, ThrowingBodyFlushesNothingAndReleasesTheGuard) {
+  RuleRig rig;
+  EXPECT_THROW(rig.run(true), std::runtime_error);
+  EXPECT_EQ(rig.probe->inner_calls.load(), 0) << "a failed body's queued trigger was flushed";
+  ASSERT_TRUE(rig.run(false)) << "the failed body left the guard held";
+  EXPECT_EQ(rig.probe->inner_calls.load(), 1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the network substrate: SimNetwork (latency, loss,
 // partitions, crashes, detach, the local self-link, the exploration
-// DeliveryHook's key stability) and TimerService.
+// DeliveryHook's candidates and key stability) and TimerService.
 //
 // Most cases run on a time::VirtualClock: the clock's loop fires deadlines
 // in virtual time, so the tests are deterministic and burn zero wall-clock
@@ -317,6 +317,58 @@ TEST(SimNetwork, SelfLinkIsLocal) {
   EXPECT_EQ(peer_deliveries(true), without);
 }
 
+/// Picks one fixed index at every decision and records each decision's
+/// keys.
+class FixedPickHook : public DeliveryHook {
+ public:
+  explicit FixedPickHook(std::size_t pick) : pick_(pick) {}
+  std::size_t choose(const std::vector<std::uint64_t>& keys) override {
+    seen.push_back(keys);
+    return pick_;
+  }
+  std::vector<std::vector<std::uint64_t>> seen;
+
+ private:
+  std::size_t pick_;
+};
+
+TEST(SimNetwork, HookChoosesAmongEachDestinationsEarliestDuePacket) {
+  // x -> a, y -> a and x -> b fall due at one instant. The candidates are
+  // one per destination, in (deliver_at, seq) order, and a's is its
+  // earlier packet. Packets to one destination keep their order: once
+  // the hook picks b, a's two go out in send order with no decision.
+  const auto run = [](std::size_t pick) {
+    VirtualClock clock;
+    SimNetwork net(LinkOptions{.base_latency = 100us}, 1, &clock);
+    std::vector<std::pair<std::uint64_t, int>> got;  // (destination, payload)
+    const auto record = [&](const Packet& p) {
+      got.emplace_back(p.to.value(), datagram_value(p.payload));
+    };
+    const SiteId x = net.add_site(record);
+    const SiteId y = net.add_site(record);
+    net.add_site(record);  // a, site 2
+    net.add_site(record);  // b, site 3
+    FixedPickHook hook(pick);
+    net.set_delivery_hook(&hook);
+    {
+      Pin setup(clock);
+      net.send(x, SiteId(2), datagram(1));
+      net.send(y, SiteId(2), datagram(2));
+      net.send(x, SiteId(3), datagram(3));
+    }
+    net.drain();
+    return std::make_pair(hook.seen, got);
+  };
+  using Keys = std::vector<std::vector<std::uint64_t>>;
+  using Got = std::vector<std::pair<std::uint64_t, int>>;
+  const auto [picked_b_keys, picked_b] = run(1);
+  EXPECT_EQ(picked_b_keys, (Keys{{2, 3}}));
+  EXPECT_EQ(picked_b, (Got{{3, 3}, {2, 1}, {2, 2}}));
+  const auto [picked_a_keys, picked_a] = run(0);
+  EXPECT_EQ(picked_a_keys, (Keys{{2, 3}, {2, 3}}));
+  EXPECT_EQ(picked_a, (Got{{2, 1}, {2, 2}, {3, 3}}));
+}
+
 /// Three sites relay a hop counter around jitter-free links, so each
 /// round's packets to different sites fall due together and the hook
 /// decides their order; `idle_sites` more sites are appended after them.
@@ -402,37 +454,18 @@ TEST(TimerService, FiresInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerService, CancelPreventsFiring) {
-  VirtualClock clock;
-  TimerService timers(&clock);
-  std::atomic<bool> fired{false};
-  OneShotEvent sentinel;
-  TimerId id = 0;
-  {
-    Pin setup(clock);
-    id = timers.schedule(std::chrono::microseconds(50000), [&] { fired.store(true); });
-    EXPECT_TRUE(timers.cancel(id));
-    // Sentinel strictly after the cancelled deadline: when it fires, the
-    // cancelled timer's slot has definitively passed.
-    timers.schedule(std::chrono::microseconds(100000), [&] { sentinel.set(); });
-  }
-  EXPECT_TRUE(sentinel.wait_for(std::chrono::milliseconds(5000)));
-  EXPECT_FALSE(fired.load());
-  EXPECT_FALSE(timers.cancel(id));  // already gone
-}
-
 TEST(TimerService, PeriodicFiresRepeatedly) {
   VirtualClock clock;
   TimerService timers(&clock);
   std::atomic<int> count{0};
-  std::atomic<TimerId> id{0};
   OneShotEvent done, sentinel;
   {
     Pin setup(clock);
-    id = timers.schedule_periodic(std::chrono::microseconds(2000), [&] {
+    timers.schedule_periodic(std::chrono::microseconds(2000), [&] {
       if (count.fetch_add(1) + 1 == 3) {
-        // Mid-callback cancel of the running periodic timer: must stick.
-        EXPECT_TRUE(timers.cancel(id.load()));
+        // The running periodic timer cancels itself (as a script's last
+        // callback does): the cancel must stick.
+        timers.cancel_all();
         done.set();
       }
     });
@@ -545,18 +578,17 @@ TEST(TimerService, CancelDuringPeriodicCallbackIsHonored) {
     TimerService timers(clock);
     OneShotEvent in_callback, release;
     std::atomic<int> count{0};
-    TimerId id = timers.schedule_periodic(std::chrono::microseconds(1000), [&] {
+    timers.schedule_periodic(std::chrono::microseconds(1000), [&] {
       if (count.fetch_add(1) == 0) {
         in_callback.set();
         release.wait();
       }
     });
     in_callback.wait();  // the callback is running; the entry is not queued
-    EXPECT_TRUE(timers.cancel(id)) << "cancel lost while the periodic callback was running";
+    timers.cancel_all();
     release.set();
     std::this_thread::sleep_for(20ms);
     EXPECT_EQ(count.load(), 1) << "periodic timer re-armed despite cancellation";
-    EXPECT_FALSE(timers.cancel(id));  // gone for good
   });
 }
 
