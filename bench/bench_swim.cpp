@@ -55,9 +55,12 @@ int main(int argc, char** argv) {
       cfg.horizon = microseconds(20'000'000);
       if (detector == DetectorImpl::kHeartbeat) {
         // Equal-bandwidth heartbeat: interval = probe_interval * (n-1) / 2,
-        // fd_timeout = 3 * interval, and the detector's check tick runs once
-        // per fd_timeout — detection can land up to 2 * fd_timeout past the
-        // last contact. Size the pre-eviction sample window for that.
+        // fd_timeout = 3 * interval. The detector suspects only a
+        // coordinator an open instance waits on, asked at one tick and
+        // still silent at a later one, so the crashed sites are suspected
+        // before the evictions only if a slot waits on them. The window is
+        // the one the all-links detector needed (up to 2 * fd_timeout past
+        // the last contact), so the evictions come when they used to.
         const auto fd_timeout = 3 * cfg.probe_interval * std::max(1, sites - 1) / 2;
         cfg.detect_window = 3 * fd_timeout + microseconds(20'000);
       } else {

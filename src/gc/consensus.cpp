@@ -21,6 +21,7 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& gc_events, SiteId se
     inst.last_activity = options().now();
     if (!skip) open_.insert(req.instance);
     try_coordinate(out, req.instance);
+    mirror_waits();
   });
 
   on_wire_ = handle("on_wire", [this](Outbox& out, const FromWire& fw) {
@@ -46,12 +47,12 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& gc_events, SiteId se
     if (view_.size() == 0) return;
     for (const std::uint64_t i : open_) {
       Instance& inst = instances_.at(i);
-      const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
-      if (coord == suspected) {
+      if (coordinator(i, inst) == suspected) {
         ++inst.attempt;
         try_coordinate(out, i);
       }
     }
+    mirror_waits();
   });
 
   retry_ = handle("retry", [this](Outbox& out) {
@@ -69,12 +70,36 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& gc_events, SiteId se
       inst.last_activity = now;
       try_coordinate(out, i);
     }
+    mirror_waits();
   });
 
-  view_change_ = handle("viewChange", [this](Outbox&, const View& next) { view_ = next; });
+  view_change_ = handle("viewChange", [this](Outbox&, const View& next) {
+    view_ = next;
+    mirror_waits();
+  });
 }
 
 Consensus::Instance& Consensus::instance(std::uint64_t i) { return instances_[i]; }
+
+std::vector<SiteId> Consensus::waits() const {
+  std::lock_guard lock(waits_mu_);
+  return waits_;
+}
+
+void Consensus::mirror_waits() {
+  if (!suspect_source_) return;
+  std::vector<SiteId> waits;
+  if (view_.size() > 0) {
+    for (const std::uint64_t i : open_) {
+      const SiteId coord = coordinator(i, instances_.at(i));
+      if (coord != self_ && std::find(waits.begin(), waits.end(), coord) == waits.end()) {
+        waits.push_back(coord);
+      }
+    }
+  }
+  std::lock_guard lock(waits_mu_);
+  waits_ = std::move(waits);
+}
 
 void Consensus::broadcast(Outbox& out, const Wire& wire) {
   for (SiteId site : view_.members()) {
@@ -89,8 +114,13 @@ void Consensus::to(Outbox& out, SiteId site, const Wire& wire) {
 void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
   Instance& inst = instance(i);
   if (inst.decided || !inst.have_proposal || view_.size() == 0) return;
-  const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
-  if (coord != self_) return;
+  // We never suspect ourselves, so a full turn of the view ends the skip
+  // at our own attempt whenever we are a member.
+  for (std::size_t n = 0; suspect_source_ && n < view_.size(); ++n) {
+    if (!suspect_source_(coordinator(i, inst))) break;
+    ++inst.attempt;
+  }
+  if (coordinator(i, inst) != self_) return;
   inst.my_round = (inst.attempt + 1) * kRoundStride + self_.value() + 1;
   inst.promises.clear();
   inst.last_activity = options().now();
@@ -254,7 +284,7 @@ void Consensus::decide(Outbox& out, std::uint64_t i, const ConsensusValue& value
   inst.decided = true;
   inst.accepted_value = value;
   inst.accepted_from.clear();
-  open_.erase(i);
+  if (open_.erase(i) > 0) mirror_waits();
   highest_decided_ = std::max(highest_decided_, i);
   decided_count_.add();
   out.trigger(events().cs_decided, Message::of(CsDecided{i, value}));

@@ -22,7 +22,11 @@
 // self + 1. Attempts advance when the failure detector suspects the
 // current coordinator or the retry timer finds the instance stuck, giving
 // liveness under crashes and message loss (safety never depends on timing,
-// as in Paxos).
+// as in Paxos). When an instance opens and whenever its attempt advances,
+// the attempt moves on past every coordinator the detector suspects at
+// that moment (the eventual-leader reading of the rotating coordinator),
+// so a standing suspicion of a crashed owner costs its later slots no
+// retry timeout.
 //
 // Attempt 0 skips phase 1 (as Mencius does for a slot's default leader):
 // its round is the lowest any site can use for the slot, so no acceptor
@@ -30,14 +34,18 @@
 // view.member_at(i) sends ACCEPT straight away. This is safe because
 // exactly one site runs attempt 0: ABcast proposes into slot i only after
 // applying every slot below it, view changes included, so every proposer
-// computes member_at(i) from the same view (DESIGN.md, "Consensus").
+// computes member_at(i) from the same view (DESIGN.md, "Consensus"). A
+// skip always lands on attempt 1 or later, which runs phase 1, so the
+// shortcut stays the owner's alone.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "gc/events.hpp"
 #include "gc/gc_mp.hpp"
@@ -87,6 +95,18 @@ class Consensus : public GcMicroprotocol {
     peer_frontier_source_ = std::move(source);
   }
 
+  // The heartbeat detector, both ways, through mirrors as above: the
+  // coordinator choice skips every site `suspected` reports, and waits()
+  // mirrors the coordinators our open instances wait on for the
+  // detector's tick. Unset (SWIM, scripted tests), consensus skips nothing
+  // and mirrors nothing.
+  void set_suspect_source(std::function<bool(SiteId)> suspected) {
+    suspect_source_ = std::move(suspected);
+  }
+  /// The coordinators, other than ourselves, of our open instances, each
+  /// once, in instance order. Safe to call from any thread.
+  std::vector<SiteId> waits() const;
+
  private:
   static constexpr std::uint64_t kRoundStride = 1u << 20;
 
@@ -111,7 +131,14 @@ class Consensus : public GcMicroprotocol {
   };
 
   Instance& instance(std::uint64_t i);
+  SiteId coordinator(std::uint64_t i, const Instance& inst) const {
+    return view_.member_at(static_cast<std::size_t>(i + inst.attempt));
+  }
+  /// Called when instance i opens and whenever its attempt advances: move
+  /// past suspected coordinators, then run the attempt if it is ours.
   void try_coordinate(Outbox& out, std::uint64_t i);
+  /// Refresh the waits() mirror after open_ or an attempt changed.
+  void mirror_waits();
   void pull_frontier(Outbox& out, Clock::time_point now);
   void broadcast(Outbox& out, const Wire& wire);
   void to(Outbox& out, SiteId site, const Wire& wire);
@@ -140,6 +167,9 @@ class Consensus : public GcMicroprotocol {
   Counter decision_pulls_;
   std::function<std::uint64_t()> frontier_source_;
   std::function<std::uint64_t()> peer_frontier_source_;
+  std::function<bool(SiteId)> suspect_source_;
+  mutable std::mutex waits_mu_;
+  std::vector<SiteId> waits_;  // guarded by waits_mu_
   // The instance we waited for when the retry tick first saw a peer's
   // frontier past it, and when that was: the pull waits cs_retry_timeout
   // from then, so that a DECIDE merely still in flight is not pulled.

@@ -2,11 +2,13 @@
 //
 // Both detector implementations (heartbeat FailureDetector, gossip
 // SwimDetector) publish suspicions the same way — triggerAll on the
-// Suspect event feeding the unchanged consensus/view-change machinery —
-// and expose the same introspection surface through this interface, so
-// harnesses and benches can compare them without knowing which one a
-// GroupNode was built with (`GcOptions::detector_impl` selects at
-// runtime, `GroupNode::detector()` returns the active one).
+// Suspect event, whose one handler is consensus's coordinator rotation; no
+// view-change machinery reads a suspicion — and expose the same
+// introspection surface through this interface, so harnesses and benches
+// can compare them without knowing which one a GroupNode was built with
+// (`GcOptions::detector_impl` selects at runtime, `GroupNode::detector()`
+// returns the active one). They watch different links: SWIM probes every
+// member, the heartbeat detector only the coordinators consensus waits on.
 //
 // The decided frontier that consensus's decision pull needs is no
 // detector's business: it rides in every packet's header (Transport).

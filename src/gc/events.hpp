@@ -53,17 +53,18 @@ struct ADelivery {
 };
 
 struct GcEvents {
-  // External (network / timers / API). A heartbeat packet has no event:
-  // GroupNode::on_packet records what every packet tells (its sender is
-  // alive, and its sender's frontier) without spawning a computation.
+  // External (network / timers / API). A plain heartbeat packet has no
+  // event: GroupNode::on_packet records what every packet tells (its sender
+  // is alive, and its sender's frontier) without spawning a computation.
+  // A heartbeat request spawns one, which answers it.
   EventType rc_data{"net.RcData"};
   EventType rc_ack{"net.RcAck"};
+  EventType fd_request{"net.FdRequest"};
   EventType swim_wire{"net.Swim"};
   EventType cs_wire{"net.Consensus"};
   EventType view_install{"net.ViewInstall"};
   EventType retransmit_tick{"tick.Retransmit"};
   EventType heartbeat_tick{"tick.Heartbeat"};
-  EventType fd_check_tick{"tick.FdCheck"};
   EventType swim_tick{"tick.SwimProbe"};
   EventType cs_retry_tick{"tick.CsRetry"};
   EventType api_abcast{"api.ABcast"};

@@ -11,8 +11,9 @@ namespace samoa::gc {
 
 /// Which failure detector feeds the suspect/view-change machinery.
 enum class DetectorImpl {
-  kHeartbeat,  // any packet proves liveness; heartbeats only on otherwise idle
-               // links, so O(n^2) messages per interval when the group is idle
+  kHeartbeat,  // any packet proves liveness; heartbeats only where consensus
+               // waits: a site asks the silent coordinator of an open
+               // instance, so an idle link carries nothing
   kSwim,       // SWIM gossip: randomized probes + piggybacked dissemination, O(n)
 };
 
@@ -42,7 +43,12 @@ struct GcOptions {
   /// retransmissions to a slow or dead peer thin out instead of hammering
   /// at a fixed cadence. Set equal to retransmit_timeout to disable.
   std::chrono::microseconds retransmit_backoff_cap{24000};
+  /// The heartbeat detector's tick: it asks every waited-on coordinator
+  /// that has sent nothing but heartbeats for this long, and it is the
+  /// least time a coordinator gets to answer before it can be suspected.
   std::chrono::microseconds heartbeat_interval{2000};
+  /// A waited-on coordinator that was asked and has sent nothing since, and
+  /// nothing at all for this long, is suspected.
   std::chrono::microseconds fd_timeout{10000};
 
   DetectorImpl detector_impl = DetectorImpl::kHeartbeat;

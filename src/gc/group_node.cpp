@@ -77,7 +77,7 @@ void GroupNode::build_stack() {
   if (opts_.detector_impl == DetectorImpl::kSwim) {
     swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
   } else {
-    fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty, *transport_);
+    fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
   }
   consensus_ = &stack_->emplace<Consensus>(opts_, events_, self_, empty);
   abcast_ = &stack_->emplace<ABcast>(opts_, events_, self_, empty);
@@ -93,15 +93,22 @@ void GroupNode::build_stack() {
   consensus_->set_frontier_source(frontier);
   transport_->set_frontier_source(frontier);
   consensus_->set_peer_frontier_source([t = transport_] { return t->peer_frontier(); });
+  // The heartbeat detector watches only the coordinators consensus waits
+  // on, and consensus skips the coordinators it suspects; both read the
+  // other's mirror. SWIM drives consensus through Suspect alone.
+  if (fd_ != nullptr) {
+    fd_->set_wait_source([cs = consensus_] { return cs->waits(); });
+    consensus_->set_suspect_source([fd = fd_](SiteId site) { return fd->is_suspected(site); });
+  }
 
   bind_all();
   triggers_ = declare_triggers();
   const EventType* roots[] = {
-      &events_.rc_data,        &events_.rc_ack,          &events_.swim_wire,
-      &events_.cs_wire,        &events_.view_install,    &events_.retransmit_tick,
-      &events_.heartbeat_tick, &events_.fd_check_tick,   &events_.swim_tick,
-      &events_.cs_retry_tick,  &events_.api_abcast,      &events_.api_rbcast,
-      &events_.api_ccast,      &events_.api_joinleave,
+      &events_.rc_data,         &events_.rc_ack,         &events_.fd_request,
+      &events_.swim_wire,       &events_.cs_wire,        &events_.view_install,
+      &events_.retransmit_tick, &events_.heartbeat_tick, &events_.swim_tick,
+      &events_.cs_retry_tick,   &events_.api_abcast,     &events_.api_rbcast,
+      &events_.api_ccast,       &events_.api_joinleave,
   };
   declarations_ = std::vector<RootDeclaration>(std::size(roots));
   for (std::size_t i = 0; i < std::size(roots); ++i) declarations_[i].root = roots[i];
@@ -124,8 +131,8 @@ void GroupNode::bind_all() {
   stack_->bind(events_.rc_data, *relcomm_->recv_data_handler());
   stack_->bind(events_.rc_ack, *relcomm_->recv_ack_handler());
   if (fd_ != nullptr) {
-    stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
-    stack_->bind(events_.fd_check_tick, *fd_->check_handler());
+    stack_->bind(events_.heartbeat_tick, *fd_->tick_handler());
+    stack_->bind(events_.fd_request, *fd_->answer_handler());
   }
   if (swim_ != nullptr) {
     stack_->bind(events_.swim_wire, *swim_->on_wire_handler());
@@ -199,8 +206,8 @@ TriggerDeclarations GroupNode::declare_triggers() const {
       .declare(*membership_->on_adeliver_handler(), {ev.view_change, ev.transport_send})
       .declare(*membership_->on_install_handler(), {ev.view_change, ev.abcast_catchup});
   if (fd_ != nullptr) {
-    d.declare(*fd_->send_heartbeats_handler(), ev.transport_send)
-        .declare(*fd_->check_handler(), ev.suspect);
+    d.declare(*fd_->tick_handler(), {ev.transport_send, ev.suspect})
+        .declare(*fd_->answer_handler(), ev.transport_send);
   }
   if (swim_ != nullptr) {
     d.declare(*swim_->on_wire_handler(), {ev.transport_send, ev.suspect})
@@ -257,8 +264,11 @@ void GroupNode::on_packet(const net::Packet& packet) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, RcData>) return &events_.rc_data;
         if constexpr (std::is_same_v<T, RcAck>) return &events_.rc_ack;
-        // A heartbeat's arrival, recorded below, is all it tells.
-        if constexpr (std::is_same_v<T, FdHeartbeat>) return nullptr;
+        // A plain heartbeat's arrival, recorded below, is all it tells; a
+        // request is answered.
+        if constexpr (std::is_same_v<T, FdHeartbeat>) {
+          return body.request ? &events_.fd_request : nullptr;
+        }
         if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                       std::is_same_v<T, SwimPingReq>) {
           return &events_.swim_wire;
@@ -270,7 +280,8 @@ void GroupNode::on_packet(const net::Packet& packet) {
   // Only the built detector's packets are taken: a heartbeat at a SWIM
   // node, or a SWIM message at a heartbeat node, is dropped and counted
   // like a datagram that does not decode.
-  if (root == nullptr ? fd_ == nullptr : (root == &events_.swim_wire && swim_ == nullptr)) {
+  const bool heartbeat = std::holds_alternative<FdHeartbeat>(fw.wire);
+  if (heartbeat ? fd_ == nullptr : (root == &events_.swim_wire && swim_ == nullptr)) {
     malformed_packets_.add();
     return;
   }
@@ -278,7 +289,7 @@ void GroupNode::on_packet(const net::Packet& packet) {
   // that the sender is alive. Both are recorded here, outside any
   // computation, so no event's declaration widens.
   transport_->note_peer_frontier(fw.frontier);
-  if (fd_ != nullptr) fd_->heard_from(fw.from);
+  if (fd_ != nullptr) fd_->heard_from(fw.from, heartbeat);
   if (root != nullptr) spawn(*root, Message::of(std::move(fw)));
 }
 
@@ -316,24 +327,21 @@ void GroupNode::arm_timers() {
   timers_.schedule_periodic(opts_.retransmit_interval, [this] {
     spawn_tick(0, events_.retransmit_tick);
   });
-  // Only the selected failure detector is built, and only its ticks run.
+  // Only the selected failure detector is built, and only its tick runs.
   if (fd_ != nullptr) {
     timers_.schedule_periodic(opts_.heartbeat_interval, [this] {
       spawn_tick(1, events_.heartbeat_tick);
-    });
-    timers_.schedule_periodic(opts_.fd_timeout, [this] {
-      spawn_tick(2, events_.fd_check_tick);
     });
   } else {
     // The SWIM tick runs at the ack-timeout resolution: the state machine
     // (direct deadline, period deadline, suspicion expiry) is time-
     // compared inside the handler, so one fast tick drives all of it.
     timers_.schedule_periodic(opts_.swim_ack_timeout, [this] {
-      spawn_tick(4, events_.swim_tick);
+      spawn_tick(1, events_.swim_tick);
     });
   }
   timers_.schedule_periodic(opts_.cs_retry_interval, [this] {
-    spawn_tick(3, events_.cs_retry_tick);
+    spawn_tick(2, events_.cs_retry_tick);
   });
 }
 

@@ -7,8 +7,8 @@
 // packet and timer tick into an `isolated` computation. A packet arrives
 // as bytes and is decoded first (net::decode_wire); one that does not
 // decode, or whose kind the built stack has no handler for, is dropped. A
-// heartbeat is the exception: every packet's arrival and header are
-// recorded outside the computations (on_packet), and that is all a
+// plain heartbeat is the exception: every packet's arrival and header are
+// recorded outside the computations (on_packet), and that is all a plain
 // heartbeat tells.
 //
 // Declarations are inferred, not hand-written (paper Section 4: M "could
@@ -194,8 +194,7 @@ class GroupNode {
   /// Runtime::Stats::failed), summed over all incarnations.
   std::uint64_t total_failed_computations() const;
 
-  /// Stop the periodic timers (retransmit / heartbeat / fd / consensus
-  /// retry). Needed before drain(): with timers armed, new computations
+  /// Stop the periodic timers (retransmit / detector / consensus retry). Needed before drain(): with timers armed, new computations
   /// keep arriving and the runtime never becomes idle.
   void stop_timers() { timers_.cancel_all(); }
 
@@ -274,7 +273,8 @@ class GroupNode {
   // running callback, and anything declared after it would be destroyed
   // while a callback can still be running.
   std::mutex tick_mu_;
-  std::array<ComputationHandle, 5> last_tick_;  // one slot per tick class
+  // One slot per tick class: retransmit, the built detector's, retry.
+  std::array<ComputationHandle, 3> last_tick_;
   std::atomic<std::uint64_t> ticks_coalesced_{0};
   net::TimerService timers_;
   std::atomic<bool> started_{false};

@@ -65,11 +65,14 @@ struct RcAck {
 };
 
 // --- Failure detector (heartbeat) ---
-/// Sent only to a peer that got no other packet from us since the
-/// previous heartbeat tick: any packet proves its sender alive. It has no
-/// body: its arrival, and the header every packet carries, are all it
-/// tells.
-struct FdHeartbeat {};
+/// Liveness on request. A site whose open consensus instance waits on a
+/// silent coordinator sends it a request; the coordinator answers at once
+/// with a plain heartbeat. Nothing else sends one, so an idle link carries
+/// none. A plain heartbeat's arrival, and the header every packet carries,
+/// are all it tells; only a request spawns a computation (the answer).
+struct FdHeartbeat {
+  bool request = false;
+};
 
 // --- Failure detector (SWIM) ---
 /// Member status as disseminated by the SWIM detector. Ordering rules

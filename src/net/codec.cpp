@@ -23,7 +23,7 @@ void fields(IO& io, M& m) {
   } else if constexpr (std::is_same_v<T, RcAck>) {
     io(m.seq);
   } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-    io();  // no body
+    io(m.request);
   } else if constexpr (std::is_same_v<T, CsPrepare> || std::is_same_v<T, CsAccepted>) {
     io(m.instance, m.round);
   } else if constexpr (std::is_same_v<T, CsPromise>) {
@@ -54,6 +54,7 @@ struct Writer {
     (put(f), ...);
   }
   void put(std::uint64_t v) { w.put_varint(v); }
+  void put(bool b) { w.put_bool(b); }
   void put(SiteId s) { w.put_varint(s.value()); }
   void put(const AppMessage& m) {
     w.put_varint(m.id);
@@ -84,6 +85,7 @@ struct Reader {
     (get(f), ...);
   }
   void get(std::uint64_t& v) { v = r.get_varint(); }
+  void get(bool& b) { b = r.get_bool(); }
   void get(SiteId& s) {
     const std::uint64_t v = r.get_varint();
     if (v > std::numeric_limits<SiteId::value_type>::max()) {

@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -126,6 +127,10 @@ struct ConsensusSite {
     opts.cs_retry_timeout = 8000us;
     consensus = &stack.emplace<Consensus>(opts, events, id, View{});
     consensus->set_frontier_source([this] { return cursor.load(); });
+    consensus->set_suspect_source([this](SiteId site) {
+      std::lock_guard lock(suspects_mu);
+      return suspects.contains(site);
+    });
     outlet = &stack.emplace<Outlet>(id, mu, queue, sent);
     stack.bind(events.cs_propose, *consensus->propose_handler());
     stack.bind(events.cs_wire, *consensus->on_wire_handler());
@@ -146,6 +151,9 @@ struct ConsensusSite {
   }
 
   std::atomic<std::uint64_t> cursor;
+  // What the detector's mirror would report: the sites this one suspects.
+  std::mutex suspects_mu;
+  std::set<SiteId> suspects;
   GcOptions opts;
   GcEvents events;
   Stack stack;
@@ -190,6 +198,13 @@ class ScriptedCluster {
   void suspect(int site, int suspected) {
     ConsensusSite& s = *sites_[site];
     s.run(s.events.suspect, Message::of(SiteId(suspected)));
+  }
+  /// Make `site`'s detector mirror report `suspected` from now on, without
+  /// a Suspect event: a suspicion that stands when an instance opens.
+  void stand_suspected(int site, int suspected) {
+    ConsensusSite& s = *sites_[site];
+    std::lock_guard lock(s.suspects_mu);
+    s.suspects.insert(SiteId(suspected));
   }
   void retry(int site) {
     ConsensusSite& s = *sites_[site];
@@ -381,6 +396,62 @@ TEST(ConsensusFirstRound, EmptyBatchIsASkipOnlyForTheOwner) {
   EXPECT_EQ(c.sent("CsAccept"), kSites);
   for (int s = 0; s < kSites; ++s) {
     EXPECT_EQ(c.decided(s, kSlot), "") << "site " << s;
+  }
+}
+
+// --- The coordinator choice ------------------------------------------------------
+
+TEST(ConsensusSkip, InstanceOpeningOnASuspectedOwnerRunsPhaseOne) {
+  // The attempt-1 coordinator already suspects the slot's owner when it
+  // proposes. It skips the owner at once, with no Suspect event and no
+  // retry timeout, and its attempt runs both phases. The owner never
+  // proposes.
+  ScriptedCluster c(kSites);
+  const int owner = static_cast<int>(c.view().member_at(kSlot).value());
+  const int coord = static_cast<int>(c.view().member_at(kSlot + 1).value());
+  c.stand_suspected(coord, owner);
+  c.propose(coord, kSlot, batch_of(coord, 1, "skipped"));
+  c.deliver();
+
+  EXPECT_EQ(c.sent("CsPrepare"), kSites) << "the instance did not skip to a phase-1 attempt";
+  EXPECT_EQ(c.sent("CsPromise"), kSites);
+  EXPECT_EQ(c.sent("CsAccept"), kSites);
+  for (int s = 0; s < kSites; ++s) {
+    EXPECT_EQ(c.decided(s, kSlot), "skipped") << "site " << s;
+  }
+}
+
+TEST(ConsensusSkip, SuspectedLiveOwnersChosenValueSurvives) {
+  // The owner is live, but its link to the attempt-1 coordinator is cut
+  // one way and the coordinator stands suspicious of it. The owner's first
+  // round reaches itself and two acceptors, a majority, and the owner
+  // decides; its DECIDE wave is lost. The coordinator then opens the
+  // instance with a different proposal and skips the owner. Its attempt
+  // must run phase 1, find the owner's value in a majority of promises and
+  // propose it again. A skip that kept attempt 0's phase-1-free shortcut
+  // would get its own value chosen and disagree with the owner.
+  ScriptedCluster c(kSites);
+  const View& v = c.view();
+  const int owner = static_cast<int>(v.member_at(kSlot).value());
+  const int coord = static_cast<int>(v.member_at(kSlot + 1).value());
+  const int other = static_cast<int>(v.member_at(kSlot + 4).value());
+  const auto cut = [&](const Packet& p) {
+    return p.from == SiteId(owner) && p.to == SiteId(coord);
+  };
+  c.propose(owner, kSlot, batch_of(owner, 1, "owner's"));
+  c.deliver([&](const Packet& p) {
+    return cut(p) || (is<CsAccept>(p) && p.to == SiteId(other)) || is<CsDecide>(p);
+  });
+  ASSERT_EQ(c.decided(owner, kSlot), "owner's");
+  ASSERT_EQ(c.sent("CsPrepare"), 0);
+
+  c.stand_suspected(coord, owner);
+  c.propose(coord, kSlot, batch_of(coord, 1, "coordinator's"));
+  c.deliver(cut);
+
+  EXPECT_GT(c.sent("CsPrepare"), 0) << "the skip kept the phase-1-free shortcut";
+  for (int s = 0; s < kSites; ++s) {
+    EXPECT_EQ(c.decided(s, kSlot), "owner's") << "site " << s;
   }
 }
 
@@ -902,17 +973,32 @@ TEST(RelCommRestart, UnevictedRestartedSiteIsNotTakenForItsOldIncarnation) {
   EXPECT_EQ(c.failed_computations(), 0u);
 }
 
-// --- Liveness on every packet -------------------------------------------------
+// --- Liveness where consensus waits -----------------------------------------
+
+/// What reached a raw peer: heartbeat requests and plain heartbeats.
+struct RawPeer {
+  SiteId id;
+  std::atomic<int> requests{0};
+  std::atomic<int> heartbeats{0};
+};
 
 /// Add to `c`'s view a raw peer site, not a GroupNode: it sends only what
-/// the test makes it send, and decodes what reaches it to count the
-/// heartbeats.
-SiteId add_raw_peer(VirtualCluster& c, std::atomic<int>& heartbeats) {
-  const SiteId peer = c.net.add_site([&heartbeats](const net::Packet& p) {
-    if (std::holds_alternative<FdHeartbeat>(net::decode_wire(p.payload).wire)) ++heartbeats;
+/// the test makes it send, and counts the heartbeats that reach it. A peer
+/// that `answers` answers every request at once, as a live stack would.
+SiteId add_raw_peer(VirtualCluster& c, RawPeer& peer, bool answers = false) {
+  peer.id = c.net.add_site([&c, &peer, answers](const net::Packet& p) {
+    const Wire wire = net::decode_wire(p.payload).wire;
+    const auto* beat = std::get_if<FdHeartbeat>(&wire);
+    if (beat == nullptr) return;
+    if (!beat->request) {
+      ++peer.heartbeats;
+      return;
+    }
+    ++peer.requests;
+    if (answers) c.net.send(peer.id, p.from, net::encode_wire(peer.id, 0, Wire{FdHeartbeat{}}));
   });
-  c.members.push_back(peer);
-  return peer;
+  c.members.push_back(peer.id);
+  return peer.id;
 }
 
 /// A packet from raw peer `from` to `node`, encoded as Transport would.
@@ -920,75 +1006,180 @@ void send_raw(VirtualCluster& c, SiteId from, GroupNode& node, const Wire& wire)
   c.net.send(from, node.id(), net::encode_wire(from, 0, wire));
 }
 
-// Until 20 ms the busy peer sends the node a PREPARE for an unused
-// instance every millisecond, and the node answers the busy peer alone
-// with a PROMISE 0.1 ms later. The idle peer sends nothing and is sent
-// nothing but heartbeats. The node's heartbeat ticks run every 2 ms.
-TEST(PacketLiveness, HeartbeatsGoOnlyToPeersThatHeardNothingElse) {
+// Until 40 ms the busy peer sends the node a PREPARE for an unused
+// instance every millisecond, and the node answers it with a PROMISE. The
+// idle peer sends nothing. The node has no open instance, so it waits on
+// nobody, and it is never without a packet for cs_retry_timeout: neither
+// link carries a heartbeat, and neither peer is suspected, although the
+// idle one is silent for ten fd_timeouts.
+TEST(PacketLiveness, IdlePeerGetsNoHeartbeatAndIsNeverSuspected) {
   GcOptions opts;
-  opts.fd_timeout = 1000000us;  // the raw peers send no heartbeats back
-  VirtualCluster c(1, opts);
-  GroupNode& node = c[0];
-  std::atomic<int> busy_beats{0};
-  std::atomic<int> idle_beats{0};
-  const SiteId busy = add_raw_peer(c, busy_beats);
-  add_raw_peer(c, idle_beats);
-  c.run([&] {
-    for (int k = 1; k <= 20; ++k) {
-      c.script.schedule(std::chrono::microseconds(1000 * k), [&, k] {
-        send_raw(c, busy, node, Wire{CsPrepare{1000u + static_cast<std::uint64_t>(k), 1}});
-      });
-    }
-    c.script.schedule(41000us, [&] { c.shut_down(); });
-  });
-
-  // Ticks at 2, 4, ..., 40 ms. The idle peer gets a heartbeat at every one.
-  // The last PROMISE left at 20.1 ms, after the tick at 20 ms, so the
-  // ticks up to 22 ms skip the busy peer and the nine from 24 ms on do not.
-  EXPECT_EQ(idle_beats.load(), 20);
-  EXPECT_EQ(busy_beats.load(), 9);
-  EXPECT_EQ(node.fd().heartbeats_skipped(), 11u);
-  EXPECT_EQ(c.failed_computations(), 0u);
-}
-
-// The raw peer sends nothing but one RcAck, at 9 ms. The node's checks run
-// every fd_timeout (4 ms), against a record seeded at the view install.
-TEST(PacketLiveness, AnyPacketRefreshesLivenessAndRevokesASuspicion) {
-  GcOptions opts;
+  opts.heartbeat_interval = 2000us;
   opts.fd_timeout = 4000us;
   VirtualCluster c(1, opts);
   GroupNode& node = c[0];
-  std::atomic<int> beats{0};
-  const SiteId peer = add_raw_peer(c, beats);
-  std::vector<bool> suspected;  // sampled at 8.5, 9.5, 12.5 and 16.5 ms
-  const auto sample = [&] { suspected.push_back(node.fd().is_suspected(peer)); };
+  RawPeer busy;
+  RawPeer idle;
+  add_raw_peer(c, busy);
+  add_raw_peer(c, idle);
+  bool ever_suspected = false;
   c.run([&] {
-    c.script.schedule(8500us, sample);
-    c.script.schedule(9000us, [&] { send_raw(c, peer, node, Wire{RcAck{7}}); });
+    for (int k = 1; k <= 40; ++k) {
+      c.script.schedule(std::chrono::microseconds(1000 * k), [&, k] {
+        send_raw(c, busy.id, node, Wire{CsPrepare{1000u + static_cast<std::uint64_t>(k), 1}});
+      });
+    }
+    c.script.schedule_periodic(500us, [&] {
+      ever_suspected = ever_suspected || node.fd().is_suspected(busy.id) ||
+                       node.fd().is_suspected(idle.id);
+    });
+    c.script.schedule(41000us, [&] { c.shut_down(); });
+  });
+
+  EXPECT_EQ(idle.requests.load() + idle.heartbeats.load(), 0);
+  EXPECT_EQ(busy.requests.load() + busy.heartbeats.load(), 0);
+  EXPECT_FALSE(ever_suspected);
+  EXPECT_EQ(node.fd().suspicions(), 0u);
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// The view is {node, p1, p2}; neither raw peer answers. At 1 ms the node
+// abcasts, and its instance for slot 1 waits on p1, slot 1's owner. The
+// ticks run every 2 ms, and fd_timeout is 4 ms. The tick at 2 ms asks p1,
+// and the one at 4 ms finds it unanswered and silent since the view
+// install: p1 is suspected, and the instance moves on to p2. The same
+// happens to p2 at 6 and 8 ms, and the instance's next coordinator is the
+// node itself. p1's RcAck, arriving at 9.1 ms, revokes its suspicion; p2,
+// never heard from, stays suspected, and nobody waits on either any more.
+TEST(PacketLiveness, AnyPacketRefreshesLivenessAndRevokesASuspicion) {
+  GcOptions opts;
+  opts.heartbeat_interval = 2000us;
+  opts.fd_timeout = 4000us;
+  opts.cs_retry_timeout = 1000000us;  // no retry, and no idle probe
+  VirtualCluster c(1, opts);
+  GroupNode& node = c[0];
+  RawPeer p1;
+  RawPeer p2;
+  add_raw_peer(c, p1);
+  add_raw_peer(c, p2);
+  std::vector<bool> suspected;  // p1, sampled at 3.5, 4.5, 9.5 and 12.5 ms
+  const auto sample = [&] { suspected.push_back(node.fd().is_suspected(p1.id)); };
+  c.run([&] {
+    c.script.schedule(1000us, [&] { node.abcast("m"); });
+    c.script.schedule(3500us, sample);
+    c.script.schedule(4500us, sample);
+    c.script.schedule(9000us, [&] { send_raw(c, p1.id, node, Wire{RcAck{7}}); });
     c.script.schedule(9500us, sample);
-    c.script.schedule(12500us, sample);
-    c.script.schedule(16500us, [&] {
+    c.script.schedule(12500us, [&] {
       sample();
       c.shut_down();
     });
   });
 
-  // The check at 8 ms finds the peer silent since the install and suspects
-  // it. The RcAck, arriving at 9.1 ms, revokes that at once, and the check
-  // at 12 ms finds the peer heard from 2.9 ms before. The check at 16 ms
-  // suspects it again. Suspected or not, the idle peer got a heartbeat at
-  // each of the eight ticks.
-  EXPECT_EQ(suspected, (std::vector<bool>{true, false, false, true}));
-  EXPECT_EQ(node.fd().suspicion_revocations(), 1u);
+  EXPECT_EQ(suspected, (std::vector<bool>{false, true, false, false}));
+  EXPECT_TRUE(node.fd().is_suspected(p2.id));
   EXPECT_EQ(node.fd().suspicions(), 2u);
-  EXPECT_EQ(beats.load(), 8);
+  EXPECT_EQ(node.fd().suspicion_revocations(), 1u);
+  // One request each, while its instance waited on it.
+  EXPECT_EQ(p1.requests.load(), 1);
+  EXPECT_EQ(p2.requests.load(), 1);
+  EXPECT_EQ(p1.heartbeats.load() + p2.heartbeats.load(), 0);
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// As above, but p1 is live: it answers every request at once, and sends
+// nothing else, so the node's instance waits on it for the whole run. The
+// node asks it at every tick (2, 4, ..., 20 ms); each answer arrives 0.2
+// ms later and keeps it from being suspected. p2, on which nothing waits,
+// is asked nothing.
+TEST(PacketLiveness, WaitingSiteAsksItsSilentCoordinatorEveryInterval) {
+  GcOptions opts;
+  opts.heartbeat_interval = 2000us;
+  opts.fd_timeout = 4000us;
+  opts.cs_retry_timeout = 1000000us;  // no retry, and no idle probe
+  VirtualCluster c(1, opts);
+  GroupNode& node = c[0];
+  RawPeer p1;
+  RawPeer p2;
+  add_raw_peer(c, p1, /*answers=*/true);
+  add_raw_peer(c, p2, /*answers=*/true);
+  bool ever_suspected = false;
+  c.run([&] {
+    c.script.schedule(1000us, [&] { node.abcast("m"); });
+    c.script.schedule_periodic(500us, [&] {
+      ever_suspected = ever_suspected || node.fd().is_suspected(p1.id);
+    });
+    c.script.schedule(21000us, [&] { c.shut_down(); });
+  });
+
+  EXPECT_EQ(p1.requests.load(), 10);
+  EXPECT_EQ(p2.requests.load(), 0);
+  EXPECT_FALSE(ever_suspected);
+  EXPECT_EQ(node.fd().suspicions(), 0u);
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
+// Four sites. The owner of the next slot crashes, unevicted, at 10 ms,
+// after the group has been quiet for 8 ms; at 15 ms a survivor abcasts, and
+// every survivor's instance for that slot waits on the crashed owner. Each
+// survivor must suspect it within fd_timeout plus one heartbeat interval
+// of the wait's start, and the instance must move on: every survivor
+// delivers the message.
+TEST(PacketLiveness, CrashedCoordinatorIsSuspectedAndTheInstanceMovesOn) {
+  GcOptions opts;
+  opts.heartbeat_interval = 2000us;
+  opts.fd_timeout = 4000us;
+  VirtualCluster c(4, opts);
+  const auto now_us = [&c] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(c.clock.now().time_since_epoch())
+        .count();
+  };
+  std::optional<SiteId> owner;
+  long long wait_from = -1;
+  std::vector<long long> suspected_at(4, -1);
+  c.run([&] {
+    c.script.schedule(1000us, [&] { c[0].abcast("before"); });
+    c.script.schedule(10000us, [&] {
+      owner = c[0].membership().view_snapshot().member_at(c[0].ab().next_instance());
+      c[owner->value()].crash();
+    });
+    c.script.schedule(15000us, [&] {
+      wait_from = now_us();
+      c[(owner->value() + 1) % 4].abcast("after");
+    });
+    c.script.schedule_periodic(100us, [&] {
+      if (wait_from < 0) return;
+      for (int i = 0; i < 4; ++i) {
+        if (suspected_at[i] < 0 && c[i].fd().is_suspected(*owner)) suspected_at[i] = now_us();
+      }
+    });
+    c.script.schedule(60000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_TRUE(owner.has_value());
+  // The payload's hop to the other survivors, then the timeout and one
+  // interval, then the poll.
+  const long long bound = 100 + opts.fd_timeout.count() + opts.heartbeat_interval.count() + 100;
+  for (int i = 0; i < 4; ++i) {
+    if (SiteId(i) == *owner) continue;
+    ASSERT_GE(suspected_at[i], 0) << "site " << i << " never suspected the crashed coordinator";
+    EXPECT_LE(suspected_at[i] - wait_from, bound) << "site " << i;
+    EXPECT_EQ(payloads(c[i].sink().adelivered()), (std::vector<std::string>{"before", "after"}))
+        << "site " << i;
+    for (int j = 0; j < 4; ++j) {
+      if (SiteId(j) == *owner) continue;
+      EXPECT_FALSE(c[i].fd().is_suspected(SiteId(j))) << "site " << i << " suspects " << j;
+    }
+  }
+  EXPECT_EQ(c.failed_computations(), 0u);
 }
 
 // Three sites keep abcasting after the fourth crashes, unevicted, at
-// 10 ms. They keep sending to it, so they send it no heartbeats, but
-// nothing arrives from it. Each must suspect it within fd_timeout of its
-// last packet's arrival plus one check period (the check runs every
-// fd_timeout).
+// 10 ms. Nothing arrives from it, and every fourth slot is its own, so each
+// survivor's instance soon waits on it. Each must suspect it within the
+// 2 ms of silence that sends the first request, then one heartbeat
+// interval, or fd_timeout after its last packet if that is later; no live
+// site may be suspected.
 TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
   GcOptions opts;
   opts.heartbeat_interval = 2000us;
@@ -1021,8 +1212,8 @@ TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
     c.script.schedule(40000us, [&] { c.shut_down(); });
   });
 
-  // Link latency, then the timeout and one check period, then the poll.
-  const long long bound = 100 + 2 * opts.fd_timeout.count() + 100;
+  // Link latency, then the timeout and one interval, then the poll.
+  const long long bound = 100 + opts.fd_timeout.count() + opts.heartbeat_interval.count() + 100;
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(suspected_before[i]) << "site " << i;
     ASSERT_GE(suspected_at[i], 0) << "site " << i << " never suspected the crashed site";
@@ -1040,10 +1231,10 @@ TEST(PacketLiveness, CrashedPeerIsSuspectedWhileTheOthersKeepTalking) {
 // and a later abcast still reaches every site.
 TEST(MalformedDatagram, IsDroppedAndCounted) {
   GcOptions opts;
-  opts.fd_timeout = 1000000us;  // the raw peer sends no heartbeats back
+  opts.fd_timeout = 1000000us;  // the raw peer answers no heartbeat request
   VirtualCluster c(3, opts);
-  std::atomic<int> beats{0};
-  const SiteId peer = add_raw_peer(c, beats);
+  RawPeer raw;
+  const SiteId peer = add_raw_peer(c, raw);
   std::vector<std::uint8_t> truncated = net::encode_wire(peer, 0, Wire{CsPrepare{7, 1}});
   truncated.pop_back();
   c.run([&] {
@@ -1069,10 +1260,10 @@ TEST(MalformedDatagram, IsDroppedAndCounted) {
 void expect_other_detectors_packets_dropped(DetectorImpl built, const std::vector<Wire>& sent) {
   GcOptions opts;
   opts.detector_impl = built;
-  opts.fd_timeout = 1000000us;  // the raw peer sends no heartbeats back
+  opts.fd_timeout = 1000000us;  // the raw peer answers no heartbeat request
   VirtualCluster c(3, opts);
-  std::atomic<int> beats{0};
-  const SiteId peer = add_raw_peer(c, beats);
+  RawPeer raw;
+  const SiteId peer = add_raw_peer(c, raw);
   c.run([&] {
     for (std::size_t k = 0; k < sent.size(); ++k) {
       c.script.schedule(std::chrono::microseconds(1000 * (k + 1)),

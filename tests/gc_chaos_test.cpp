@@ -103,8 +103,12 @@ TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
   // Observability counters.
   EXPECT_EQ(out.net_recoveries, 2u);
   EXPECT_EQ(out.rejoins_completed, 2u);
-  EXPECT_GE(out.suspicion_revocations, 2u)
-      << "the healed partition never produced a suspicion revocation";
+  // The heartbeat detector suspects only a coordinator an open instance
+  // waits on, so the partition and the crashes raise suspicions only where
+  // a slot's coordinator sat across them. Whatever it suspected of a site
+  // that is alive at the end, that site's next packet revoked.
+  EXPECT_EQ(out.standing_suspicions, 0u)
+      << "seed " << seed << ": a live member is still suspected at the end";
   EXPECT_GT(out.view_change_drops, 0u);
   EXPECT_GE(out.rejoin4_first_delivery_us, out.rejoin4_requested_us);
   for (std::size_t i = 0; i < out.gate_waits.size(); ++i) {
@@ -115,11 +119,13 @@ TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
     EXPECT_EQ(out.failed_computations[i], 0u) << "seed " << seed << ": site " << i;
   }
 
-  std::printf("seed %llu: recoveries=%llu rejoins_completed=%llu suspicion_revocations=%llu "
-              "view_change_drops=%llu rejoin_to_first_delivery=%ldus\n",
+  std::printf("seed %llu: recoveries=%llu rejoins_completed=%llu suspicions=%llu "
+              "suspicion_revocations=%llu view_change_drops=%llu "
+              "rejoin_to_first_delivery=%ldus\n",
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(out.net_recoveries),
               static_cast<unsigned long long>(out.rejoins_completed),
+              static_cast<unsigned long long>(out.suspicions),
               static_cast<unsigned long long>(out.suspicion_revocations),
               static_cast<unsigned long long>(out.view_change_drops),
               out.rejoin4_first_delivery_us - out.rejoin4_requested_us);

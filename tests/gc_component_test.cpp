@@ -206,8 +206,21 @@ TEST(ConsensusComponent, DecisionsIdenticalAcrossSites) {
   }
 }
 
+/// Abcast from `node`, one message at a time, until it suspects `victim`.
+/// The heartbeat detector watches only a coordinator that one of the
+/// node's open instances waits on, so the slots must come round to one the
+/// victim owns.
+bool abcast_until_suspected(GroupNode& node, SiteId victim) {
+  for (int k = 0; k < 8 && !node.fd().is_suspected(victim); ++k) {
+    const std::size_t delivered = node.sink().adelivered().size();
+    node.abcast(std::string("probe").append(std::to_string(k)));
+    if (!wait_until([&] { return node.sink().adelivered().size() > delivered; })) return false;
+  }
+  return node.fd().is_suspected(victim);
+}
+
 TEST(FailureDetectorComponent, ViewChangePrunesEvictedBookkeeping) {
-  // Regression: the viewChange handler used to leave last_heard_ and
+  // Regression: the viewChange handler used to leave liveness records and
   // suspected_ entries behind for evicted peers, so the detector kept
   // "suspecting" non-members forever (and kept their timestamps alive
   // across a later re-join, poisoning the fresh incarnation's timeout).
@@ -218,19 +231,20 @@ TEST(FailureDetectorComponent, ViewChangePrunesEvictedBookkeeping) {
   const SiteId victim = p.nodes[2]->id();
   ASSERT_TRUE(p.nodes[0]->fd().tracks(victim));
   p.nodes[2]->crash();
-  ASSERT_TRUE(wait_until([&] { return p.nodes[0]->fd().is_suspected(victim); }));
+  ASSERT_TRUE(abcast_until_suspected(*p.nodes[0], victim));
   p.nodes[0]->request_leave(victim);
   EXPECT_TRUE(wait_until([&] { return !p.nodes[0]->fd().tracks(victim); }))
-      << "last_heard_ entry survived the eviction";
+      << "liveness record survived the eviction";
   EXPECT_FALSE(p.nodes[0]->fd().is_suspected(victim))
       << "suspected_ entry survived the eviction";
 }
 
 TEST(FailureDetectorComponent, ViewChangeSeedsJoinerTimestamp) {
-  // Regression: a fresh joiner had no last_heard_ seed, so the detector
-  // skipped it until its first heartbeat arrived — a newcomer that died
-  // immediately after joining was never suspected. The viewChange handler
-  // must seed every new member at "now".
+  // Regression: a fresh joiner had no liveness seed, so the detector
+  // skipped it until its first packet arrived — a newcomer that died
+  // immediately after joining was never suspected, and the slots it owns
+  // waited out a retry timeout each. The viewChange handler must seed
+  // every new member at "now".
   GcOptions opts;
   opts.heartbeat_interval = std::chrono::microseconds(1000);
   opts.fd_timeout = std::chrono::microseconds(8000);
@@ -239,11 +253,12 @@ TEST(FailureDetectorComponent, ViewChangeSeedsJoinerTimestamp) {
   joiner->start(View(1, {joiner->id()}));
   p.nodes[0]->request_join(joiner->id());
   ASSERT_TRUE(wait_until([&] { return p.nodes[0]->fd().tracks(joiner->id()); }))
-      << "joiner never seeded into last_heard_";
-  // Kill the newcomer right away: the seed (not a received heartbeat) must
-  // be what starts its timeout clock.
+      << "joiner never seeded a liveness record";
+  // Kill the newcomer right away: the seed (not a received packet) must be
+  // what lets the detector ask it and find it silent once an instance
+  // waits on it.
   joiner->crash();
-  EXPECT_TRUE(wait_until([&] { return p.nodes[0]->fd().is_suspected(joiner->id()); }))
+  EXPECT_TRUE(abcast_until_suspected(*p.nodes[0], joiner->id()))
       << "joiner crash after join was never detected";
   joiner->stop_timers();
   joiner->drain();

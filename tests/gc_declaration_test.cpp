@@ -67,16 +67,16 @@ TEST(GcDeclaration, HeartbeatStackHoldsNoSwimDetector) {
                                       "abcast", "causal", "membership", "app"}));
 }
 
-TEST(GcDeclaration, HeartbeatDetectorTakesNoPacket) {
-  // A heartbeat packet spawns no computation: GroupNode::on_packet records
-  // every packet's liveness and frontier itself. So the detector binds no
-  // network event and no root declares it for a received heartbeat; it
-  // handles its two ticks and view changes only.
+TEST(GcDeclaration, HeartbeatDetectorTakesOnlyRequests) {
+  // A plain heartbeat spawns no computation: GroupNode::on_packet records
+  // every packet's liveness and frontier itself. The detector handles its
+  // one tick (requests, suspicions and the idle probe), the answer to a
+  // heartbeat request, and view changes.
   net::SimNetwork net;
   GroupNode node(net, with(DetectorImpl::kHeartbeat));
   Names handlers;
   for (const auto& h : node.fd().handlers()) handlers.insert(h->name());
-  EXPECT_EQ(handlers, (Names{"send_heartbeats", "check", "viewChange"}));
+  EXPECT_EQ(handlers, (Names{"tick", "answer", "viewChange"}));
 }
 
 TEST(GcDeclaration, UnbuiltImplementationAccessorsThrow) {
@@ -107,12 +107,12 @@ TEST(GcDeclaration, SwimConsensusMembersPerRootEvent) {
   expect_declarations(
       node, {{&ev.rc_data, data},
              {&ev.rc_ack, {"relcomm", "transport"}},
+             {&ev.fd_request, {}},
              {&ev.swim_wire, {"swim", "transport", "consensus"}},
              {&ev.cs_wire, cs},
              {&ev.view_install, install},
              {&ev.retransmit_tick, {"relcomm", "transport"}},
              {&ev.heartbeat_tick, {}},
-             {&ev.fd_check_tick, {}},
              {&ev.swim_tick, {"swim", "transport", "consensus"}},
              {&ev.cs_retry_tick, {"consensus", "transport"}},
              {&ev.api_abcast, {"abcast", "relcast", "relcomm", "transport", "consensus"}},
@@ -134,12 +134,12 @@ TEST(GcDeclaration, HeartbeatConsensusMembersPerRootEvent) {
   expect_declarations(
       node, {{&ev.rc_data, data},
              {&ev.rc_ack, {"relcomm", "transport"}},
+             {&ev.fd_request, {"fd", "transport"}},
              {&ev.swim_wire, {}},
              {&ev.cs_wire, cs},
              {&ev.view_install, install},
              {&ev.retransmit_tick, {"relcomm", "transport"}},
-             {&ev.heartbeat_tick, {"fd", "transport"}},
-             {&ev.fd_check_tick, {"fd", "transport", "consensus"}},
+             {&ev.heartbeat_tick, {"fd", "transport", "consensus"}},
              {&ev.swim_tick, {}},
              {&ev.cs_retry_tick, {"consensus", "transport"}},
              {&ev.api_abcast, {"abcast", "relcast", "relcomm", "transport", "consensus"}},

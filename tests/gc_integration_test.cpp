@@ -130,7 +130,7 @@ TEST(GcIntegration, AbcastSurvivesLossyLinks) {
                         .drop_probability = 0.05},
             /*seed=*/99);
   c.start();
-  for (int i = 0; i < 3; ++i) c[0].abcast("x" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) c[0].abcast(std::string("x").append(std::to_string(i)));
   EXPECT_TRUE(wait_until(
       [&] {
         for (auto& n : c.nodes) {
@@ -225,15 +225,24 @@ TEST(GcIntegration, ViewHistoryConsistentAcrossMembers) {
   EXPECT_EQ(ids0, ids1);
 }
 
-TEST(GcIntegration, FailureDetectorSuspectsCrashedSite) {
+TEST(GcIntegration, FailureDetectorSuspectsCrashedCoordinator) {
+  // The heartbeat detector watches only the coordinators consensus waits
+  // on. c[2] owns slot 2: once it crashes, the first message lands in slot
+  // 1 and the second in slot 2, where both survivors' instances wait on the
+  // crashed owner, ask it, and suspect it; the instance moves on.
   GcOptions opts;
   opts.heartbeat_interval = std::chrono::microseconds(1000);
   opts.fd_timeout = std::chrono::microseconds(8000);
   Cluster c(3, opts);
   c.start();
-  // Let heartbeats flow first so last_heard is seeded with real evidence.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   c[2].crash();
+  for (const char* m : {"first", "second"}) {
+    const std::size_t before = c[0].sink().adelivered().size();
+    c[0].abcast(m);
+    ASSERT_TRUE(wait_until([&] {
+      return c[0].sink().adelivered().size() > before && c[1].sink().adelivered().size() > before;
+    })) << "'" << m << "' was not delivered";
+  }
   EXPECT_TRUE(wait_until([&] { return c[0].fd().is_suspected(c[2].id()); }));
   EXPECT_TRUE(wait_until([&] { return c[1].fd().is_suspected(c[2].id()); }));
   EXPECT_FALSE(c[0].fd().is_suspected(c[1].id()));
@@ -256,6 +265,12 @@ TEST(GcIntegration, AbcastSurvivesNonCoordinatorCrash) {
       },
       std::chrono::milliseconds(30000)))
       << "abcast did not decide despite a live majority";
+  // No instance ever waited on the crashed acceptor, so the heartbeat
+  // detector never watched it: an idle peer is never suspected.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(c[0].fd().is_suspected(c[2].id()));
+  EXPECT_FALSE(c[1].fd().is_suspected(c[2].id()));
+  EXPECT_EQ(c[0].fd().suspicions() + c[1].fd().suspicions(), 0u);
 }
 
 TEST(GcIntegration, RelCommRetransmitsThroughLoss) {
@@ -281,7 +296,7 @@ TEST(GcIntegration, RelCommRetransmitsThroughLoss) {
     // (a first send or a relay copy always arrives), so the first sends
     // cross a cut that the script heals once retransmissions have begun.
     net.set_partitioned_oneway(c[0]->id(), c[1]->id(), true);
-    for (int i = 0; i < 5; ++i) c[0]->rbcast("r" + std::to_string(i));
+    for (int i = 0; i < 5; ++i) c[0]->rbcast(std::string("r").append(std::to_string(i)));
     script.schedule(std::chrono::microseconds(2500),
                     [&] { net.set_partitioned_oneway(c[0]->id(), c[1]->id(), false); });
     script.schedule_periodic(std::chrono::microseconds(500), [&] {
@@ -326,7 +341,7 @@ std::int64_t discarded_in_race(CCPolicy policy, bool manual_locks,
   // that runs inside the race window meets RelCast(new view) +
   // RelComm(old view) under the unsynchronised baseline.
   for (int i = 0; i < 40; ++i) {
-    c[1].rbcast("flood" + std::to_string(i));
+    c[1].rbcast(std::string("flood").append(std::to_string(i)));
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   if (!wait_until([&] { return c[3].membership().view_snapshot().size() == 4; })) return -1;
@@ -374,7 +389,7 @@ TEST(GcIntegration, NodeTracesAreIsolatedUnderVCABasic) {
     opts.detector_impl = detector;
     Cluster c(3, opts);
     c.start();
-    for (int i = 0; i < 3; ++i) c[0].abcast("t" + std::to_string(i));
+    for (int i = 0; i < 3; ++i) c[0].abcast(std::string("t").append(std::to_string(i)));
     ASSERT_TRUE(wait_until([&] {
       for (auto& n : c.nodes) {
         if (n->sink().adelivered().size() != 3) return false;
@@ -425,7 +440,7 @@ TEST(GcIntegration, SerializedWirePathWorksEndToEnd) {
   // decoded on delivery: plain and atomic broadcasts, on the wall clock.
   Cluster c(3, calm_opts());
   c.start();
-  for (int i = 0; i < 3; ++i) c[0].abcast("wire" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) c[0].abcast(std::string("wire").append(std::to_string(i)));
   c[1].rbcast("plain");
   EXPECT_TRUE(wait_until([&] {
     for (auto& n : c.nodes) {

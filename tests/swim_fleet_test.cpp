@@ -71,16 +71,20 @@ TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
   cfg.sites = 10;
   cfg.seed = 3;
   cfg.detector = DetectorImpl::kHeartbeat;
-  // Heartbeat detection latency is up to 2*fd_timeout after last contact
-  // (the check tick runs once per fd_timeout); at 10 sites the equal-
-  // bandwidth scaling makes that ~54ms past the crash. Size the window so
-  // the suspicion lands before the evictions close the sample.
+  // The heartbeat detector watches only the coordinators consensus waits
+  // on, and this scenario sends no abcast between the crash and the
+  // evictions, so the crashed site is suspected, if at all, only when an
+  // eviction's slot waits on it. Keep the window of the equal-bandwidth
+  // all-links detector this cell used to run (~54 ms past the crash at 10
+  // sites), so the evictions come as late as they used to.
   cfg.detect_window = std::chrono::microseconds(60000);
   const auto out = run_churn_fleet(cfg);
 
   ASSERT_TRUE(out.converged);
   EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
-  EXPECT_GT(out.suspicions, 0u);
+  // No live site is suspected: the island and the flapping links cut no
+  // link on which an instance waited.
+  EXPECT_EQ(out.false_positive_pairs, 0u);
   // SWIM counters must stay untouched behind the heartbeat seam.
   EXPECT_EQ(out.probes_sent, 0u);
   EXPECT_EQ(out.periods, 0u);

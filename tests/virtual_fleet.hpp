@@ -244,7 +244,11 @@ struct RecoveryOutcome {
   std::uint64_t retrans_to_evicted_probe2 = 0;
   std::uint64_t net_recoveries = 0;
   std::uint64_t rejoins_completed = 0;       // summed over sites
+  std::uint64_t suspicions = 0;              // summed over sites (current incarnations)
   std::uint64_t suspicion_revocations = 0;   // summed over sites (current incarnations)
+  // (site, view member) pairs in which the site still suspects the member
+  // when the run ends.
+  std::uint64_t standing_suspicions = 0;
   std::uint64_t view_change_drops = 0;       // summed over sites + archives
   std::vector<std::string> chaos_log;
   std::uint64_t net_sent = 0;
@@ -366,7 +370,8 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
     // Cycle 1: crash site 4 while a partition between 1 and 2 is up, evict
     // it, probe the (frozen) retransmission counter twice (the first probe
     // is the poller below), then restart + rejoin. The partition outlasts
-    // the failure-detector timeout, so 1 and 2 suspect each other and must
+    // the failure-detector timeout, so where an instance of 1 waits on 2 as
+    // its coordinator (or the other way round), it suspects it, and must
     // revoke after the heal. The plain broadcast at the crash is a send to
     // the dead site that outlives retransmit_timeout before the eviction is
     // even requested: node 0 sends it at 5 ms, its retransmit tick at 8 ms
@@ -463,7 +468,12 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed, net::DeliveryHook*
     for (auto& t : n->vs_traces()) out.traces.push_back(std::move(t));
     out.retransmissions.push_back(n->total_retransmissions());
     out.rejoins_completed += n->rejoins_completed();
+    out.suspicions += n->detector().suspicions();
     out.suspicion_revocations += n->detector().suspicion_revocations();
+    const View view = n->membership().view_snapshot();
+    for (SiteId member : view.members()) {
+      if (n->detector().is_suspected(member)) ++out.standing_suspicions;
+    }
     out.view_change_drops += n->rel_comm().view_change_drops();
     for (const auto& arc : n->archives()) out.view_change_drops += arc.view_change_drops;
   }
