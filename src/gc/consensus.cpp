@@ -25,6 +25,7 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& gc_events, SiteId se
   });
 
   on_wire_ = handle("on_wire", [this](Outbox& out, const FromWire& fw) {
+    last_wire_ = options().now();
     std::visit(
         [&](const auto& msg) {
           using T = std::decay_t<decltype(msg)>;
@@ -165,7 +166,13 @@ void Consensus::pull_frontier(Outbox& out, Clock::time_point now) {
   const bool moved_past = highest_decided_ > want;
   const bool idle_accept = inst != nullptr && inst->accepted_value &&
                            now - inst->last_activity >= options().cs_retry_timeout;
-  const bool peer_idle = peer_past && now - behind_since_ >= options().cs_retry_timeout;
+  // With the heartbeat detector an idle link carries nothing, so the
+  // header that shows a lost last slot comes only from the detector's
+  // idle probe, after cs_retry_timeout of silence. A site that has had no
+  // consensus packet for that long has no DECIDE in flight to wait for.
+  const bool quiet = suspect_source_ && now - last_wire_ >= options().cs_retry_timeout;
+  const bool peer_idle =
+      peer_past && (quiet || now - behind_since_ >= options().cs_retry_timeout);
   if (!moved_past && !idle_accept && !peer_idle) return;
   decision_pulls_.add();
   broadcast(out, Wire{CsPrepare{want, 0}});
@@ -190,7 +197,14 @@ void Consensus::handle_prepare(Outbox& out, SiteId from, const CsPrepare& p) {
 
 void Consensus::handle_promise(Outbox& out, SiteId from, const CsPromise& p) {
   Instance& inst = instance(p.instance);
-  if (inst.decided || inst.phase2 || p.round != inst.my_round) return;
+  if (inst.decided) {
+    // The promiser was undecided when it answered: tell it the decision.
+    if (from != self_) {
+      to(out, from, Wire{CsDecide{p.instance, inst.accepted_value.value_or(ConsensusValue{})}});
+    }
+    return;
+  }
+  if (inst.phase2 || p.round != inst.my_round) return;
   inst.promises.emplace(from, p);
   if (inst.promises.size() < view_.majority()) return;
   // Phase 2: adopt the value of the highest accepted round, if any.
@@ -275,7 +289,15 @@ void Consensus::learn(Outbox& out, std::uint64_t i, std::uint64_t round) {
 }
 
 void Consensus::handle_decide(Outbox& out, const CsDecide& d) {
-  if (instance(d.instance).decided) return;
+  Instance& inst = instance(d.instance);
+  if (inst.decided) return;
+  // A decided site answered our phase 1: the sites that promised it were
+  // undecided, and no DECIDE wave of ours will reach them.
+  if (!inst.phase2) {
+    for (const auto& [site, promise] : inst.promises) {
+      if (site != self_) to(out, site, Wire{d});
+    }
+  }
   decide(out, d.instance, d.value);
 }
 

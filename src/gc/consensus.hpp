@@ -16,6 +16,10 @@
 //            majority chose that value. Every other site learns from the
 //            first DECIDE that reaches it. The origin of a payload thus
 //            learns its order in three hops, everyone else in four.
+//   Late     a decided site answers any PREPARE, ACCEPT or PROMISE for
+//            the instance with its DECIDE; a coordinator that learns the
+//            decision in phase 1 passes it to the sites that promised it,
+//            which were undecided when they answered.
 //
 // The coordinator of instance i, attempt a is view.member_at(i + a);
 // rounds are made proposer-unique by round = (attempt + 1) * kRoundStride +
@@ -79,7 +83,9 @@ class Consensus : public GcMicroprotocol {
   //   - a peer's packet has reported a frontier past it for
   //     cs_retry_timeout (we lost the slot's ACCEPT and every DECIDE and
   //     hold nothing to retry, e.g. because the payload's origin crashed
-  //     before its copy reached us).
+  //     before its copy reached us), or, with the heartbeat detector, has
+  //     reported one at all after no consensus packet reached us for
+  //     cs_retry_timeout (see set_suspect_source).
   // The probe is a PREPARE with round 0 — never a real round, so undecided
   // acceptors ignore it (0 <= promised), while decided sites answer any
   // prepare with the decision. The learner rule reads the same source: an
@@ -98,8 +104,13 @@ class Consensus : public GcMicroprotocol {
   // The heartbeat detector, both ways, through mirrors as above: the
   // coordinator choice skips every site `suspected` reports, and waits()
   // mirrors the coordinators our open instances wait on for the
-  // detector's tick. Unset (SWIM, scripted tests), consensus skips nothing
-  // and mirrors nothing.
+  // detector's tick. Its idle links carry nothing, so a header that shows
+  // a lost last slot comes only from the detector's idle probe, after
+  // cs_retry_timeout of silence: with this source set, a site that has
+  // had no consensus packet for cs_retry_timeout pulls as soon as a peer's
+  // frontier shows it behind, since no DECIDE can still be on its way.
+  // Unset (SWIM, scripted tests), consensus skips nothing, mirrors
+  // nothing, and a peer's frontier pulls only after cs_retry_timeout.
   void set_suspect_source(std::function<bool(SiteId)> suspected) {
     suspect_source_ = std::move(suspected);
   }
@@ -175,6 +186,7 @@ class Consensus : public GcMicroprotocol {
   // from then, so that a DECIDE merely still in flight is not pulled.
   std::optional<std::uint64_t> behind_on_;
   Clock::time_point behind_since_{};
+  Clock::time_point last_wire_{};  // our latest consensus packet's arrival
 
   const Handler* propose_ = nullptr;
   const Handler* on_wire_ = nullptr;

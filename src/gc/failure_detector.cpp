@@ -35,7 +35,7 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& gc_event
         }
         continue;
       }
-      if (now - peer.spoke < options().heartbeat_interval) continue;
+      if (now - peer.heard < options().heartbeat_interval) continue;
       if (!unanswered) peer.asked = now;
       ask(site);
     }
@@ -74,19 +74,18 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& gc_event
     }
     for (SiteId site : view_.members()) {
       if (site == self_) continue;
-      peers_.try_emplace(site, Peer{now, now, std::nullopt});
+      peers_.try_emplace(site, Peer{now, std::nullopt});
     }
   });
 }
 
-void FailureDetector::heard_from(SiteId site, bool heartbeat) {
+void FailureDetector::heard_from(SiteId site) {
   const auto now = options().now();
   std::unique_lock snap(snap_mu_);
   const auto it = peers_.find(site);
   if (it == peers_.end()) return;
   last_packet_ = now;
   it->second.heard = now;
-  if (!heartbeat) it->second.spoke = now;
   if (suspected_.erase(site) > 0) {
     revocations_.add();  // eventually-perfect: revoke on new evidence
   }

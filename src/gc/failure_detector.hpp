@@ -11,9 +11,9 @@
 // for every packet, outside any computation, and a plain heartbeat spawns
 // none. The detector's one tick, every heartbeat_interval:
 //   - asks, with one FdHeartbeat request, every waited-on coordinator that
-//     has sent nothing but heartbeats for heartbeat_interval. The request
-//     spawns one computation at the coordinator, which answers at once
-//     with a plain heartbeat;
+//     has sent nothing for heartbeat_interval. The request spawns one
+//     computation at the coordinator, which answers at once with a plain
+//     heartbeat;
 //   - suspects a waited-on coordinator that an earlier tick asked, that
 //     has sent nothing since, and that has been silent for fd_timeout, and
 //     publishes the suspicion with triggerAll on the Suspect event;
@@ -56,11 +56,9 @@ class FailureDetector : public GcMicroprotocol, public Detector {
   }
 
   /// A packet from `site` arrived: refresh its liveness record and revoke
-  /// a standing suspicion. A heartbeat shows the site alive but not at
-  /// work, so it does not stop the requests to a waited-on coordinator.
-  /// Sites without a record (not in the view, or self) are ignored. Safe
-  /// to call from any thread.
-  void heard_from(SiteId site, bool heartbeat);
+  /// a standing suspicion. Sites without a record (not in the view, or
+  /// self) are ignored. Safe to call from any thread.
+  void heard_from(SiteId site);
 
   std::uint64_t suspicions() const override { return suspicions_.value(); }
   /// Suspicions withdrawn because the peer was heard from again — the
@@ -79,7 +77,6 @@ class FailureDetector : public GcMicroprotocol, public Detector {
  private:
   struct Peer {
     Clock::time_point heard;  // its last packet of any kind
-    Clock::time_point spoke;  // its last packet other than a heartbeat
     // The first request since `heard` a tick sent it while waited on;
     // cleared when it is no longer waited on.
     std::optional<Clock::time_point> asked;

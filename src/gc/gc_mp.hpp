@@ -14,8 +14,6 @@
 // defers triggers to the end of the body, which is equivalent.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -38,15 +36,17 @@ namespace samoa::gc {
 ///
 /// An entry names its event by address: every EventType a body triggers
 /// outlives the computation (a node's GcEvents), so queueing copies no
-/// shared name, and a temporary EventType does not compile. The first
-/// kInline entries live in the Outbox itself; only a longer queue
-/// allocates.
+/// shared name, and a temporary EventType does not compile.
 class Outbox {
  public:
-  void trigger(const EventType& ev, Message msg) { push(ev, std::move(msg), Mode::kOne); }
-  void trigger_all(const EventType& ev, Message msg) { push(ev, std::move(msg), Mode::kAll); }
+  void trigger(const EventType& ev, Message msg) {
+    entries_.push_back({&ev, std::move(msg), Mode::kOne});
+  }
+  void trigger_all(const EventType& ev, Message msg) {
+    entries_.push_back({&ev, std::move(msg), Mode::kAll});
+  }
   void async_trigger_all(const EventType& ev, Message msg) {
-    push(ev, std::move(msg), Mode::kAsyncAll);
+    entries_.push_back({&ev, std::move(msg), Mode::kAsyncAll});
   }
   void trigger(EventType&&, Message) = delete;
   void trigger_all(EventType&&, Message) = delete;
@@ -54,8 +54,7 @@ class Outbox {
 
   /// Emit everything in queueing order. Call WITHOUT holding the guard.
   void flush(Context& ctx) {
-    for (std::size_t i = 0; i < size_; ++i) {
-      Entry& e = i < kInline ? inline_[i] : overflow_[i - kInline];
+    for (auto& e : entries_) {
       switch (e.mode) {
         case Mode::kOne:
           ctx.trigger(*e.ev, std::move(e.msg));
@@ -68,32 +67,17 @@ class Outbox {
           break;
       }
     }
-    size_ = 0;
-    overflow_.clear();
+    entries_.clear();
   }
 
  private:
-  static constexpr std::size_t kInline = 4;
   enum class Mode { kOne, kAll, kAsyncAll };
   struct Entry {
-    const EventType* ev = nullptr;
+    const EventType* ev;
     Message msg;
-    Mode mode = Mode::kOne;
+    Mode mode;
   };
-
-  void push(const EventType& ev, Message msg, Mode mode) {
-    Entry e{&ev, std::move(msg), mode};
-    if (size_ < kInline) {
-      inline_[size_] = std::move(e);
-    } else {
-      overflow_.push_back(std::move(e));
-    }
-    ++size_;
-  }
-
-  std::array<Entry, kInline> inline_;
-  std::vector<Entry> overflow_;
-  std::size_t size_ = 0;
+  std::vector<Entry> entries_;
 };
 
 namespace detail {

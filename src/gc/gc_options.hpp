@@ -44,8 +44,8 @@ struct GcOptions {
   /// at a fixed cadence. Set equal to retransmit_timeout to disable.
   std::chrono::microseconds retransmit_backoff_cap{24000};
   /// The heartbeat detector's tick: it asks every waited-on coordinator
-  /// that has sent nothing but heartbeats for this long, and it is the
-  /// least time a coordinator gets to answer before it can be suspected.
+  /// that has sent nothing for this long, and it is the least time a
+  /// coordinator gets to answer before it can be suspected.
   std::chrono::microseconds heartbeat_interval{2000};
   /// A waited-on coordinator that was asked and has sent nothing since, and
   /// nothing at all for this long, is suspected.

@@ -289,7 +289,7 @@ void GroupNode::on_packet(const net::Packet& packet) {
   // that the sender is alive. Both are recorded here, outside any
   // computation, so no event's declaration widens.
   transport_->note_peer_frontier(fw.frontier);
-  if (fd_ != nullptr) fd_->heard_from(fw.from, heartbeat);
+  if (fd_ != nullptr) fd_->heard_from(fw.from);
   if (root != nullptr) spawn(*root, Message::of(std::move(fw)));
 }
 

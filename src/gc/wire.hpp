@@ -66,10 +66,12 @@ struct RcAck {
 
 // --- Failure detector (heartbeat) ---
 /// Liveness on request. A site whose open consensus instance waits on a
-/// silent coordinator sends it a request; the coordinator answers at once
-/// with a plain heartbeat. Nothing else sends one, so an idle link carries
-/// none. A plain heartbeat's arrival, and the header every packet carries,
-/// are all it tells; only a request spawns a computation (the answer).
+/// silent coordinator sends it a request, and so does a site that has
+/// heard nothing at all for cs_retry_timeout (to one member, round-robin);
+/// the receiver answers at once with a plain heartbeat. Nothing else sends
+/// one, so an idle link carries none. A plain heartbeat's arrival, and the
+/// header every packet carries, are all it tells; only a request spawns a
+/// computation (the answer).
 struct FdHeartbeat {
   bool request = false;
 };

@@ -109,8 +109,11 @@ TEST(WireCodec, RcAckRoundTrip) {
 }
 
 TEST(WireCodec, HeartbeatRoundTrip) {
-  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{},
-                                [](const FdHeartbeat&, const FdHeartbeat&) { return true; });
+  const auto same = [](const FdHeartbeat& a, const FdHeartbeat& b) {
+    return a.request == b.request;
+  };
+  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{}, same);
+  expect_roundtrip<FdHeartbeat>(SiteId{0}, FdHeartbeat{.request = true}, same);
 }
 
 TEST(WireCodec, ConsensusMessagesRoundTrip) {
@@ -245,7 +248,7 @@ TEST(WireCodec, RandomizedRoundTrips) {
         wire = RcAck{rng.next()};
         break;
       case 2:
-        wire = FdHeartbeat{};
+        wire = FdHeartbeat{.request = rng.next_below(2) == 1};
         break;
       case 3: {
         ConsensusValue v;
@@ -276,6 +279,9 @@ TEST(WireCodec, RandomizedRoundTrips) {
     EXPECT_EQ(fw.frontier, frontier);
     EXPECT_EQ(fw.wire.index(), wire.index());
     EXPECT_STREQ(wire_kind(fw.wire), wire_kind(wire));
+    if (const auto* heartbeat = std::get_if<FdHeartbeat>(&wire)) {
+      EXPECT_EQ(std::get<FdHeartbeat>(fw.wire).request, heartbeat->request);
+    }
   }
 }
 

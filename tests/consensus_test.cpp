@@ -455,6 +455,44 @@ TEST(ConsensusSkip, SuspectedLiveOwnersChosenValueSurvives) {
   }
 }
 
+// --- Late learners -------------------------------------------------------------
+
+TEST(ConsensusLate, PromiserLearnsWhatItsCoordinatorFoundInPhaseOne) {
+  // The owner's first round decides the slot, but the attempt-1
+  // coordinator, which holds a proposal, loses the ACCEPT and every
+  // DECIDE, and `undecided` loses every DECIDE. The coordinator's retry
+  // runs phase 1: the decided sites answer its PREPARE with the decision,
+  // `undecided` with a PROMISE. Either way round, `undecided` must learn
+  // the decision from the coordinator: site 0's PROMISE reaches it before
+  // the first DECIDE does (it passes the DECIDE on), site 4's after (it
+  // answers the PROMISE).
+  for (const int undecided : {0, 4}) {
+    SCOPED_TRACE("undecided site " + std::to_string(undecided));
+    ScriptedCluster c(kSites);
+    const int owner = static_cast<int>(c.view().member_at(kSlot).value());
+    const int coord = static_cast<int>(c.view().member_at(kSlot + 1).value());
+    ASSERT_NE(undecided, owner);
+    ASSERT_NE(undecided, coord);
+    const ConsensusValue v = batch_of(owner, 1, "m");
+    c.propose(coord, kSlot, v);
+    c.propose(owner, kSlot, v);
+    c.deliver([&](const Packet& p) {
+      return (p.to == SiteId(coord) && (is<CsAccept>(p) || is<CsDecide>(p))) ||
+             (p.to == SiteId(undecided) && is<CsDecide>(p));
+    });
+    ASSERT_EQ(c.decided(owner, kSlot), "m");
+    ASSERT_EQ(c.decided(coord, kSlot), "none");
+    ASSERT_EQ(c.decided(undecided, kSlot), "none");
+
+    c.clock().advance(8000us);
+    c.retry(coord);
+    c.deliver();
+
+    EXPECT_EQ(c.decided(coord, kSlot), "m");
+    EXPECT_EQ(c.decided(undecided, kSlot), "m");
+  }
+}
+
 // --- The learner rule ----------------------------------------------------------
 
 TEST(ConsensusLearner, OriginDecidesBeforeAnyDecide) {
@@ -857,6 +895,61 @@ TEST(ConsensusTail, SiteWithoutThePayloadLearnsALostLastSlotUnderSwim) {
   expect_lost_last_slot_learnt(DetectorImpl::kSwim);
 }
 
+// The heartbeat detector's idle links carry nothing, so a site that lost
+// the whole last slot (as above) hears of the group's frontier only from
+// a header after it has heard nothing for cs_retry_timeout. No DECIDE can
+// still be on its way then, so it pulls at its next retry tick instead of
+// waiting another cs_retry_timeout: it learns the slot within one silence,
+// one detector tick, one retry tick and a few hops of the group's
+// decision.
+TEST(QuietPull, SiteThatLostTheLastSlotPullsWithoutASecondTimeout) {
+  constexpr int kN = 4;
+  GcOptions opts;
+  VirtualCluster c(kN, opts);
+  const auto now_us = [&c] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(c.clock.now().time_since_epoch())
+        .count();
+  };
+  std::optional<SiteId> owner;
+  std::optional<SiteId> cut;
+  long long decided_at = -1;
+  long long learnt_at = -1;
+  const auto has_last = [](GroupNode& n) { return count_of(n.sink().adelivered(), "last") > 0; };
+  c.run([&] {
+    c.script.schedule(1000us, [&] {
+      for (auto& n : c.nodes) n->abcast("before-" + std::to_string(n->id().value()));
+    });
+    c.script.schedule(10000us, [&] {
+      const std::uint64_t slot = c[0].ab().next_instance();
+      const View view = c[0].membership().view_snapshot();
+      owner = view.member_at(slot);
+      cut = view.member_at(slot + 1);
+      c.net.set_partitioned_oneway(*owner, *cut, true);
+      c[owner->value()].abcast("last");
+    });
+    c.script.schedule(12000us, [&] { c[owner->value()].crash(); });
+    c.script.schedule_periodic(100us, [&] {
+      if (!owner) return;
+      for (auto& n : c.nodes) {
+        if (decided_at < 0 && n->id() != *cut && has_last(*n)) decided_at = now_us();
+      }
+      if (learnt_at < 0 && has_last(c[cut->value()])) {
+        learnt_at = now_us();
+        c.shut_down();
+      }
+    });
+    c.script.schedule(200000us, [&] { c.shut_down(); });
+  });
+
+  ASSERT_TRUE(cut.has_value());
+  ASSERT_GE(decided_at, 0);
+  ASSERT_GE(learnt_at, 0) << "site " << cut->value() << " never learnt the last slot";
+  const long long bound = opts.cs_retry_timeout.count() + opts.heartbeat_interval.count() +
+                          opts.cs_retry_interval.count() + 1000;
+  EXPECT_LE(learnt_at - decided_at, bound);
+  EXPECT_EQ(c.failed_computations(), 0u);
+}
+
 // A live site that the group evicts keeps probing its former peers under
 // SWIM, and their acks' headers carry frontiers past its own. It must not pull the
 // slots decided after its eviction: it would deliver messages of views it
@@ -1089,9 +1182,10 @@ TEST(PacketLiveness, AnyPacketRefreshesLivenessAndRevokesASuspicion) {
 
 // As above, but p1 is live: it answers every request at once, and sends
 // nothing else, so the node's instance waits on it for the whole run. The
-// node asks it at every tick (2, 4, ..., 20 ms); each answer arrives 0.2
-// ms later and keeps it from being suspected. p2, on which nothing waits,
-// is asked nothing.
+// node asks it at each tick that finds it silent for an interval: at 2, 6,
+// ..., 18 ms. Each answer arrives 0.2 ms later, so the next tick finds it
+// silent for only 1.8 ms, and no tick suspects it. p2, on which nothing
+// waits, is asked nothing.
 TEST(PacketLiveness, WaitingSiteAsksItsSilentCoordinatorEveryInterval) {
   GcOptions opts;
   opts.heartbeat_interval = 2000us;
@@ -1112,7 +1206,7 @@ TEST(PacketLiveness, WaitingSiteAsksItsSilentCoordinatorEveryInterval) {
     c.script.schedule(21000us, [&] { c.shut_down(); });
   });
 
-  EXPECT_EQ(p1.requests.load(), 10);
+  EXPECT_EQ(p1.requests.load(), 5);
   EXPECT_EQ(p2.requests.load(), 0);
   EXPECT_FALSE(ever_suspected);
   EXPECT_EQ(node.fd().suspicions(), 0u);

@@ -72,16 +72,24 @@ TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
   cfg.seed = 3;
   cfg.detector = DetectorImpl::kHeartbeat;
   // The heartbeat detector watches only the coordinators consensus waits
-  // on, and this scenario sends no abcast between the crash and the
-  // evictions, so the crashed site is suspected, if at all, only when an
-  // eviction's slot waits on it. Keep the window of the equal-bandwidth
-  // all-links detector this cell used to run (~54 ms past the crash at 10
-  // sites), so the evictions come as late as they used to.
+  // on, so site 0 abcasts after the crash until a slot the crashed site
+  // owns waits on it. It suspects the crashed owner within fd_timeout plus
+  // one heartbeat interval of the wait's start, if consensus has not moved
+  // on first: the retry tick rotates the attempt after cs_retry_timeout (8
+  // ms). Sized for SWIM's bandwidth, the interval would be 9 ms and
+  // fd_timeout 27 ms at 10 sites, so the detector could never suspect
+  // before the retry; a 2 ms interval (fd_timeout 6 ms) can. The evictions
+  // come 60 ms after the crash, once that wait has had time to start and
+  // run out.
+  cfg.heartbeat_interval = std::chrono::microseconds(2000);
   cfg.detect_window = std::chrono::microseconds(60000);
+  cfg.abcast_into_crashed_slot = true;
   const auto out = run_churn_fleet(cfg);
 
   ASSERT_TRUE(out.converged);
   EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
+  EXPECT_GT(out.all_suspected_us, 0) << "the crashed site was not suspected in the window";
+  EXPECT_GT(out.suspicions, 0u);
   // No live site is suspected: the island and the flapping links cut no
   // link on which an instance waited.
   EXPECT_EQ(out.false_positive_pairs, 0u);

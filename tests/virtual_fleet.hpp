@@ -541,9 +541,17 @@ struct ChurnConfig {
   int partition_size = -1;  // -1 => max(2, sites/10), clamped to survivors-2
   int abcasts = 6;          // total app broadcasts (half warmup, half post-evict)
   std::chrono::microseconds probe_interval{2000};  // SWIM period
+  /// The heartbeat detector's interval (fd_timeout is three of them); zero
+  /// sizes it for SWIM's per-site bandwidth, as below.
+  std::chrono::microseconds heartbeat_interval{0};
   /// Wait between the simultaneous crash and the first scripted eviction:
   /// the window in which detection latency is sampled.
   std::chrono::microseconds detect_window{20000};
+  /// After the crash, site 0 abcasts one message at a time until one of
+  /// them goes into a slot a crashed site owns, so that an instance waits
+  /// on a crashed coordinator inside the detect window: the only crash the
+  /// heartbeat detector watches for.
+  bool abcast_into_crashed_slot = false;
   std::chrono::microseconds horizon{5'000'000};
   double drop_probability = 0.01;
 };
@@ -621,7 +629,9 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   // per site; all-to-all heartbeats send (n-1). Matching per-site send
   // rates means hb_interval scales with n — which is exactly why heartbeat
   // detection latency grows O(n) at fixed bandwidth (the E-SWIM story).
-  opts.heartbeat_interval = cfg.probe_interval * std::max(1, sites - 1) / 2;
+  opts.heartbeat_interval = cfg.heartbeat_interval.count() > 0
+                                ? cfg.heartbeat_interval
+                                : cfg.probe_interval * std::max(1, sites - 1) / 2;
   opts.fd_timeout = 3 * opts.heartbeat_interval;
 
   net::SimNetwork net(net::LinkOptions{.base_latency = microseconds(100),
@@ -646,9 +656,11 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   };
   // Survivor id set, for the view-agreement convergence criterion.
   std::vector<SiteId> survivor_ids(members.begin(), members.begin() + s);
+  int abcasts = cfg.abcasts;  // plus those into the crashed sites' slots
+  bool into_crashed = false;  // one of them went into a crashed site's slot
   const auto all_converged = [&] {
     for (int i = 0; i < s; ++i) {
-      if (nodes[i]->sink().adelivered().size() != static_cast<std::size_t>(cfg.abcasts)) {
+      if (nodes[i]->sink().adelivered().size() != static_cast<std::size_t>(abcasts)) {
         return false;
       }
       if (nodes[i]->membership().view_snapshot().members() != survivor_ids) return false;
@@ -714,6 +726,21 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
               [&nodes, s, sites] {
                 for (int i = s; i < sites; ++i) nodes[i]->crash();
               });
+
+    if (cfg.abcast_into_crashed_slot) {
+      script.schedule_periodic(microseconds(1000), [&, s] {
+        // One at a time, each after site 0 delivered the warmup and the
+        // ones before it.
+        GroupNode& n = *nodes[0];
+        const auto before = static_cast<std::size_t>(cfg.abcasts / 2 + abcasts - cfg.abcasts);
+        if (into_crashed || now_us() < 31000 || n.sink().adelivered().size() != before) return;
+        const View view = n.membership().view_snapshot();
+        const auto owner = std::find(members.begin(), members.end(),
+                                     view.member_at(n.ab().next_instance()));
+        into_crashed = owner - members.begin() >= s;
+        n.abcast(std::string("c").append(std::to_string(abcasts++)));
+      });
+    }
 
     // Scripted evictions from site 0 once the detection window closed.
     const auto evict_at = microseconds(30000) + cfg.detect_window;
